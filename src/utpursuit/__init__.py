@@ -63,7 +63,7 @@ from .uncertainty import (
 )
 from .vehicle import NoiseModel, VehicleState, advance_pose, sample_measured_pose
 from .waypoints import (
-    KdTree,
+    WaypointIndex,
     WaypointPath,
     build_index,
     load_waypoints,
@@ -84,7 +84,6 @@ __all__ = [
     "CrossTrack",
     "DegenerateCenter",
     "DegenerateScaling",
-    "KdTree",
     "NoForwardIntersection",
     "NoIntersection",
     "NoiseModel",
@@ -105,6 +104,7 @@ __all__ = [
     "UtPursuitError",
     "VehicleState",
     "VerticalRoad",
+    "WaypointIndex",
     "WaypointPath",
     "advance_pose",
     "build_index",

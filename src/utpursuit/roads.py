@@ -17,19 +17,11 @@ RoadModel = StraightLine | Circle | WaypointPath
 
 
 def nearest_point_on_polyline(point: Point2, path: WaypointPath) -> Point2:
-    """Closest point on the waypoint polyline (segment interiors included)."""
-    px, py = point
-    best_d2 = math.inf
-    best: Point2 = path.points[0]
-    for (x0, y0), (x1, y1) in zip(path.points, path.points[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        t = ((px - x0) * dx + (py - y0) * dy) / (dx * dx + dy * dy)
-        t = min(1.0, max(0.0, t))
-        qx, qy = x0 + t * dx, y0 + t * dy
-        d2 = (px - qx) ** 2 + (py - qy) ** 2
-        if d2 < best_d2:
-            best_d2, best = d2, (qx, qy)
-    return best
+    """Closest point on the waypoint polyline (segment interiors included).
+
+    Ties go to the earlier segment.
+    """
+    return path.spatial_index().project(point)
 
 
 def lateral_deviation(point: Point2, road: RoadModel) -> float:

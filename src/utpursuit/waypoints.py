@@ -1,10 +1,11 @@
 """Waypoint paths and their per-step reduction to a local line or circle.
 
 A waypoint road is handled by probing one look-ahead distance in front of
-the rear axle, finding the nearest waypoint with a k-d tree, and fitting the
-waypoint triple around it: three nearly collinear points become a straight
-line, anything else becomes the circumcircle.  Menger curvature decides
-which, and its sign (counter-clockwise positive) is kept for diagnostics.
+the rear axle, finding the nearest waypoint with an exact vectorised scan
+over all waypoints, and fitting the waypoint triple around it: three nearly
+collinear points become a straight line, anything else becomes the
+circumcircle.  Menger curvature decides which, and its sign
+(counter-clockwise positive) is kept for diagnostics.
 """
 
 from __future__ import annotations
@@ -27,61 +28,67 @@ VERTICAL_COS_EPS = 1e-12
 LocalRoad = StraightLine | Circle
 
 
-@dataclass(frozen=True, slots=True)
-class _Node:
-    index: int
-    axis: int
-    left: "_Node | None"
-    right: "_Node | None"
+# numpy squares by an exact-rounded multiply, but Python's float ** calls libm
+# pow, which rounds about one square in a thousand the other way.  Sums of two
+# squares then differ by under 2**-50 relative (plus a few subnormal steps),
+# so rescoring what lies within this of the minimum reproduces the scalar
+# result exactly.
+_NEAR_TIE_REL = 2.0**-48
+_NEAR_TIE_ABS = 2.0**-1070
 
 
-class KdTree:
-    """Exact 2-d nearest-neighbor index; ties resolve to the lowest index."""
+def _first_min_d2(ex: np.ndarray, ey: np.ndarray) -> int:
+    """First index minimising ex**2 + ey**2 as Python floats compute it."""
+    d2 = ex**2 + ey**2
+    k = int(np.argmin(d2))
+    near = (d2 <= float(d2[k]) * (1.0 + _NEAR_TIE_REL) + _NEAR_TIE_ABS).nonzero()[0]
+    if len(near) <= 1:
+        return k
+    # min keeps the first of equal keys: the lowest index, as a strict < scan.
+    return min(near.tolist(), key=lambda j: float(ex[j]) ** 2 + float(ey[j]) ** 2)
+
+
+class WaypointIndex:
+    """A path's waypoints and segments as float64 arrays, scanned exactly.
+
+    Both queries look at every waypoint or segment at once and return what a
+    scalar loop over them with a strict < would: ties resolve to the lowest
+    index.  Inputs must be finite, with squared distances that do not
+    overflow.
+    """
 
     def __init__(self, points: list[Point2]):
-        self.points = [(float(x), float(y)) for x, y in points]
-        if len(self.points) < 3:
-            raise TooFewWaypoints(f"need at least 3 waypoints, got {len(self.points)}")
-        self._root = self._build(list(range(len(self.points))), 0)
-
-    def _build(self, idxs: list[int], axis: int) -> _Node | None:
-        if not idxs:
-            return None
-        idxs.sort(key=lambda i: (self.points[i][axis], i))
-        mid = len(idxs) // 2
-        return _Node(
-            index=idxs[mid],
-            axis=axis,
-            left=self._build(idxs[:mid], 1 - axis),
-            right=self._build(idxs[mid + 1 :], 1 - axis),
-        )
+        self.xs = np.array([p[0] for p in points], dtype=np.float64)
+        self.ys = np.array([p[1] for p in points], dtype=np.float64)
+        # Segment k runs from waypoint k to k + 1.
+        self.x0, self.y0 = self.xs[:-1], self.ys[:-1]
+        self.dx, self.dy = np.diff(self.xs), np.diff(self.ys)
+        self.seg_len2 = self.dx * self.dx + self.dy * self.dy
 
     def nearest(self, query: Point2) -> int:
+        """Index of the waypoint nearest to query."""
         qx, qy = query
-        best_d2 = math.inf
-        best_idx = -1
+        return _first_min_d2(self.xs - qx, self.ys - qy)
 
-        def visit(node: _Node | None) -> None:
-            nonlocal best_d2, best_idx
-            if node is None:
-                return
-            px, py = self.points[node.index]
-            d2 = (px - qx) ** 2 + (py - qy) ** 2
-            if d2 < best_d2 or (d2 == best_d2 and node.index < best_idx):
-                best_d2, best_idx = d2, node.index
-            diff = (qx, qy)[node.axis] - (px, py)[node.axis]
-            near, far = (node.left, node.right) if diff < 0.0 else (node.right, node.left)
-            visit(near)
-            # <= keeps equidistant candidates across the split reachable,
-            # which the lowest-index tie-break depends on.
-            if diff * diff <= best_d2:
-                visit(far)
+    def project(self, point: Point2) -> Point2:
+        """Closest point on the polyline, segment interiors included.
 
-        visit(self._root)
-        return best_idx
+        Each segment's foot a + t d, with t = ((p - a) . d) / (d . d) clipped
+        to [0, 1], takes the same IEEE operations in the same order as a
+        scalar loop over the segments, so the result is bit-identical to that
+        loop's.
+        """
+        px, py = point
+        t = ((px - self.x0) * self.dx + (py - self.y0) * self.dy) / self.seg_len2
+        # min(1, max(0, t)): unlike np.clip, np.maximum turns -0.0 into 0.0.
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        qx = self.x0 + t * self.dx
+        qy = self.y0 + t * self.dy
+        k = _first_min_d2(px - qx, py - qy)
+        return (float(qx[k]), float(qy[k]))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
 
 @dataclass
@@ -89,7 +96,7 @@ class WaypointPath:
     """Ordered waypoints in the global frame, consecutive points distinct."""
 
     points: list[Point2]
-    _index: KdTree | None = field(default=None, repr=False, compare=False)
+    _index: WaypointIndex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.points) < 3:
@@ -101,7 +108,7 @@ class WaypointPath:
             if math.hypot(x1 - x0, y1 - y0) <= MIN_WAYPOINT_SPACING:
                 raise ValueError(f"waypoints {i} and {i + 1} are closer than {MIN_WAYPOINT_SPACING} m")
 
-    def spatial_index(self) -> KdTree:
+    def spatial_index(self) -> WaypointIndex:
         if self._index is None:
             self._index = build_index(self)
         return self._index
@@ -110,12 +117,12 @@ class WaypointPath:
         return len(self.points)
 
 
-def build_index(path: WaypointPath) -> KdTree:
-    """Build the nearest-neighbor index over a path's waypoints."""
-    return KdTree(path.points)
+def build_index(path: WaypointPath) -> WaypointIndex:
+    """Build the nearest-waypoint and projection index over a path."""
+    return WaypointIndex(path.points)
 
 
-def select_lookahead_waypoint(index: KdTree, pose: Pose, d_l: float) -> int:
+def select_lookahead_waypoint(index: WaypointIndex, pose: Pose, d_l: float) -> int:
     """Pick the waypoint nearest to the probe point one look-ahead ahead.
 
     The probe sits at pose + d_l (cos yaw, sin yaw); the returned index is
@@ -175,7 +182,7 @@ def _fit_line(a: Point2, b: Point2, c: Point2) -> StraightLine:
 
 def reduce_to_local_road(
     path: WaypointPath,
-    index: KdTree,
+    index: WaypointIndex,
     pose: Pose,
     d_l: float,
     straight_eps: float = DEFAULT_STRAIGHT_EPS,

@@ -18,6 +18,8 @@ from utpursuit import (
 )
 from utpursuit.waypoints import circumcenter
 
+from conftest import CONFIG_DIR
+
 
 def circumcenter_oracle(a, b, c):
     # Solve the perpendicular-bisector system instead of the closed form.
@@ -53,44 +55,77 @@ def test_waypoint_path_validation():
         WaypointPath([(0.0, 0.0), (math.nan, 0.0), (1.0, 0.0)])
 
 
-def test_kdtree_matches_linear_scan():
+def test_index_matches_linear_scan():
     rng = np.random.default_rng(53)
     pts = rng.uniform(-100.0, 100.0, size=(500, 2))
-    tree = build_index(WaypointPath([tuple(p) for p in pts]))
+    index = build_index(WaypointPath([tuple(p) for p in pts]))
     for _ in range(1000):
         q = rng.uniform(-120.0, 120.0, size=2)
         expected = int(np.argmin(((pts - q) ** 2).sum(axis=1)))
-        assert tree.nearest(tuple(q)) == expected
+        assert index.nearest(tuple(q)) == expected
 
 
-def test_kdtree_tie_breaks_to_lowest_index():
-    tree = build_index(WaypointPath([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))
+def nearest_waypoint_oracle(query, points):
+    # Strict-< scan with Python floats, whose `**` calls libm pow.
+    qx, qy = query
+    return min(range(len(points)), key=lambda i: (points[i][0] - qx) ** 2 + (points[i][1] - qy) ** 2)
+
+
+@pytest.mark.parametrize(
+    "query, a, b",
+    [
+        # b is a rotated 90 degrees about the query: the two squared
+        # distances agree to the last bit, where `**` and a multiply can
+        # round them in opposite directions.
+        ((-6.59058364241705, 5.527065425681911), (8.989228999491239, -0.01481864957576029), (-1.0486995671593782, 21.106878067590202)),
+        ((-8.113028004045637, 6.985876495542907), (-3.881499811923823, -8.819993863822646), (7.692842355319916, 11.217404687664722)),
+        ((7.008818525461436, -6.253699690922239), (-4.317399417458303, 9.05975918985311), (-8.304640355313914, -17.579917633841976)),
+    ],
+)
+def test_index_matches_scalar_scan_on_near_ties(query, a, b):
+    for pts in ([a, b, (100.0, 100.0)], [b, a, (100.0, 100.0)]):
+        assert build_index(WaypointPath(pts)).nearest(query) == nearest_waypoint_oracle(query, pts)
+
+
+def test_index_tie_breaks_to_lowest_index():
+    index = build_index(WaypointPath([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))
     # (0.5, 0.3) is exactly equidistant from waypoints 0 and 1.
-    assert tree.nearest((0.5, 0.3)) == 0
-    assert tree.nearest((1.5, -0.25)) == 1
+    assert index.nearest((0.5, 0.3)) == 0
+    assert index.nearest((1.5, -0.25)) == 1
 
 
-def test_kdtree_many_duplicate_coordinates():
-    # Heavy x-coordinate ties exercise the equal-split exploration.
+def test_index_many_duplicate_coordinates():
+    # Heavy x-coordinate ties: many queries are equidistant from several waypoints.
     pts = [(float(i % 5), float(i // 5)) for i in range(25)]
-    tree = build_index(WaypointPath(pts))
+    index = build_index(WaypointPath(pts))
     arr = np.array(pts)
     rng = np.random.default_rng(59)
     for _ in range(200):
         q = rng.uniform(-1.0, 5.0, size=2)
         d2 = ((arr - q) ** 2).sum(axis=1)
         expected = int(np.argmin(d2))
-        assert tree.nearest(tuple(q)) == expected
+        assert index.nearest(tuple(q)) == expected
+
+
+def test_loop_seam_resolves_to_first_waypoint_and_clamps():
+    # waypoint_arc.txt closes on itself: waypoints 0 and 180 are both the origin.
+    path = load_waypoints(str(CONFIG_DIR / "waypoint_arc.txt"))
+    assert path.points[0] == path.points[-1] == (0.0, 0.0)
+    index = build_index(path)
+    assert index.nearest((0.0, -0.1)) == 0
+    # The probe (-1 + 1, -0.1) lands on the same seam query and clamps to 1,
+    # so the local triple never wraps across the seam.
+    assert select_lookahead_waypoint(index, Pose(-1.0, -0.1, 0.0), 1.0) == 1
 
 
 def test_select_lookahead_waypoint_probes_ahead_and_clamps():
     path = WaypointPath([(float(i), 0.0) for i in range(10)])
-    tree = build_index(path)
-    assert select_lookahead_waypoint(tree, Pose(3.1, 0.0, 0.0), 1.0) == 4
+    index = build_index(path)
+    assert select_lookahead_waypoint(index, Pose(3.1, 0.0, 0.0), 1.0) == 4
     # Probing backwards from the start clamps to index 1.
-    assert select_lookahead_waypoint(tree, Pose(0.0, 0.0, math.pi), 1.0) == 1
+    assert select_lookahead_waypoint(index, Pose(0.0, 0.0, math.pi), 1.0) == 1
     # Probing past the end clamps to len-2.
-    assert select_lookahead_waypoint(tree, Pose(9.0, 0.0, 0.0), 3.0) == 8
+    assert select_lookahead_waypoint(index, Pose(9.0, 0.0, 0.0), 3.0) == 8
 
 
 def test_menger_curvature_signs_and_collinear():
