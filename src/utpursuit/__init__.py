@@ -38,7 +38,6 @@ from .pursuit import (
     cross_track_line,
     lookahead_distance,
     steering_angle,
-    turning_radius,
 )
 from .roads import RoadModel, clamp_to_road, lateral_deviation
 from .sim import (
@@ -54,14 +53,12 @@ from .sim import (
 )
 from .uncertainty import (
     Covariance3,
-    SigmaPointSet,
     UtParams,
-    compose_covariance,
     derive_ut_params,
     generate_sigma_points,
     weighted_steering,
 )
-from .vehicle import NoiseModel, VehicleState, advance_pose, sample_measured_pose
+from .vehicle import NoiseModel, advance_pose, sample_measured_pose
 from .waypoints import (
     WaypointIndex,
     WaypointPath,
@@ -96,13 +93,11 @@ __all__ = [
     "RoadModel",
     "RunSummary",
     "Scenario",
-    "SigmaPointSet",
     "StraightLine",
     "TooFewWaypoints",
     "TrajectoryRecord",
     "UtParams",
     "UtPursuitError",
-    "VehicleState",
     "VerticalRoad",
     "WaypointIndex",
     "WaypointPath",
@@ -110,7 +105,6 @@ __all__ = [
     "build_index",
     "circle_to_vehicle",
     "clamp_to_road",
-    "compose_covariance",
     "cross_track_circle",
     "cross_track_line",
     "derive_ut_params",
@@ -130,7 +124,6 @@ __all__ = [
     "steering_angle",
     "step_pp",
     "step_utpp",
-    "turning_radius",
     "vehicle_to_global",
     "weighted_steering",
 ]

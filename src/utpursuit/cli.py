@@ -75,8 +75,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, summary = run(scenario)
-    seed = scenario.noise.rng_seed if scenario.noise is not None else 0
-    stem = f"{Path(args.config).stem}_{scenario.controller.value}_{seed}"
+    stem = f"{Path(args.config).stem}_{scenario.controller.value}_{summary.seed}"
     csv_path = out_dir / f"{stem}_trajectory.csv"
     emit_csv(records, str(csv_path))
     json_path = out_dir / f"{stem}_summary.json"

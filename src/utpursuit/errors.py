@@ -15,7 +15,8 @@ class ConfigInvalid(UtPursuitError):
 
 
 class DegenerateScaling(UtPursuitError):
-    """Unscented-transform scaling parameters give a non-positive dim + lambda."""
+    """Unscented-transform scaling gives a non-positive dim + lambda, or weights
+    that do not sum to 1 in floating point."""
 
 
 class NonPositiveSpeed(UtPursuitError):

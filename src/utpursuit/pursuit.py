@@ -141,10 +141,3 @@ def steering_angle(y_e: float, d_l: float, cfg: PursuitConfig) -> float:
     """delta = arctan(2 y_e wheelbase / d_l^2), clamped to the steering limit."""
     delta = math.atan(2.0 * y_e * cfg.wheelbase / (d_l * d_l))
     return max(-cfg.steering_limit, min(cfg.steering_limit, delta))
-
-
-def turning_radius(y_e: float, d_l: float) -> float:
-    """Instantaneous goal-arc radius d_l^2 / (2 y_e); inf on a straight course."""
-    if y_e == 0.0:
-        return math.inf
-    return d_l * d_l / (2.0 * y_e)

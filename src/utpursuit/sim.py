@@ -27,7 +27,7 @@ from .pursuit import (
 )
 from .roads import RoadModel, lateral_deviation
 from .uncertainty import UtParams, derive_ut_params, generate_sigma_points, weighted_steering
-from .vehicle import NoiseModel, VehicleState, advance_pose, sample_measured_pose
+from .vehicle import NoiseModel, advance_pose, sample_measured_pose
 from .waypoints import DEFAULT_STRAIGHT_EPS, WaypointPath, reduce_to_local_road
 
 logger = logging.getLogger(__name__)
@@ -69,22 +69,21 @@ class Scenario:
     paper_literal: bool = False
     straight_eps: float = DEFAULT_STRAIGHT_EPS
 
-    def __post_init__(self) -> None:
-        self.validate()
+    # The steering law's parameters, built and checked once per scenario.
+    pursuit: PursuitConfig = field(init=False, compare=False, repr=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.speed) and self.speed > 0.0):
             raise ConfigInvalid(f"speed must be positive, got {self.speed}")
-        if not (math.isfinite(self.wheelbase) and self.wheelbase > 0.0):
-            raise ConfigInvalid(f"wheelbase must be positive, got {self.wheelbase}")
-        if not (math.isfinite(self.lookahead_gain) and self.lookahead_gain > 0.0):
-            raise ConfigInvalid(f"lookahead_gain must be positive, got {self.lookahead_gain}")
+        try:
+            pursuit = PursuitConfig(self.wheelbase, self.lookahead_gain, self.steering_limit)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
+        object.__setattr__(self, "pursuit", pursuit)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigInvalid(f"dt must be positive, got {self.dt}")
         if self.steps < 1:
             raise ConfigInvalid(f"steps must be >= 1, got {self.steps}")
-        if not (0.0 < self.steering_limit < math.pi / 2.0):
-            raise ConfigInvalid(f"steering_limit must lie in (0, pi/2), got {self.steering_limit}")
         if not (math.isfinite(self.straight_eps) and self.straight_eps > 0.0):
             raise ConfigInvalid(f"straight_eps must be positive, got {self.straight_eps}")
         if isinstance(self.road, StraightLine) and abs(self.road.slope) >= MAX_ROAD_SLOPE:
@@ -95,15 +94,10 @@ class Scenario:
             raise ConfigInvalid("utpp needs a noise model (its covariance may be all zero)")
         if self.paper_literal and self.noise is None:
             raise ConfigInvalid("paper_literal mode needs a noise model")
+        if self.noise is not None and self.noise.rng_seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.noise.rng_seed}")
         if self.ut.dim != 3:
             raise ConfigInvalid(f"ut dim must be 3 for pose uncertainty, got {self.ut.dim}")
-
-    def pursuit_config(self) -> PursuitConfig:
-        return PursuitConfig(
-            wheelbase=self.wheelbase,
-            lookahead_gain=self.lookahead_gain,
-            steering_limit=self.steering_limit,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,42 +150,37 @@ def _cross_track_for_pose(pose: Pose, scenario: Scenario, d_l: float) -> CrossTr
     return cross_track_circle(circle_to_vehicle(road, pose), d_l)
 
 
-def step_pp(state: VehicleState, scenario: Scenario) -> tuple[float, CrossTrack]:
-    """One conventional pure-pursuit decision from the measured pose."""
-    cfg = scenario.pursuit_config()
-    d_l = lookahead_distance(state.speed, cfg)
-    cross = _cross_track_for_pose(state.measured_pose, scenario, d_l)
-    return steering_angle(cross.y_e, d_l, cfg), cross
+def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
+    """One conventional pure-pursuit decision from the measured pose: (delta, y_e)."""
+    cfg = scenario.pursuit
+    d_l = lookahead_distance(scenario.speed, cfg)
+    y_e = _cross_track_for_pose(pose, scenario, d_l).y_e
+    return steering_angle(y_e, d_l, cfg), y_e
 
 
-def step_utpp(state: VehicleState, scenario: Scenario) -> tuple[float, list[CrossTrack | None]]:
-    """One unscented pure-pursuit decision from the measured pose.
+def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
+    """One unscented pure-pursuit decision from the measured pose: (delta, y_e).
 
     Seven sigma poses are steered independently and combined with the UT
-    weights.  A fault on the mean pose faults the whole step; a fault on any
-    other sigma pose falls back to the mean pose's steering angle.
+    weights; y_e is the mean sigma pose's.  A fault on the mean pose faults
+    the whole step; a fault on any other sigma pose falls back to the mean
+    pose's steering angle.
     """
-    if scenario.noise is None:
-        raise ConfigInvalid("utpp needs a noise model")
-    cfg = scenario.pursuit_config()
-    d_l = lookahead_distance(state.speed, cfg)
-    sigma = generate_sigma_points(state.measured_pose, scenario.noise.cov, scenario.ut)
-    crosses: list[CrossTrack | None] = []
-    cross0 = _cross_track_for_pose(sigma.points[0], scenario, d_l)
-    delta0 = steering_angle(cross0.y_e, d_l, cfg)
-    crosses.append(cross0)
+    cfg = scenario.pursuit
+    d_l = lookahead_distance(scenario.speed, cfg)
+    mean, *others = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
+    y_e = _cross_track_for_pose(mean, scenario, d_l).y_e
+    delta0 = steering_angle(y_e, d_l, cfg)
     deltas = [delta0]
-    for i, point in enumerate(sigma.points[1:], start=1):
+    for i, point in enumerate(others, start=1):
         try:
             cross = _cross_track_for_pose(point, scenario, d_l)
         except RoadGeometryFault as exc:
             logger.debug("sigma point %d fell back to the mean steering: %s", i, exc)
-            crosses.append(None)
             deltas.append(delta0)
         else:
-            crosses.append(cross)
             deltas.append(steering_angle(cross.y_e, d_l, cfg))
-    return weighted_steering(deltas, scenario.ut, cfg.steering_limit), crosses
+    return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
 
 
 def convergence_time(records: list[TrajectoryRecord], dt: float) -> float | None:
@@ -224,56 +213,45 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
     together with the command it produced; the motion update happens after
     the record is taken.
     """
-    scenario.validate()
     if isinstance(scenario.road, WaypointPath):
         logger.info(
             "waypoint road: selecting the look-ahead waypoint by probing %.3f m ahead of the rear axle",
-            lookahead_distance(scenario.speed, scenario.pursuit_config()),
+            lookahead_distance(scenario.speed, scenario.pursuit),
         )
-    state = VehicleState(
-        true_pose=scenario.start_pose,
-        measured_pose=scenario.start_pose,
-        speed=scenario.speed,
-        wheelbase=scenario.wheelbase,
-    )
     step = step_utpp if scenario.controller is Controller.UTPP else step_pp
-    rng = scenario.noise.make_rng() if scenario.noise is not None else None
+    noise = scenario.noise
+    rng = noise.make_rng() if noise is not None else None
+    true_pose = measured_pose = scenario.start_pose
     records: list[TrajectoryRecord] = []
-    prev_delta = 0.0
+    delta = 0.0
     for k in range(scenario.steps):
         fault: str | None = None
-        y_e: float | None = None
         try:
-            delta, crosses = step(state, scenario)
-            y_e = (crosses[0] if isinstance(crosses, list) else crosses).y_e
+            delta, y_e = step(measured_pose, scenario)
         except RoadGeometryFault as exc:
-            delta = prev_delta
+            y_e = None
             fault = type(exc).__name__
             logger.debug("step %d faulted (%s), holding delta=%.6f", k, fault, delta)
         records.append(
             TrajectoryRecord(
                 step=k,
                 time=k * scenario.dt,
-                true_pose=state.true_pose,
-                measured_pose=state.measured_pose,
+                true_pose=true_pose,
+                measured_pose=measured_pose,
                 y_e=y_e,
                 delta=delta,
-                lateral_error=lateral_deviation((state.true_pose.x, state.true_pose.y), scenario.road),
+                lateral_error=lateral_deviation((true_pose.x, true_pose.y), scenario.road),
                 fault=fault,
             )
         )
-        new_true = advance_pose(state.true_pose, delta, state.speed, scenario.dt, state.wheelbase)
-        if scenario.noise is not None:
-            drawn = sample_measured_pose(new_true, scenario.noise, scenario.road, rng)
-            if scenario.paper_literal:
-                new_true = drawn
-            state.measured_pose = drawn
+        true_pose = advance_pose(true_pose, delta, scenario.speed, scenario.dt, scenario.wheelbase)
+        if noise is None:
+            measured_pose = true_pose
         else:
-            state.measured_pose = new_true
-        state.true_pose = new_true
-        prev_delta = delta
-    seed = scenario.noise.rng_seed if scenario.noise is not None else 0
-    return records, _summarize(records, scenario, seed)
+            measured_pose = sample_measured_pose(true_pose, noise, scenario.road, rng)
+            if scenario.paper_literal:
+                true_pose = measured_pose
+    return records, _summarize(records, scenario, noise.rng_seed if noise is not None else 0)
 
 
 def run_batch(scenario: Scenario, n_runs: int, base_seed: int) -> tuple[list[RunSummary], BatchStats]:

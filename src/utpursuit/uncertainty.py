@@ -38,11 +38,6 @@ class Covariance3:
         return self.var_x == 0.0 and self.var_y == 0.0 and self.var_yaw == 0.0
 
 
-def compose_covariance(a: Covariance3, b: Covariance3) -> Covariance3:
-    """Sum two independent diagonal covariances."""
-    return Covariance3(a.var_x + b.var_x, a.var_y + b.var_y, a.var_yaw + b.var_yaw)
-
-
 @dataclass(frozen=True, slots=True)
 class UtParams:
     """Scaled unscented-transform parameters and the weights they induce."""
@@ -59,8 +54,11 @@ class UtParams:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.dim + self.lam <= 0.0:
             raise DegenerateScaling(f"dim + lambda must be positive, got {self.dim + self.lam}")
-        if abs(self.w0 + 2 * self.dim * self.wi - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("sigma-point weights do not sum to 1")
+        # Written so that a NaN weight fails the check too.
+        if not abs(self.w0 + 2 * self.dim * self.wi - 1.0) <= WEIGHT_SUM_TOL:
+            raise DegenerateScaling(
+                f"sigma-point weights do not sum to 1 (w0={self.w0}, wi={self.wi}, alpha={self.alpha})"
+            )
 
     @property
     def n_points(self) -> int:
@@ -73,7 +71,10 @@ def derive_ut_params(dim: int, alpha: float, kappa: float) -> UtParams:
     lambda = alpha^2 (dim + kappa) - dim, w0 = lambda / (dim + lambda),
     wi = 1 / (2 (dim + lambda)).  Raises DegenerateScaling when
     alpha^2 (dim + kappa) <= 0, which would put the sigma points at or
-    beyond the mean with an undefined spread.
+    beyond the mean with an undefined spread, and when rounding leaves
+    dim + lambda at 0 or weights that miss 1 by more than WEIGHT_SUM_TOL.  For
+    dim 3 and kappa 0 that rejects every alpha below about 8.6e-9, some
+    between that and about 3.5e-4, and every alpha above about 7.7e153.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -84,25 +85,20 @@ def derive_ut_params(dim: int, alpha: float, kappa: float) -> UtParams:
         )
     lam = scaled - dim
     denom = dim + lam
+    if denom <= 0.0:
+        raise DegenerateScaling(
+            f"dim + lambda rounds to {denom} (alpha={alpha}, kappa={kappa}); alpha is too small"
+        )
     return UtParams(dim=dim, alpha=alpha, kappa=kappa, lam=lam, w0=lam / denom, wi=1.0 / (2.0 * denom))
 
 
-@dataclass(frozen=True, slots=True)
-class SigmaPointSet:
-    """2 dim + 1 poses: the mean first, then +/- pairs along x, y, yaw."""
-
-    points: tuple[Pose, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def generate_sigma_points(mean: Pose, cov: Covariance3, params: UtParams) -> SigmaPointSet:
+def generate_sigma_points(mean: Pose, cov: Covariance3, params: UtParams) -> tuple[Pose, ...]:
     """Place seven sigma points around a mean pose for a diagonal covariance.
 
-    Point 0 is the mean itself.  Points (1, 2), (3, 4), (5, 6) perturb x, y
-    and yaw by +/- sqrt(dim + lambda) * sigma along each axis.  Yaw values
-    wrap into (-pi, pi] like every Pose.
+    Returns the 2 dim + 1 poses as a tuple.  Point 0 is the mean itself.
+    Points (1, 2), (3, 4), (5, 6) perturb x, y and yaw by
+    +/- sqrt(dim + lambda) * sigma along each axis.  Yaw values wrap into
+    (-pi, pi] like every Pose.
     """
     if params.dim != 3:
         raise ValueError(f"pose sigma points need dim = 3, got {params.dim}")
@@ -110,7 +106,7 @@ def generate_sigma_points(mean: Pose, cov: Covariance3, params: UtParams) -> Sig
     sx = scale * math.sqrt(cov.var_x)
     sy = scale * math.sqrt(cov.var_y)
     syaw = scale * math.sqrt(cov.var_yaw)
-    points = (
+    return (
         mean,
         Pose(mean.x + sx, mean.y, mean.yaw),
         Pose(mean.x - sx, mean.y, mean.yaw),
@@ -119,7 +115,6 @@ def generate_sigma_points(mean: Pose, cov: Covariance3, params: UtParams) -> Sig
         Pose(mean.x, mean.y, mean.yaw + syaw),
         Pose(mean.x, mean.y, mean.yaw - syaw),
     )
-    return SigmaPointSet(points)
 
 
 def weighted_steering(

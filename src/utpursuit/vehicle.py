@@ -40,16 +40,6 @@ class NoiseModel:
         return np.random.default_rng(self.rng_seed)
 
 
-@dataclass(slots=True)
-class VehicleState:
-    """Mutable per-run state: the true pose and the last measured pose."""
-
-    true_pose: Pose
-    measured_pose: Pose
-    speed: float
-    wheelbase: float
-
-
 def advance_pose(pose: Pose, delta: float, speed: float, dt: float, wheelbase: float) -> Pose:
     """One bicycle-model step of duration dt under steering angle delta.
 

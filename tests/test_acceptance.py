@@ -167,7 +167,7 @@ def test_criterion_04_ut_weights_and_mean_recovery():
 
     mean = Pose(1.0, 0.5, 0.1)
     cov = Covariance3(0.01**2, 0.1**2, math.radians(10.0) ** 2)
-    pts = generate_sigma_points(mean, cov, ut).points
+    pts = generate_sigma_points(mean, cov, ut)
     for axis in ("x", "y", "yaw"):
         recovered = math.fsum(
             [ut.w0 * getattr(pts[0], axis)] + [ut.wi * getattr(p, axis) for p in pts[1:]]

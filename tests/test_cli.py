@@ -341,3 +341,25 @@ def test_cli_batch_requires_noise(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL_CFG)
     rc = main(["batch", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--runs", "2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("alpha", ["1e-7", "1e-9", "1e-160"])
+def test_cli_degenerate_ut_scaling_is_a_config_error(tmp_path, capsys, alpha):
+    text = (CONFIG_DIR / "straight.cfg").read_text(encoding="utf-8")
+    cfg = write_cfg(tmp_path, text.replace("alpha = 0.001", f"alpha = {alpha}"))
+    rc = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--steps", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: [ut]: ")
+
+
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    text = (CONFIG_DIR / "straight.cfg").read_text(encoding="utf-8")
+    cfg = write_cfg(tmp_path, text.replace("seed = 0", "seed = -1"))
+    for argv, seed in (
+        (["run", "--config", STRAIGHT_CFG, "--out-dir", out, "--seed", "-1"], -1),
+        (["batch", "--config", STRAIGHT_CFG, "--out-dir", out, "--runs", "2", "--base-seed", "-3"], -3),
+        (["run", "--config", cfg, "--out-dir", out], -1),
+    ):
+        assert main(argv) == 2
+        assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err

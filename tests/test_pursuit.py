@@ -17,7 +17,6 @@ from utpursuit import (
     cross_track_line,
     lookahead_distance,
     steering_angle,
-    turning_radius,
 )
 
 CFG = PursuitConfig(wheelbase=1.0, lookahead_gain=1.0, steering_limit=math.radians(80.0))
@@ -211,12 +210,6 @@ def test_steering_angle_odd_in_lateral_error():
         y_e = rng.uniform(-1.0, 1.0)
         d = rng.uniform(0.5, 3.0)
         assert steering_angle(y_e, d, CFG) == pytest.approx(-steering_angle(-y_e, d, CFG), abs=1e-15)
-
-
-def test_turning_radius_diagnostic():
-    assert turning_radius(0.0, 1.0) == math.inf
-    assert turning_radius(0.1, 1.0) == pytest.approx(5.0, rel=1e-15)
-    assert turning_radius(-0.1, 1.0) == pytest.approx(-5.0, rel=1e-15)
 
 
 def test_cross_track_is_plain_data():

@@ -9,17 +9,24 @@ from utpursuit import (
     ConfigInvalid,
     Controller,
     Covariance3,
+    NoIntersection,
     NoiseModel,
     Pose,
     Scenario,
     StraightLine,
     TrajectoryRecord,
-    VehicleState,
     WaypointPath,
+    circle_to_vehicle,
+    cross_track_circle,
+    derive_ut_params,
+    generate_sigma_points,
+    lookahead_distance,
     run,
     run_batch,
+    steering_angle,
     step_pp,
     step_utpp,
+    weighted_steering,
 )
 from utpursuit.sim import aggregate, convergence_time
 
@@ -48,14 +55,24 @@ def test_scenario_validation():
         make_scenario(STRAIGHT_ROAD, controller=Controller.UTPP, noise=None)
     with pytest.raises(ConfigInvalid):
         make_scenario(STRAIGHT_ROAD, paper_literal=True, noise=None)
+    # The steering-law fields are checked by the PursuitConfig the scenario builds.
+    for name, value in (
+        ("wheelbase", 0.0),
+        ("wheelbase", math.nan),
+        ("lookahead_gain", -1.0),
+        ("steering_limit", math.pi / 2),
+    ):
+        with pytest.raises(ConfigInvalid, match=name):
+            make_scenario(STRAIGHT_ROAD, **{name: value})
+    with pytest.raises(ConfigInvalid, match="seed must be >= 0, got -1"):
+        make_scenario(STRAIGHT_ROAD, noise=reference_noise(seed=-1))
 
 
 def test_first_straight_road_command_is_quarter_lock():
     scen = make_scenario(STRAIGHT_ROAD)
-    state = VehicleState(scen.start_pose, scen.start_pose, scen.speed, scen.wheelbase)
-    delta, cross = step_pp(state, scen)
+    delta, y_e = step_pp(scen.start_pose, scen)
     assert delta == -math.pi / 4
-    assert cross.y_e == -0.5
+    assert y_e == -0.5
 
 
 def test_default_steering_limit_clamps_first_command():
@@ -136,24 +153,38 @@ def test_fault_holds_the_previous_command():
 
 def test_utpp_sigma_point_fallback_is_not_a_step_fault():
     # The road circle is tangent-close: the mean pose still reaches it but
-    # the -y sigma pose does not, so that single point falls back.
+    # the -y sigma pose does not, so that single point falls back.  At the
+    # reference alpha the huge weights drive the combined command into the
+    # steering clamp; at alpha = 1 it stays inside, so the value that fills
+    # slot 4 shows in it.
     noise = NoiseModel(cov=Covariance3(0.0, 0.01, 0.0), rng_seed=0)
-    scen = make_scenario(
-        Circle(0.0, 2.0, 1.000001),
-        start_pose=Pose(0.0, 0.0, 0.0),
-        controller=Controller.UTPP,
-        noise=noise,
-        steps=1,
-    )
-    state = VehicleState(scen.start_pose, scen.start_pose, scen.speed, scen.wheelbase)
-    delta, crosses = step_utpp(state, scen)
-    assert crosses[0] is not None
-    assert crosses[4] is None  # the -y perturbation loses the intersection
-    assert sum(c is None for c in crosses) == 1
-    assert math.isfinite(delta)
-    records, summary = run(scen)
-    assert records[0].fault is None
-    assert summary.fault_count == 0
+    for ut in (derive_ut_params(3, 0.001, 0.0), derive_ut_params(3, 1.0, 0.0)):
+        scen = make_scenario(
+            Circle(0.0, 2.0, 1.000001),
+            start_pose=Pose(0.0, 0.0, 0.0),
+            controller=Controller.UTPP,
+            noise=noise,
+            ut=ut,
+            steps=1,
+        )
+        d_l = lookahead_distance(scen.speed, scen.pursuit)
+        deltas = []
+        for i, pose in enumerate(generate_sigma_points(scen.start_pose, noise.cov, ut)):
+            if i == 4:  # the -y perturbation loses the intersection
+                with pytest.raises(NoIntersection):
+                    cross_track_circle(circle_to_vehicle(scen.road, pose), d_l)
+                deltas.append(deltas[0])  # falls back to the mean pose's command
+            else:
+                cross = cross_track_circle(circle_to_vehicle(scen.road, pose), d_l)
+                deltas.append(steering_angle(cross.y_e, d_l, scen.pursuit))
+        delta, y_e = step_utpp(scen.start_pose, scen)
+        assert delta == weighted_steering(deltas, ut, scen.steering_limit)
+        assert math.isfinite(delta)
+        assert steering_angle(y_e, d_l, scen.pursuit) == deltas[0]
+        records, summary = run(scen)
+        assert records[0].fault is None
+        assert summary.fault_count == 0
+    assert abs(delta) < scen.steering_limit
 
 
 def test_paper_literal_mode_overwrites_the_true_pose():

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utpursuit import (
     Covariance3,
     DegenerateScaling,
     Pose,
-    compose_covariance,
     derive_ut_params,
     generate_sigma_points,
     weighted_steering,
@@ -21,13 +22,6 @@ def test_covariance_rejects_negative_or_non_finite():
         Covariance3(-1e-12, 0.0, 0.0)
     with pytest.raises(ValueError):
         Covariance3(0.0, math.nan, 0.0)
-
-
-def test_compose_covariance_adds_componentwise():
-    a = Covariance3(1.0, 2.0, 3.0)
-    b = Covariance3(0.5, 0.25, 0.125)
-    c = compose_covariance(a, b)
-    assert (c.var_x, c.var_y, c.var_yaw) == (1.5, 2.25, 3.125)
 
 
 def test_unit_alpha_gives_plain_weights():
@@ -50,10 +44,16 @@ def test_degenerate_scaling_raises():
         derive_ut_params(3, 1.0, -3.0)
     with pytest.raises(DegenerateScaling):
         derive_ut_params(3, 0.0, 0.0)
+    # Scaling that only rounding makes degenerate.  1e-9 and 1e-160: dim +
+    # lambda rounds to 0.  1e-7: w0 + 6 wi misses 1 by far more than the
+    # tolerance.  1e200: alpha^2 overflows and w0 is NaN.
+    for alpha in (1e-7, 1e-9, 1e-160, 1e200):
+        with pytest.raises(DegenerateScaling):
+            derive_ut_params(3, alpha, 0.0)
 
 
 def test_sigma_points_lateral_only_covariance():
-    points = generate_sigma_points(Pose(0.0, 0.0, 0.0), Covariance3(0.0, 0.01, 0.0), REF).points
+    points = generate_sigma_points(Pose(0.0, 0.0, 0.0), Covariance3(0.0, 0.01, 0.0), REF)
     assert len(points) == 7
     step = math.sqrt(3.0 + REF.lam) * 0.1
     assert step == pytest.approx(1.7320508e-4, rel=1e-7)
@@ -66,7 +66,7 @@ def test_sigma_points_lateral_only_covariance():
 
 def test_sigma_points_zero_covariance_all_coincide():
     mean = Pose(3.0, -2.0, 0.7)
-    points = generate_sigma_points(mean, Covariance3(0.0, 0.0, 0.0), REF).points
+    points = generate_sigma_points(mean, Covariance3(0.0, 0.0, 0.0), REF)
     assert all(p == mean for p in points)
 
 
@@ -75,7 +75,7 @@ def test_sigma_points_symmetric_pairs_and_mean_recovery():
     for _ in range(500):
         mean = Pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-3.0, 3.0))
         cov = Covariance3(*rng.uniform(0.0, 0.05, size=3))
-        pts = generate_sigma_points(mean, cov, REF).points
+        pts = generate_sigma_points(mean, cov, REF)
         assert pts[0] == mean
         for lo, hi, axis in ((1, 2, "x"), (3, 4, "y"), (5, 6, "yaw")):
             a, b = pts[lo], pts[hi]
@@ -99,6 +99,25 @@ def test_weighted_steering_symmetric_inputs_cancel():
 
 def test_weighted_steering_identical_inputs_pass_through_exactly():
     assert weighted_steering([0.123456789] * 7, REF) == 0.123456789
+
+
+angles = st.floats(-1.5, 1.5, allow_nan=False)
+ut_params = st.sampled_from([REF, derive_ut_params(3, 1.0, 0.0), derive_ut_params(3, 0.5, 2.0)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(angles, min_size=7, max_size=7), st.sampled_from([(1, 2), (3, 4), (5, 6)]), ut_params)
+def test_weighted_steering_swapping_a_pair_is_bit_identical(deltas, pair, params):
+    swapped = list(deltas)
+    i, j = pair
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert weighted_steering(swapped, params).hex() == weighted_steering(deltas, params).hex()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(angles, ut_params)
+def test_weighted_steering_equal_inputs_come_back_exactly(delta, params):
+    assert weighted_steering([delta] * 7, params).hex() == delta.hex()
 
 
 def test_weighted_steering_matches_direct_formula():
