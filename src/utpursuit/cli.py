@@ -22,10 +22,7 @@ from .output import emit_csv, emit_summary_json, emit_svg, format_float
 from .roads import RoadModel
 from .sim import BatchStats, Controller, RunSummary, Scenario, run, run_batch
 from .uncertainty import Covariance3
-from .vehicle import NoiseModel
 from .waypoints import load_waypoints
-
-logger = logging.getLogger(__name__)
 
 _BATCH_RUNS_HEADER = "controller,run_index,seed,convergence_time,mean_abs_lateral_error,max_abs_delta,fault_count"
 _BATCH_AGG_HEADER = (
@@ -57,16 +54,12 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         scenario = replace(scenario, steps=args.steps)
     if args.controller is not None:
         scenario = replace(scenario, controller=Controller(args.controller))
-    if args.noise == "off" and scenario.noise is not None:
-        zero = Covariance3(0.0, 0.0, 0.0)
-        scenario = replace(scenario, noise=replace(scenario.noise, cov=zero))
-    elif args.noise == "on" and scenario.noise is None:
-        raise ConfigInvalid("--noise on: the config has no [noise] section to enable")
+    if args.noise == "off":
+        scenario = replace(scenario, noise=replace(scenario.noise, cov=Covariance3(0.0, 0.0, 0.0)))
+    elif args.noise == "on" and scenario.noise.cov.is_zero():
+        raise ConfigInvalid("--noise on: the noise covariance is zero; no enabled [noise] sigma is set")
     if args.seed is not None:
-        if scenario.noise is None:
-            logger.warning("--seed has no effect: the scenario has no noise model")
-        else:
-            scenario = replace(scenario, noise=replace(scenario.noise, rng_seed=args.seed))
+        scenario = replace(scenario, noise=replace(scenario.noise, rng_seed=args.seed))
     return scenario
 
 
@@ -118,8 +111,6 @@ def _agg_row(stats: BatchStats) -> str:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(parse_config(args.config), args)
-    if scenario.noise is None:
-        raise ConfigInvalid("batch needs a scenario with a [noise] section")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs_rows = [_BATCH_RUNS_HEADER]
@@ -157,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--controller", choices=["pp", "utpp"], help="override the controller")
         p.add_argument("--seed", type=int, help="override the noise seed")
         p.add_argument("--steps", type=int, help="override the number of steps")
-        p.add_argument("--noise", choices=["on", "off"], help="force noise on or zero it out")
+        p.add_argument("--noise", choices=["on", "off"], help="on: require a nonzero covariance; off: zero it")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     common(p_run)

@@ -113,20 +113,23 @@ def _parse_road(cp: configparser.ConfigParser, base_dir: Path) -> tuple[RoadMode
     return road, straight_eps
 
 
-def _parse_noise(cp: configparser.ConfigParser, seed: int) -> NoiseModel | None:
-    if not cp.has_section("noise"):
-        return None
-    _check_keys(cp, "noise", _SECTION_KEYS["noise"])
-    if not _get_bool(cp, "noise", "enabled", True):
-        return None
+def _get_sigma(cp: configparser.ConfigParser, key: str) -> float:
+    sigma = _get_float(cp, "noise", key)
+    if sigma < 0.0:
+        raise ConfigInvalid(f"'noise.{key}': must be >= 0, got {sigma}")
+    return sigma
+
+
+def _parse_noise(cp: configparser.ConfigParser, seed: int) -> NoiseModel:
+    """A missing or disabled [noise] section is the perfect sensor: a zero covariance."""
+    if cp.has_section("noise"):
+        _check_keys(cp, "noise", _SECTION_KEYS["noise"])
+    if not (cp.has_section("noise") and _get_bool(cp, "noise", "enabled", True)):
+        return NoiseModel(Covariance3(0.0, 0.0, 0.0), rng_seed=seed)
+    sigma_x, sigma_y, sigma_yaw_deg = (_get_sigma(cp, k) for k in ("sigma_x", "sigma_y", "sigma_yaw_deg"))
     try:
-        cov = Covariance3(
-            _get_float(cp, "noise", "sigma_x") ** 2,
-            _get_float(cp, "noise", "sigma_y") ** 2,
-            math.radians(_get_float(cp, "noise", "sigma_yaw_deg")) ** 2,
-        )
         return NoiseModel(
-            cov=cov,
+            cov=Covariance3(sigma_x**2, sigma_y**2, math.radians(sigma_yaw_deg) ** 2),
             max_lateral_dev=_get_float(cp, "noise", "max_lateral_dev", DEFAULT_MAX_LATERAL_DEV),
             rng_seed=seed,
         )

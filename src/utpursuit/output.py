@@ -10,7 +10,6 @@ polyline points against the records directly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict
 
 from .geometry import Circle, Pose, StraightLine
@@ -29,7 +28,8 @@ TRUE_COLOR = "#1f77b4"
 MEAS_COLOR = "#ff7f0e"
 
 
-def _fmt(value: float) -> str:
+def format_float(value: float) -> str:
+    """The 9-significant-digit float format used by every emitter ("inf" and "-inf" included)."""
     return format(value, ".9g")
 
 
@@ -41,16 +41,16 @@ def emit_csv(records: list[TrajectoryRecord], path: str) -> None:
             ",".join(
                 (
                     str(r.step),
-                    _fmt(r.time),
-                    _fmt(r.true_pose.x),
-                    _fmt(r.true_pose.y),
-                    _fmt(r.true_pose.yaw),
-                    _fmt(r.measured_pose.x),
-                    _fmt(r.measured_pose.y),
-                    _fmt(r.measured_pose.yaw),
-                    "" if r.y_e is None else _fmt(r.y_e),
-                    _fmt(r.delta),
-                    _fmt(r.lateral_error),
+                    format_float(r.time),
+                    format_float(r.true_pose.x),
+                    format_float(r.true_pose.y),
+                    format_float(r.true_pose.yaw),
+                    format_float(r.measured_pose.x),
+                    format_float(r.measured_pose.y),
+                    format_float(r.measured_pose.yaw),
+                    "" if r.y_e is None else format_float(r.y_e),
+                    format_float(r.delta),
+                    format_float(r.lateral_error),
                     r.fault or "",
                 )
             )
@@ -113,11 +113,11 @@ def _panel_transform(panel, x0, x1, y0, y1, uniform):
         sx = sy = min(sx, sy)
     tx = 0.5 * (px0 + px1) - sx * 0.5 * (x0 + x1)
     ty = 0.5 * (py0 + py1) + sy * 0.5 * (y0 + y1)
-    return f"translate({_fmt(tx)},{_fmt(ty)}) scale({_fmt(sx)},{_fmt(-sy)})"
+    return f"translate({format_float(tx)},{format_float(ty)}) scale({format_float(sx)},{format_float(-sy)})"
 
 
 def _polyline(points: list[tuple[float, float]], color: str, width: float = 1.5) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    coords = " ".join(f"{format_float(x)},{format_float(y)}" for x, y in points)
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="{width}" vector-effect="non-scaling-stroke"/>'
@@ -130,14 +130,18 @@ def _road_element(road: RoadModel, x0: float, x1: float) -> str:
         return _polyline(pts, ROAD_COLOR, 2.0)
     if isinstance(road, Circle):
         return (
-            f'<circle cx="{_fmt(road.cx)}" cy="{_fmt(road.cy)}" r="{_fmt(road.radius)}" '
+            f'<circle cx="{format_float(road.cx)}" cy="{format_float(road.cy)}" '
+            f'r="{format_float(road.radius)}" '
             f'fill="none" stroke="{ROAD_COLOR}" stroke-width="2" vector-effect="non-scaling-stroke"/>'
         )
     return _polyline(road.points, ROAD_COLOR, 2.0)
 
 
 def _text(x: float, y: float, s: str, anchor: str = "middle") -> str:
-    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="13" text-anchor="{anchor}">{s}</text>'
+    return (
+        f'<text x="{format_float(x)}" y="{format_float(y)}" font-size="13" '
+        f'text-anchor="{anchor}">{s}</text>'
+    )
 
 
 def emit_svg(records: list[TrajectoryRecord], road: RoadModel, path: str) -> None:
@@ -182,8 +186,8 @@ def emit_svg(records: list[TrajectoryRecord], road: RoadModel, path: str) -> Non
     ]
     for (px0, py0, px1, py1), title in zip(_PANELS, ("trajectory [m]", "steering angle [rad]")):
         parts.append(
-            f'<rect x="{_fmt(px0)}" y="{_fmt(py0)}" width="{_fmt(px1 - px0)}" '
-            f'height="{_fmt(py1 - py0)}" fill="none" stroke="black"/>'
+            f'<rect x="{format_float(px0)}" y="{format_float(py0)}" width="{format_float(px1 - px0)}" '
+            f'height="{format_float(py1 - py0)}" fill="none" stroke="black"/>'
         )
         parts.append(_text(0.5 * (px0 + px1), py0 - 14.0, title))
     parts.append(_text(0.5 * (left[0] + left[2]), left[3] + 24.0, f"x: {x0:.4g} to {x1:.4g} m"))
@@ -211,10 +215,3 @@ def read_svg_polylines(path: str) -> list[list[tuple[float, float]]]:
         pairs = text[start:end].split()
         out.append([tuple(map(float, p.split(","))) for p in pairs])
         pos = end
-
-
-def format_float(value: float) -> str:
-    """The 9-significant-digit float format used by every emitter."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return _fmt(value)

@@ -26,7 +26,7 @@ from .pursuit import (
     steering_angle,
 )
 from .roads import RoadModel, lateral_deviation
-from .uncertainty import UtParams, derive_ut_params, generate_sigma_points, weighted_steering
+from .uncertainty import Covariance3, UtParams, derive_ut_params, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
 from .waypoints import DEFAULT_STRAIGHT_EPS, WaypointPath, reduce_to_local_road
 
@@ -63,7 +63,8 @@ class Scenario:
     dt: float = 0.1
     steps: int = 300
     controller: Controller = Controller.PP
-    noise: NoiseModel | None = None
+    # The default is a perfect sensor: measured pose == true pose, and utpp == pp.
+    noise: NoiseModel = NoiseModel(Covariance3(0.0, 0.0, 0.0))
     ut: UtParams = field(default_factory=_default_ut)
     steering_limit: float = math.radians(35.0)
     paper_literal: bool = False
@@ -90,11 +91,7 @@ class Scenario:
             raise ConfigInvalid(
                 f"road slope {self.road.slope} too steep; |slope| must stay below {MAX_ROAD_SLOPE:.1f}"
             )
-        if self.controller is Controller.UTPP and self.noise is None:
-            raise ConfigInvalid("utpp needs a noise model (its covariance may be all zero)")
-        if self.paper_literal and self.noise is None:
-            raise ConfigInvalid("paper_literal mode needs a noise model")
-        if self.noise is not None and self.noise.rng_seed < 0:
+        if self.noise.rng_seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.noise.rng_seed}")
         if self.ut.dim != 3:
             raise ConfigInvalid(f"ut dim must be 3 for pose uncertainty, got {self.ut.dim}")
@@ -220,7 +217,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
         )
     step = step_utpp if scenario.controller is Controller.UTPP else step_pp
     noise = scenario.noise
-    rng = noise.make_rng() if noise is not None else None
+    rng = noise.make_rng()
     true_pose = measured_pose = scenario.start_pose
     records: list[TrajectoryRecord] = []
     delta = 0.0
@@ -245,13 +242,10 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
             )
         )
         true_pose = advance_pose(true_pose, delta, scenario.speed, scenario.dt, scenario.wheelbase)
-        if noise is None:
-            measured_pose = true_pose
-        else:
-            measured_pose = sample_measured_pose(true_pose, noise, scenario.road, rng)
-            if scenario.paper_literal:
-                true_pose = measured_pose
-    return records, _summarize(records, scenario, noise.rng_seed if noise is not None else 0)
+        measured_pose = sample_measured_pose(true_pose, noise, scenario.road, rng)
+        if scenario.paper_literal:
+            true_pose = measured_pose
+    return records, _summarize(records, scenario, noise.rng_seed)
 
 
 def run_batch(scenario: Scenario, n_runs: int, base_seed: int) -> tuple[list[RunSummary], BatchStats]:
@@ -264,10 +258,7 @@ def run_batch(scenario: Scenario, n_runs: int, base_seed: int) -> tuple[list[Run
         raise ConfigInvalid(f"n_runs must be >= 1, got {n_runs}")
     summaries: list[RunSummary] = []
     for i in range(n_runs):
-        scen = scenario
-        if scenario.noise is not None:
-            scen = replace(scenario, noise=replace(scenario.noise, rng_seed=base_seed + i))
-        _, summary = run(scen)
+        _, summary = run(replace(scenario, noise=replace(scenario.noise, rng_seed=base_seed + i)))
         summaries.append(summary)
     return summaries, aggregate(summaries, scenario.controller)
 

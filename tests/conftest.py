@@ -37,6 +37,8 @@ STRAIGHT_ROAD = StraightLine(0.0, 0.0)
 CIRCLE_ROAD = Circle(0.0, 5.0, 5.0)
 # High enough that the arctan steering law (bounded by atan(2) here) never clamps.
 WIDE_LIMIT = math.radians(80.0)
+# A perfect sensor: the measured pose is the true pose.
+ZERO_COV = Covariance3(0.0, 0.0, 0.0)
 
 
 def reference_noise(seed: int = 0) -> NoiseModel:
@@ -47,7 +49,9 @@ def reference_noise(seed: int = 0) -> NoiseModel:
     )
 
 
-def make_scenario(road, *, controller=Controller.PP, noise=None, steps=300, **kwargs) -> Scenario:
+def make_scenario(
+    road, *, controller=Controller.PP, noise=NoiseModel(ZERO_COV), steps=300, **kwargs
+) -> Scenario:
     defaults = dict(
         road=road,
         start_pose=START,
@@ -75,4 +79,4 @@ def circle_scenario() -> Scenario:
 
 
 def noise_free(scenario: Scenario) -> Scenario:
-    return replace(scenario, noise=None)
+    return replace(scenario, noise=replace(scenario.noise, cov=ZERO_COV))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -119,15 +120,28 @@ def test_unreadable_config_reports_the_path(tmp_path):
 
 
 def test_noise_section_is_optional_and_can_be_disabled(tmp_path):
-    assert parse_config(write_cfg(tmp_path, MINIMAL_CFG)).noise is None
-    disabled = MINIMAL_CFG + "\n[noise]\nenabled = false\nsigma_x = 0\nsigma_y = 0.1\nsigma_yaw_deg = 10\n"
-    assert parse_config(write_cfg(tmp_path, disabled)).noise is None
+    seeded = MINIMAL_CFG + "seed = 3\n"
+    disabled = seeded + "\n[noise]\nenabled = false\nsigma_x = 0\nsigma_y = 0.1\nsigma_yaw_deg = 10\n"
+    for text in (seeded, disabled):
+        noise = parse_config(write_cfg(tmp_path, text)).noise
+        assert noise.cov.is_zero()
+        assert noise.rng_seed == 3
 
 
-def test_utpp_without_noise_is_rejected(tmp_path):
-    text = MINIMAL_CFG.replace("controller = pp", "controller = utpp")
-    with pytest.raises(ConfigInvalid, match="noise"):
+@pytest.mark.parametrize("key,value", [("sigma_x", "-0.5"), ("sigma_y", "-0.1"), ("sigma_yaw_deg", "-10")])
+def test_negative_sigma_is_rejected(tmp_path, key, value):
+    sigmas = {"sigma_x": "0", "sigma_y": "0.1", "sigma_yaw_deg": "10", key: value}
+    text = MINIMAL_CFG + "\n[noise]\n" + "".join(f"{k} = {v}\n" for k, v in sigmas.items())
+    with pytest.raises(ConfigInvalid, match=rf"'noise\.{key}': must be >= 0"):
         parse_config(write_cfg(tmp_path, text))
+
+
+def test_utpp_without_noise_section_equals_pp(tmp_path):
+    scen = parse_config(write_cfg(tmp_path, MINIMAL_CFG.replace("controller = pp", "controller = utpp")))
+    assert scen.controller is Controller.UTPP
+    ut_records, _ = run(scen)
+    pp_records, _ = run(replace(scen, controller=Controller.PP))
+    assert ut_records == pp_records
 
 
 def test_csv_round_trip(tmp_path):
@@ -280,12 +294,42 @@ def test_cli_noise_on_needs_a_noise_section(tmp_path):
     assert rc == 2
 
 
+def test_cli_noise_on_rejects_a_zero_covariance(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    zero = write_cfg(tmp_path, MINIMAL_CFG + "\n[noise]\nsigma_x = 0\nsigma_y = 0\nsigma_yaw_deg = 0\n")
+    assert main(["run", "--config", zero, "--out-dir", out, "--noise", "on"]) == 2
+    assert "covariance is zero" in capsys.readouterr().err
+    assert main(["run", "--config", STRAIGHT_CFG, "--out-dir", out, "--noise", "on", "--steps", "5"]) == 0
+
+
+@pytest.mark.parametrize("controller", ["pp", "utpp"])
+def test_cli_perfect_sensor_spellings_write_identical_files(tmp_path, controller):
+    noisy = MINIMAL_CFG + "\n[noise]\nsigma_x = 0\nsigma_y = 0.1\nsigma_yaw_deg = 10\n"
+    spellings = {
+        "missing": (MINIMAL_CFG, []),
+        "disabled": (noisy.replace("[noise]\n", "[noise]\nenabled = false\n"), []),
+        "noise_off": (noisy, ["--noise", "off"]),
+    }
+    outputs = {}
+    for label, (text, flags) in spellings.items():
+        cfg_dir = tmp_path / label
+        cfg_dir.mkdir()
+        cfg = write_cfg(cfg_dir, text)
+        out = cfg_dir / "out"
+        argv = ["run", "--config", cfg, "--out-dir", str(out), "--controller", controller, "--seed", "4"]
+        assert main(argv + flags) == 0
+        outputs[label] = [
+            (out / f"scen_{controller}_4_{name}").read_bytes() for name in ("trajectory.csv", "summary.json")
+        ]
+    assert outputs["missing"] == outputs["disabled"] == outputs["noise_off"]
+
+
 def test_cli_seed_without_noise_still_runs(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL_CFG)
     out = tmp_path / "out"
     rc = main(["run", "--config", cfg, "--out-dir", str(out), "--seed", "5"])
     assert rc == 0
-    assert (out / "scen_pp_0_trajectory.csv").exists()  # no noise, seed stays 0
+    assert (out / "scen_pp_5_trajectory.csv").exists()
 
 
 def test_cli_road_override(tmp_path):
@@ -337,10 +381,15 @@ def test_cli_batch_outputs(tmp_path, capsys):
     assert "pp:" in stdout and "utpp:" in stdout
 
 
-def test_cli_batch_requires_noise(tmp_path):
+def test_cli_batch_without_noise_section(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL_CFG)
-    rc = main(["batch", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--runs", "2"])
-    assert rc == 2
+    out = tmp_path / "out"
+    rc = main(["batch", "--config", cfg, "--out-dir", str(out), "--runs", "2"])
+    assert rc == 0
+    for name, n_runs in (("scen_batch_runs.csv", 2), ("scen_batch_aggregate.csv", 1)):
+        rows = [line.split(",") for line in (out / name).read_text(encoding="utf-8").splitlines()[1:]]
+        assert [r[0] for r in rows] == ["pp"] * n_runs + ["utpp"] * n_runs
+        assert [r[1:] for r in rows[:n_runs]] == [r[1:] for r in rows[n_runs:]]
 
 
 @pytest.mark.parametrize("alpha", ["1e-7", "1e-9", "1e-160"])

@@ -51,10 +51,6 @@ def test_scenario_validation():
         make_scenario(STRAIGHT_ROAD, dt=-0.1)
     with pytest.raises(ConfigInvalid):
         make_scenario(StraightLine(1e4, 0.0))  # steeper than the 89.9 deg bound
-    with pytest.raises(ConfigInvalid):
-        make_scenario(STRAIGHT_ROAD, controller=Controller.UTPP, noise=None)
-    with pytest.raises(ConfigInvalid):
-        make_scenario(STRAIGHT_ROAD, paper_literal=True, noise=None)
     # The steering-law fields are checked by the PursuitConfig the scenario builds.
     for name, value in (
         ("wheelbase", 0.0),
