@@ -64,9 +64,11 @@ from .waypoints import (
     WaypointPath,
     build_index,
     load_waypoints,
+    local_road,
     menger_curvature,
     reduce_to_local_road,
     select_lookahead_waypoint,
+    select_lookahead_waypoints,
 )
 
 __version__ = "0.1.0"
@@ -113,6 +115,7 @@ __all__ = [
     "lateral_deviation",
     "line_to_vehicle",
     "load_waypoints",
+    "local_road",
     "lookahead_distance",
     "menger_curvature",
     "normalize_angle",
@@ -121,6 +124,7 @@ __all__ = [
     "run_batch",
     "sample_measured_pose",
     "select_lookahead_waypoint",
+    "select_lookahead_waypoints",
     "steering_angle",
     "step_pp",
     "step_utpp",

@@ -58,13 +58,13 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         scenario = replace(scenario, noise=replace(scenario.noise, cov=Covariance3(0.0, 0.0, 0.0)))
     elif args.noise == "on" and scenario.noise.cov.is_zero():
         raise ConfigInvalid("--noise on: the noise covariance is zero; no enabled [noise] sigma is set")
-    if args.seed is not None:
-        scenario = replace(scenario, noise=replace(scenario.noise, rng_seed=args.seed))
     return scenario
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(parse_config(args.config), args)
+    if args.seed is not None:
+        scenario = replace(scenario, noise=replace(scenario.noise, rng_seed=args.seed))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, summary = run(scenario)
@@ -146,12 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", required=True, help="directory for the output files")
         p.add_argument("--road", help="override the road: line:m,c | circle:cx,cy,r | waypoints:file")
         p.add_argument("--controller", choices=["pp", "utpp"], help="override the controller")
-        p.add_argument("--seed", type=int, help="override the noise seed")
         p.add_argument("--steps", type=int, help="override the number of steps")
         p.add_argument("--noise", choices=["on", "off"], help="on: require a nonzero covariance; off: zero it")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     common(p_run)
+    p_run.add_argument("--seed", type=int, help="override the noise seed")
     p_run.add_argument("--svg", action="store_true", help="also write the SVG plot")
 
     p_batch = sub.add_parser("batch", help="run seeded batches for both controllers")

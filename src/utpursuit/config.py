@@ -113,28 +113,35 @@ def _parse_road(cp: configparser.ConfigParser, base_dir: Path) -> tuple[RoadMode
     return road, straight_eps
 
 
-def _get_sigma(cp: configparser.ConfigParser, key: str) -> float:
-    sigma = _get_float(cp, "noise", key)
+def _get_sigma(cp: configparser.ConfigParser, key: str, default=_REQUIRED) -> float:
+    sigma = _get_float(cp, "noise", key, default)
     if sigma < 0.0:
         raise ConfigInvalid(f"'noise.{key}': must be >= 0, got {sigma}")
     return sigma
 
 
 def _parse_noise(cp: configparser.ConfigParser, seed: int) -> NoiseModel:
-    """A missing or disabled [noise] section is the perfect sensor: a zero covariance."""
-    if cp.has_section("noise"):
-        _check_keys(cp, "noise", _SECTION_KEYS["noise"])
-    if not (cp.has_section("noise") and _get_bool(cp, "noise", "enabled", True)):
-        return NoiseModel(Covariance3(0.0, 0.0, 0.0), rng_seed=seed)
-    sigma_x, sigma_y, sigma_yaw_deg = (_get_sigma(cp, k) for k in ("sigma_x", "sigma_y", "sigma_yaw_deg"))
+    """A missing or disabled [noise] section is the perfect sensor: a zero covariance.
+
+    A disabled section's values are checked as an enabled one's are, but
+    there its keys are optional.
+    """
+    perfect = NoiseModel(Covariance3(0.0, 0.0, 0.0), rng_seed=seed)
+    if not cp.has_section("noise"):
+        return perfect
+    _check_keys(cp, "noise", _SECTION_KEYS["noise"])
+    enabled = _get_bool(cp, "noise", "enabled", True)
+    default = _REQUIRED if enabled else 0.0
+    sigma_x, sigma_y, sigma_yaw_deg = (_get_sigma(cp, k, default) for k in ("sigma_x", "sigma_y", "sigma_yaw_deg"))
     try:
-        return NoiseModel(
+        noise = NoiseModel(
             cov=Covariance3(sigma_x**2, sigma_y**2, math.radians(sigma_yaw_deg) ** 2),
             max_lateral_dev=_get_float(cp, "noise", "max_lateral_dev", DEFAULT_MAX_LATERAL_DEV),
             rng_seed=seed,
         )
     except ValueError as exc:
         raise ConfigInvalid(f"[noise]: {exc}") from None
+    return noise if enabled else perfect
 
 
 def parse_config(path: str) -> Scenario:

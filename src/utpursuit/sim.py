@@ -14,6 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable
 
 from .errors import ConfigInvalid, RoadGeometryFault
 from .geometry import Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
@@ -28,7 +29,14 @@ from .pursuit import (
 from .roads import RoadModel, lateral_deviation
 from .uncertainty import Covariance3, UtParams, derive_ut_params, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
-from .waypoints import DEFAULT_STRAIGHT_EPS, WaypointPath, reduce_to_local_road
+from .waypoints import (
+    DEFAULT_STRAIGHT_EPS,
+    LocalRoad,
+    WaypointPath,
+    local_road,
+    reduce_to_local_road,
+    select_lookahead_waypoints,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -138,10 +146,7 @@ class BatchStats:
     mean_fault_count: float
 
 
-def _cross_track_for_pose(pose: Pose, scenario: Scenario, d_l: float) -> CrossTrack:
-    road = scenario.road
-    if isinstance(road, WaypointPath):
-        road = reduce_to_local_road(road, road.spatial_index(), pose, d_l, scenario.straight_eps)
+def _cross_track(road: LocalRoad, pose: Pose, d_l: float) -> CrossTrack:
     if isinstance(road, StraightLine):
         return cross_track_line(line_to_vehicle(road, pose), d_l)
     return cross_track_circle(circle_to_vehicle(road, pose), d_l)
@@ -151,8 +156,41 @@ def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     """One conventional pure-pursuit decision from the measured pose: (delta, y_e)."""
     cfg = scenario.pursuit
     d_l = lookahead_distance(scenario.speed, cfg)
-    y_e = _cross_track_for_pose(pose, scenario, d_l).y_e
+    road = scenario.road
+    if isinstance(road, WaypointPath):
+        road = reduce_to_local_road(road, road.spatial_index(), pose, d_l, scenario.straight_eps)
+    y_e = _cross_track(road, pose, d_l).y_e
     return steering_angle(y_e, d_l, cfg), y_e
+
+
+def _is_mean(point: Pose, mean: Pose) -> bool:
+    """Whether a sigma pose is bit-equal to the mean, so it steers as the mean does.
+
+    == alone also matches 0.0 with -0.0, whose sign can reach a zero
+    cross-track; repr tells them apart, and is only needed for a zero field.
+    """
+    return point == mean and (0.0 not in (mean.x, mean.y, mean.yaw) or repr(point) == repr(mean))
+
+
+def _local_roads(scenario: Scenario, poses: dict[int, Pose], d_l: float) -> Callable[[int], LocalRoad]:
+    """The local road of poses[i], as a function of i, built when first asked for.
+
+    On a waypoint road the poses share one nearest-waypoint scan, and poses
+    that select the same waypoint share one line or circle.
+    """
+    road = scenario.road
+    if not isinstance(road, WaypointPath):
+        return lambda i: road
+    selected = dict(zip(poses, select_lookahead_waypoints(road.spatial_index(), list(poses.values()), d_l)))
+    built: dict[int, LocalRoad] = {}
+
+    def road_of(i: int) -> LocalRoad:
+        w = selected[i]
+        if w not in built:
+            built[w] = local_road(road, w, scenario.straight_eps)
+        return built[w]
+
+    return road_of
 
 
 def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
@@ -161,22 +199,24 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     Seven sigma poses are steered independently and combined with the UT
     weights; y_e is the mean sigma pose's.  A fault on the mean pose faults
     the whole step; a fault on any other sigma pose falls back to the mean
-    pose's steering angle.
+    pose's steering angle.  A sigma pose equal to the mean (a zero
+    covariance axis) reuses the mean's angle without steering again.
     """
     cfg = scenario.pursuit
     d_l = lookahead_distance(scenario.speed, cfg)
     mean, *others = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
-    y_e = _cross_track_for_pose(mean, scenario, d_l).y_e
+    moved = {i: point for i, point in enumerate(others, start=1) if not _is_mean(point, mean)}
+    road_of = _local_roads(scenario, {0: mean, **moved}, d_l)
+    y_e = _cross_track(road_of(0), mean, d_l).y_e
     delta0 = steering_angle(y_e, d_l, cfg)
-    deltas = [delta0]
-    for i, point in enumerate(others, start=1):
+    deltas = [delta0] * (1 + len(others))
+    for i, point in moved.items():
         try:
-            cross = _cross_track_for_pose(point, scenario, d_l)
+            cross = _cross_track(road_of(i), point, d_l)
         except RoadGeometryFault as exc:
             logger.debug("sigma point %d fell back to the mean steering: %s", i, exc)
-            deltas.append(delta0)
         else:
-            deltas.append(steering_angle(cross.y_e, d_l, cfg))
+            deltas[i] = steering_angle(cross.y_e, d_l, cfg)
     return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
 
 

@@ -6,6 +6,15 @@ over all waypoints, and fitting the waypoint triple around it: three nearly
 collinear points become a straight line, anything else becomes the
 circumcircle.  Menger curvature decides which, and its sign
 (counter-clockwise positive) is kept for diagnostics.
+
+Nearby probes, such as those of one step's sigma poses, share one scan
+(WaypointIndex.nearest_group).  Only the first probe is scanned against every
+waypoint; its nearest waypoint is d0 away.  Every other probe lies within
+delta of the first, so that waypoint is at most d0 + delta from it, and so is
+the probe's own nearest waypoint, which therefore lies within d0 + 2 delta of
+the first probe.  Only this shortlist, with its radius widened for rounding,
+is rescored for the other probes; when it holds a single waypoint, that is
+every probe's answer.
 """
 
 from __future__ import annotations
@@ -35,12 +44,20 @@ LocalRoad = StraightLine | Circle
 # result exactly.
 _NEAR_TIE_REL = 2.0**-48
 _NEAR_TIE_ABS = 2.0**-1070
+# The shortlist radius d0 + 2 delta is widened by a relative margin for
+# rounded distances and squares, and by an absolute one for squares rounded in
+# the subnormal range, whose error of a few 2**-1075 is up to about 2**-536 in
+# distance.
+_SHORTLIST_REL = 1.0 + 1e-6
+_SHORTLIST_ABS = 2.0**-530
 
 
-def _first_min_d2(ex: np.ndarray, ey: np.ndarray) -> int:
+def _first_min_d2(ex: np.ndarray, ey: np.ndarray, d2: np.ndarray | None = None) -> int:
     """First index minimising ex**2 + ey**2 as Python floats compute it."""
-    d2 = ex**2 + ey**2
-    k = int(np.argmin(d2))
+    if d2 is None:
+        d2 = ex**2 + ey**2
+    # The method skips np.argmin's dispatch, which costs more than a short scan.
+    k = int(d2.argmin())
     near = (d2 <= float(d2[k]) * (1.0 + _NEAR_TIE_REL) + _NEAR_TIE_ABS).nonzero()[0]
     if len(near) <= 1:
         return k
@@ -51,10 +68,9 @@ def _first_min_d2(ex: np.ndarray, ey: np.ndarray) -> int:
 class WaypointIndex:
     """A path's waypoints and segments as float64 arrays, scanned exactly.
 
-    Both queries look at every waypoint or segment at once and return what a
-    scalar loop over them with a strict < would: ties resolve to the lowest
-    index.  Inputs must be finite, with squared distances that do not
-    overflow.
+    Every query returns what a scalar loop over all waypoints or segments
+    with a strict < would: ties resolve to the lowest index.  Inputs must be
+    finite, with squared distances that do not overflow.
     """
 
     def __init__(self, points: list[Point2]):
@@ -67,8 +83,29 @@ class WaypointIndex:
 
     def nearest(self, query: Point2) -> int:
         """Index of the waypoint nearest to query."""
-        qx, qy = query
-        return _first_min_d2(self.xs - qx, self.ys - qy)
+        return self.nearest_group([query])[0]
+
+    def nearest_group(self, probes: list[Point2]) -> list[int]:
+        """Index of the waypoint nearest to each probe, in one scan.
+
+        probes[0] is scanned against every waypoint; the others are rescored
+        on the shortlist of waypoints within d0 + 2 delta of it (see the
+        module docstring), which keeps index order and so the tie-breaking.
+        """
+        qx, qy = probes[0]
+        ex, ey = self.xs - qx, self.ys - qy
+        d2 = ex**2 + ey**2
+        k = _first_min_d2(ex, ey, d2)
+        if len(probes) == 1:
+            return [k]
+        others = probes[1:]
+        spread = max(math.hypot(px - qx, py - qy) for px, py in others)
+        radius = (math.sqrt(float(d2[k])) + 2.0 * spread) * _SHORTLIST_REL + _SHORTLIST_ABS
+        shortlist = (d2 <= radius * radius).nonzero()[0]
+        if len(shortlist) == 1:
+            return [k] * len(probes)
+        xs, ys = self.xs[shortlist], self.ys[shortlist]
+        return [k] + [int(shortlist[_first_min_d2(xs - px, ys - py)]) for px, py in others]
 
     def project(self, point: Point2) -> Point2:
         """Closest point on the polyline, segment interiors included.
@@ -128,9 +165,14 @@ def select_lookahead_waypoint(index: WaypointIndex, pose: Pose, d_l: float) -> i
     The probe sits at pose + d_l (cos yaw, sin yaw); the returned index is
     clamped into [1, len - 2] so it always has both neighbors.
     """
-    probe = (pose.x + d_l * math.cos(pose.yaw), pose.y + d_l * math.sin(pose.yaw))
-    i = index.nearest(probe)
-    return min(max(i, 1), len(index) - 2)
+    return select_lookahead_waypoints(index, [pose], d_l)[0]
+
+
+def select_lookahead_waypoints(index: WaypointIndex, poses: list[Pose], d_l: float) -> list[int]:
+    """select_lookahead_waypoint for each pose, with one shared nearest-waypoint scan."""
+    probes = [(p.x + d_l * math.cos(p.yaw), p.y + d_l * math.sin(p.yaw)) for p in poses]
+    last = len(index) - 2
+    return [min(max(i, 1), last) for i in index.nearest_group(probes)]
 
 
 def menger_curvature(a: Point2, b: Point2, c: Point2) -> float:
@@ -187,13 +229,17 @@ def reduce_to_local_road(
     d_l: float,
     straight_eps: float = DEFAULT_STRAIGHT_EPS,
 ) -> LocalRoad:
-    """Collapse the waypoints around the look-ahead into a line or circle.
+    """Collapse the waypoints around the look-ahead into a line or circle."""
+    return local_road(path, select_lookahead_waypoint(index, pose, d_l), straight_eps)
+
+
+def local_road(path: WaypointPath, w: int, straight_eps: float = DEFAULT_STRAIGHT_EPS) -> LocalRoad:
+    """The line or circle through waypoints w - 1, w and w + 1.
 
     Both results stay in the global frame.  |Menger curvature| of the
     waypoint triple below straight_eps selects the least-squares line;
     otherwise the triple's circumcircle (radius 1 / |kappa|) is returned.
     """
-    w = select_lookahead_waypoint(index, pose, d_l)
     a, b, c = path.points[w - 1], path.points[w], path.points[w + 1]
     kappa = menger_curvature(a, b, c)
     if abs(kappa) < straight_eps:

@@ -128,6 +128,21 @@ def test_noise_section_is_optional_and_can_be_disabled(tmp_path):
         assert noise.rng_seed == 3
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("sigma_x", "abc", "expected a number"),
+        ("sigma_y", "-1", "must be >= 0"),
+        ("sigma_yaw_deg", "nan", "must be finite"),
+        ("max_lateral_dev", "0", "max_lateral_dev must be positive"),
+    ],
+)
+def test_disabled_noise_section_values_are_checked(tmp_path, key, value, message):
+    text = MINIMAL_CFG + f"\n[noise]\nenabled = false\n{key} = {value}\n"
+    with pytest.raises(ConfigInvalid, match=message):
+        parse_config(write_cfg(tmp_path, text))
+
+
 @pytest.mark.parametrize("key,value", [("sigma_x", "-0.5"), ("sigma_y", "-0.1"), ("sigma_yaw_deg", "-10")])
 def test_negative_sigma_is_rejected(tmp_path, key, value):
     sigmas = {"sigma_x": "0", "sigma_y": "0.1", "sigma_yaw_deg": "10", key: value}
@@ -399,6 +414,16 @@ def test_cli_degenerate_ut_scaling_is_a_config_error(tmp_path, capsys, alpha):
     rc = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--steps", "5"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: [ut]: ")
+
+
+def test_cli_batch_rejects_seed(tmp_path, capsys):
+    # batch seeds run i with --base-seed + i; a --seed would be ignored.
+    argv = ["batch", "--config", STRAIGHT_CFG, "--out-dir", str(tmp_path), "--runs", "2", "--seed", "7"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):

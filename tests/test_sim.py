@@ -6,6 +6,8 @@ import pytest
 
 from utpursuit import (
     Circle,
+    RoadGeometryFault,
+    VerticalRoad,
     ConfigInvalid,
     Controller,
     Covariance3,
@@ -18,20 +20,28 @@ from utpursuit import (
     WaypointPath,
     circle_to_vehicle,
     cross_track_circle,
+    cross_track_line,
     derive_ut_params,
     generate_sigma_points,
+    line_to_vehicle,
+    local_road,
     lookahead_distance,
+    reduce_to_local_road,
     run,
     run_batch,
+    select_lookahead_waypoint,
     steering_angle,
     step_pp,
     step_utpp,
     weighted_steering,
 )
+from utpursuit import sim
+from utpursuit.config import parse_config
 from utpursuit.sim import aggregate, convergence_time
 
 from conftest import (
     CIRCLE_ROAD,
+    CONFIG_DIR,
     STRAIGHT_ROAD,
     make_scenario,
     reference_noise,
@@ -255,3 +265,164 @@ def test_summary_statistics_are_consistent_with_records():
         sum(abs(r.lateral_error) for r in records) / len(records), rel=1e-12
     )
     assert summary.seed == 9
+
+
+def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
+    """step_utpp as seven independent poses, each with its own waypoint scan and reduction."""
+    cfg = scenario.pursuit
+    d_l = lookahead_distance(scenario.speed, cfg)
+
+    def cross(p):
+        road = scenario.road
+        if isinstance(road, WaypointPath):
+            road = reduce_to_local_road(road, road.spatial_index(), p, d_l, scenario.straight_eps)
+        if isinstance(road, StraightLine):
+            return cross_track_line(line_to_vehicle(road, p), d_l)
+        return cross_track_circle(circle_to_vehicle(road, p), d_l)
+
+    mean, *others = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
+    y_e = cross(mean).y_e
+    delta0 = steering_angle(y_e, d_l, cfg)
+    deltas = [delta0]
+    for point in others:
+        try:
+            deltas.append(steering_angle(cross(point).y_e, d_l, cfg))
+        except RoadGeometryFault:
+            deltas.append(delta0)
+    return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
+
+
+def stadium_path() -> WaypointPath:
+    """A closed 10^4-waypoint loop: two 92.9 m legs joined by semicircles of radius 50 m."""
+    leg, n_leg, n_arc, r = 92.9, 1858, 3142, 50.0
+    step = math.pi / n_arc
+    pts = [(i * leg / n_leg, 0.0) for i in range(n_leg)]
+    pts += [(leg + r * math.sin(i * step), r - r * math.cos(i * step)) for i in range(n_arc)]
+    pts += [(leg - i * leg / n_leg, 2 * r) for i in range(n_leg)]
+    pts += [(-r * math.sin(i * step), r + r * math.cos(i * step)) for i in range(n_arc)]
+    return WaypointPath(pts + [pts[0]])
+
+
+def _outcome(step, pose, scen):
+    try:
+        return step(pose, scen)
+    except RoadGeometryFault as exc:
+        return type(exc).__name__
+
+
+# The configs' noise, then every axis noisy at alpha = 1, where the sigma
+# probes spread far enough to land on different waypoints.
+WIDE_NOISE = NoiseModel(Covariance3(0.2**2, 0.2**2, math.radians(15.0) ** 2))
+
+
+@pytest.mark.parametrize("where", ["waypoint_arc", "stadium"])
+def test_step_utpp_matches_per_pose_oracle_on_waypoint_roads(where):
+    if where == "stadium":
+        base = make_scenario(stadium_path(), noise=reference_noise(), controller=Controller.UTPP)
+    else:
+        base = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=Controller.UTPP)
+    points = base.road.points
+    rng = random.Random(17)
+    variants = (base, replace(base, noise=WIDE_NOISE, ut=derive_ut_params(3, 1.0, 0.0)))
+    for _ in range(300):
+        i = rng.randrange(1, len(points) - 1)
+        (ax, ay), (bx, by) = points[i - 1], points[i + 1]
+        heading = math.atan2(by - ay, bx - ax)
+        pose = Pose(
+            points[i][0] + rng.uniform(-0.3, 0.3),
+            points[i][1] + rng.uniform(-0.3, 0.3),
+            heading + rng.uniform(-0.5, 0.5),
+        )
+        for scen in variants:
+            assert _outcome(step_utpp, pose, scen) == _outcome(step_utpp_oracle, pose, scen)
+
+
+@pytest.mark.parametrize("stem", ["straight", "circle", "waypoint_arc", "stadium"])
+def test_utpp_runs_match_per_pose_oracle(stem, monkeypatch):
+    if stem == "stadium":
+        start = Pose(91.8, 0.1, 0.0)  # a metre before the leg bends into an arc
+        base = make_scenario(stadium_path(), start_pose=start, noise=reference_noise(), steps=40)
+    else:
+        base = parse_config(str(CONFIG_DIR / f"{stem}.cfg"))
+    scenarios = [
+        replace(base, controller=Controller.UTPP, noise=replace(base.noise, rng_seed=seed)) for seed in range(5)
+    ]
+    shared = [run(scen) for scen in scenarios]
+    monkeypatch.setattr(sim, "step_utpp", step_utpp_oracle)
+    assert shared == [run(scen) for scen in scenarios]
+
+
+def test_vertical_triple_on_a_sigma_pose_falls_back_to_the_mean():
+    # A straight stretch along y = 0, then a vertical run at x = 20.  The
+    # +x sigma pose probes (20, 0.4), whose waypoint triple is vertical.
+    path = WaypointPath([(float(i), 0.0) for i in range(7)] + [(20.0, -1.0), (20.0, 0.0), (20.0, 1.0), (20.0, 2.0)])
+    noise = NoiseModel(Covariance3(108.0, 0.0, math.radians(10.0) ** 2))
+    ut = derive_ut_params(3, 1.0, 0.0)  # zero center weight: every slot shows in the command
+    scen = make_scenario(path, start_pose=Pose(1.0, 0.4, 0.0), controller=Controller.UTPP, noise=noise, ut=ut, steps=1)
+    d_l = lookahead_distance(scen.speed, scen.pursuit)
+    index = path.spatial_index()
+    sigma = generate_sigma_points(scen.start_pose, noise.cov, ut)
+    with pytest.raises(VerticalRoad):
+        local_road(path, select_lookahead_waypoint(index, sigma[1], d_l))
+    deltas = []
+    for i, pose in enumerate(sigma):
+        if i == 1:
+            deltas.append(deltas[0])
+        else:
+            road = local_road(path, select_lookahead_waypoint(index, pose, d_l))
+            deltas.append(steering_angle(cross_track_line(line_to_vehicle(road, pose), d_l).y_e, d_l, scen.pursuit))
+    assert len(set(deltas)) > 1
+    delta, y_e = step_utpp(scen.start_pose, scen)
+    assert (delta, y_e) == (weighted_steering(deltas, ut, scen.steering_limit), -0.4)
+    records, summary = run(scen)
+    assert records[0].fault is None and summary.fault_count == 0
+    # The same triple under the mean pose faults the step.
+    with pytest.raises(VerticalRoad):
+        step_utpp(sigma[1], scen)
+
+
+def _count_cross_tracks(monkeypatch) -> list[int]:
+    calls = [0]
+    for name in ("cross_track_line", "cross_track_circle"):
+        original = getattr(sim, name)
+
+        def counted(*args, original=original):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(sim, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("road", [STRAIGHT_ROAD, CIRCLE_ROAD, "waypoints"], ids=["straight", "circle", "waypoints"])
+def test_sigma_poses_equal_to_the_mean_are_not_steered_again(road, monkeypatch):
+    if road == "waypoints":
+        road = WaypointPath([(0.1 * k, 0.0) for k in range(40)])
+    pose = Pose(0.5, 0.3, 0.1)
+    calls = _count_cross_tracks(monkeypatch)
+    for noise, expected in ((zero_noise(), 1), (reference_noise(), 5)):
+        scen = make_scenario(road, controller=Controller.UTPP, noise=noise)
+        calls[0] = 0
+        delta, y_e = step_utpp(pose, scen)
+        assert calls[0] == expected
+        assert (delta, y_e) == step_utpp_oracle(pose, scen)
+
+
+def test_a_sigma_pose_that_differs_from_the_mean_by_a_zero_sign_is_steered(monkeypatch):
+    # yaw -0.0 + 0.0 is 0.0: == calls the +yaw pose the mean, but the centre
+    # sits straight behind the axle, so the sign of the zero picks the side
+    # the vehicle steers to.
+    scen = make_scenario(
+        Circle(-1.5, -0.0, 2.0),
+        start_pose=Pose(0.0, 0.0, -0.0),
+        controller=Controller.UTPP,
+        noise=zero_noise(),
+        ut=derive_ut_params(3, 1.0, 0.0),
+    )
+    calls = _count_cross_tracks(monkeypatch)
+    delta, y_e = step_utpp(scen.start_pose, scen)
+    assert calls[0] == 2
+    assert (delta, y_e) == step_utpp_oracle(scen.start_pose, scen)
+    # Both sides are there: the mean steers one way, the +yaw pose the other.
+    mean, *others = generate_sigma_points(scen.start_pose, scen.noise.cov, scen.ut)
+    assert step_pp(mean, scen)[0] == -step_pp(others[4], scen)[0] != 0.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from utpursuit import (
     Circle,
@@ -9,6 +11,7 @@ from utpursuit import (
     Pose,
     StraightLine,
     TooFewWaypoints,
+    WaypointIndex,
     WaypointPath,
     build_index,
     load_waypoints,
@@ -116,6 +119,57 @@ def test_loop_seam_resolves_to_first_waypoint_and_clamps():
     # The probe (-1 + 1, -0.1) lands on the same seam query and clamps to 1,
     # so the local triple never wraps across the seam.
     assert select_lookahead_waypoint(index, Pose(-1.0, -0.1, 0.0), 1.0) == 1
+
+
+@st.composite
+def probe_groups(draw):
+    """Waypoints and a group of probes around the first: (points, probes).
+
+    Either random points with probes spread from 0 to 1e3 around an anchor,
+    or an integer grid with half-integer probes, where exact ties abound.
+    Everything is then scaled, up to coordinates of 1e150 or down to ones
+    whose squares are subnormal or underflow.
+    """
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e147, 1e-157, 1e-161]))
+    if draw(st.booleans()):
+        cell = st.integers(-4, 4).map(float)
+        points = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=30))
+        half = st.integers(-10, 10).map(lambda v: v / 2.0)
+        probes = draw(st.lists(st.tuples(half, half), min_size=1, max_size=7))
+    else:
+        coord = st.floats(-1e3, 1e3, allow_nan=False)
+        points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+        ax, ay = draw(st.tuples(coord, coord))
+        spread = draw(st.sampled_from([0.0, 1e-8, 1e-4, 1e-2, 1.0, 1e3]))
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        offsets = draw(st.lists(st.tuples(unit, unit), max_size=6))
+        probes = [(ax, ay)] + [(ax + spread * u, ay + spread * v) for u, v in offsets]
+    return (
+        [(x * scale, y * scale) for x, y in points],
+        [(x * scale, y * scale) for x, y in probes],
+    )
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(probe_groups())
+# Probes 0.9 and 1.6 have different nearest waypoints, so the shortlist holds
+# more than one; (0.5, 0) is exactly between waypoints 0 and 1.
+@example(([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [(0.9, 0.0), (1.6, 0.0), (0.5, 0.0)]))
+# A shortlist of one waypoint, which answers every probe.
+@example(([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [(1.0, 0.1), (1.0, 0.2), (1.1, 0.0)]))
+# Two identical probes, each exactly between waypoints 1 and 2.
+@example(([(0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (2.0, 0.0)], [(1.0, 0.0), (1.0, 0.0), (0.5, 0.0)]))
+# The second probe ties waypoints 0 and 1 exactly, and waypoint 0 sits exactly
+# d0 + 2 delta from the first probe, so an unwidened radius rounds it out ...
+@example(([(87.0, 227.0), (-51.0, -49.0)], [(-17.0, 19.0), (18.0, 89.0)]))
+# ... and with subnormal squares a relative widening alone is not enough.
+@example(([(2.4e-160, 1.65e-160), (1.8e-161, -5.7e-161)], [(2.7e-161, -4.8e-161), (1.29e-160, 5.4e-161)]))
+def test_nearest_group_equals_nearest_per_probe(group):
+    points, probes = group
+    index = WaypointIndex(points)
+    got = index.nearest_group(probes)
+    assert got == [index.nearest(q) for q in probes]
+    assert got == [nearest_waypoint_oracle(q, points) for q in probes]
 
 
 def test_select_lookahead_waypoint_probes_ahead_and_clamps():
