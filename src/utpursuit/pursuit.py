@@ -120,7 +120,9 @@ def cross_track_circle(circle: Circle, d_l: float) -> CrossTrack:
             f"road circle (center ({cx}, {cy}), R={circle.radius}) misses look-ahead {d_l}"
         )
     alpha_1 = math.acos(max(-1.0, min(1.0, cos_arg)))
-    alpha_2 = math.atan2(cy, cx)
+    # cy + 0.0 turns -0.0 into 0.0: a centre straight behind the axle is the
+    # exact tie below, whichever zero its frame transform produced.
+    alpha_2 = math.atan2(cy + 0.0, cx)
     plus, minus = alpha_2 + alpha_1, alpha_2 - alpha_1
     if abs(plus) < abs(minus):
         alpha = plus

@@ -15,6 +15,15 @@ the probe's own nearest waypoint, which therefore lies within d0 + 2 delta of
 the first probe.  Only this shortlist, with its radius widened for rounding,
 is rescored for the other probes; when it holds a single waypoint, that is
 every probe's answer.
+
+Projecting a point onto the polyline uses the same idea.  The nearest
+waypoint is a point of the polyline d away, so the closest point is at most
+d away too.  A segment holding a point within d of the query has its nearer
+endpoint within d + L/2, where L is the segment's length.  So one scan marks
+every waypoint i within d + reach_i, where reach_i is half the longer of the
+two segments at waypoint i, widened for rounding, and only the segments with a
+marked endpoint go through the scalar per-segment loop.  The per-waypoint
+reach keeps one long segment from putting every other segment on the list.
 """
 
 from __future__ import annotations
@@ -44,10 +53,12 @@ LocalRoad = StraightLine | Circle
 # result exactly.
 _NEAR_TIE_REL = 2.0**-48
 _NEAR_TIE_ABS = 2.0**-1070
-# The shortlist radius d0 + 2 delta is widened by a relative margin for
-# rounded distances and squares, and by an absolute one for squares rounded in
-# the subnormal range, whose error of a few 2**-1075 is up to about 2**-536 in
-# distance.
+# The shortlist radii, d0 + 2 delta and d + reach, are widened by a relative
+# margin for rounded distances and squares.  The group radius also gets an
+# absolute one for squares rounded in the subnormal range, whose error of a few
+# 2**-1075 is up to about 2**-536 in distance; the projection radius needs
+# none, since every segment of a WaypointPath is longer than
+# MIN_WAYPOINT_SPACING, which makes its relative margin at least 5e-16 m.
 _SHORTLIST_REL = 1.0 + 1e-6
 _SHORTLIST_ABS = 2.0**-530
 
@@ -76,10 +87,17 @@ class WaypointIndex:
     def __init__(self, points: list[Point2]):
         self.xs = np.array([p[0] for p in points], dtype=np.float64)
         self.ys = np.array([p[1] for p in points], dtype=np.float64)
-        # Segment k runs from waypoint k to k + 1.
-        self.x0, self.y0 = self.xs[:-1], self.ys[:-1]
-        self.dx, self.dy = np.diff(self.xs), np.diff(self.ys)
-        self.seg_len2 = self.dx * self.dx + self.dy * self.dy
+        # Row k is segment k, from waypoint k to k + 1: x0, y0, dx, dy, |d|^2.
+        dx, dy = np.diff(self.xs), np.diff(self.ys)
+        len2 = dx * dx + dy * dy
+        self.segments = np.stack([self.xs[:-1], self.ys[:-1], dx, dy, len2], axis=1)
+        # Half the longer of the segments at waypoint i, widened: waypoint i
+        # is marked when it lies within (d + reach_i) * _SHORTLIST_REL.
+        half = 0.5 * np.sqrt(len2)
+        self.reach = np.zeros_like(self.xs)
+        self.reach[:-1] = half
+        np.maximum(self.reach[1:], half, out=self.reach[1:])
+        self.reach *= _SHORTLIST_REL
 
     def nearest(self, query: Point2) -> int:
         """Index of the waypoint nearest to query."""
@@ -110,19 +128,36 @@ class WaypointIndex:
     def project(self, point: Point2) -> Point2:
         """Closest point on the polyline, segment interiors included.
 
-        Each segment's foot a + t d, with t = ((p - a) . d) / (d . d) clipped
-        to [0, 1], takes the same IEEE operations in the same order as a
-        scalar loop over the segments, so the result is bit-identical to that
-        loop's.
+        The segments with an endpoint on the shortlist (see the module
+        docstring) go through the scalar loop, in index order with a
+        strict <: t = ((p - a) . d) / (d . d) clipped to [0, 1], the foot
+        a + t d, and its squared distance with Python's **.  Every other
+        segment's foot is farther, so the result is that loop's over all
+        segments.  Near the path the shortlist holds a few segments, but a
+        query about equally far from most waypoints, such as the centre of
+        a circular loop, puts every segment through the loop: about 12 ms on
+        a 10^4-point circle, against about 35 us for a query 0.3 m from a
+        10^4-point path (Python 3.11 on a shared 2-core Xeon).
         """
         px, py = point
-        t = ((px - self.x0) * self.dx + (py - self.y0) * self.dy) / self.seg_len2
-        # min(1, max(0, t)): unlike np.clip, np.maximum turns -0.0 into 0.0.
-        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
-        qx = self.x0 + t * self.dx
-        qy = self.y0 + t * self.dy
-        k = _first_min_d2(px - qx, py - qy)
-        return (float(qx[k]), float(qy[k]))
+        # In place, so each call allocates two float arrays instead of seven.
+        d2 = self.xs - px
+        d2 *= d2
+        r2 = self.ys - py
+        r2 *= r2
+        d2 += r2
+        np.add(self.reach, math.sqrt(float(d2.min())) * _SHORTLIST_REL, out=r2)
+        r2 *= r2
+        near = d2 <= r2
+        best_d2, best = math.inf, (float(self.xs[0]), float(self.ys[0]))
+        seg = (near[:-1] | near[1:]).nonzero()[0]
+        for x0, y0, dx, dy, l2 in self.segments.take(seg, axis=0).tolist():
+            t = min(1.0, max(0.0, ((px - x0) * dx + (py - y0) * dy) / l2))
+            qx, qy = x0 + t * dx, y0 + t * dy
+            q2 = (px - qx) ** 2 + (py - qy) ** 2
+            if q2 < best_d2:
+                best_d2, best = q2, (qx, qy)
+        return best
 
     def __len__(self) -> int:
         return len(self.xs)

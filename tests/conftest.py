@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from utpursuit import Circle, Controller, Covariance3, NoiseModel, Pose, Scenario, StraightLine
+from utpursuit import Circle, Controller, Covariance3, NoiseModel, Pose, Scenario, StraightLine, WaypointPath
 from utpursuit.config import parse_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +80,14 @@ def circle_scenario() -> Scenario:
 
 def noise_free(scenario: Scenario) -> Scenario:
     return replace(scenario, noise=replace(scenario.noise, cov=ZERO_COV))
+
+
+def stadium_path() -> WaypointPath:
+    """A closed 10^4-waypoint loop: two 92.9 m legs joined by semicircles of radius 50 m."""
+    leg, n_leg, n_arc, r = 92.9, 1858, 3142, 50.0
+    step = math.pi / n_arc
+    pts = [(i * leg / n_leg, 0.0) for i in range(n_leg)]
+    pts += [(leg + r * math.sin(i * step), r - r * math.cos(i * step)) for i in range(n_arc)]
+    pts += [(leg - i * leg / n_leg, 2 * r) for i in range(n_leg)]
+    pts += [(-r * math.sin(i * step), r + r * math.cos(i * step)) for i in range(n_arc)]
+    return WaypointPath(pts + [pts[0]])

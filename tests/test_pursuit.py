@@ -152,6 +152,10 @@ def test_cross_track_circle_bearing_tie_turns_left():
     # positive (left) one wins.
     ct = cross_track_circle(Circle(2.0, 0.0, 1.5), 1.0)
     assert ct.y_e > 0.0
+    # So are they with the center straight behind the axle, whichever sign
+    # its zero offset has.
+    behind = [cross_track_circle(Circle(-1.5, cy, 2.0), 1.0) for cy in (0.0, -0.0)]
+    assert behind[0] == behind[1] and behind[0].y_e > 0.0
 
 
 def test_cross_track_circle_against_radical_line_oracle():

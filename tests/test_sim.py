@@ -45,6 +45,7 @@ from conftest import (
     STRAIGHT_ROAD,
     make_scenario,
     reference_noise,
+    stadium_path,
 )
 
 
@@ -292,17 +293,6 @@ def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
 
 
-def stadium_path() -> WaypointPath:
-    """A closed 10^4-waypoint loop: two 92.9 m legs joined by semicircles of radius 50 m."""
-    leg, n_leg, n_arc, r = 92.9, 1858, 3142, 50.0
-    step = math.pi / n_arc
-    pts = [(i * leg / n_leg, 0.0) for i in range(n_leg)]
-    pts += [(leg + r * math.sin(i * step), r - r * math.cos(i * step)) for i in range(n_arc)]
-    pts += [(leg - i * leg / n_leg, 2 * r) for i in range(n_leg)]
-    pts += [(-r * math.sin(i * step), r + r * math.cos(i * step)) for i in range(n_arc)]
-    return WaypointPath(pts + [pts[0]])
-
-
 def _outcome(step, pose, scen):
     try:
         return step(pose, scen)
@@ -409,9 +399,8 @@ def test_sigma_poses_equal_to_the_mean_are_not_steered_again(road, monkeypatch):
 
 
 def test_a_sigma_pose_that_differs_from_the_mean_by_a_zero_sign_is_steered(monkeypatch):
-    # yaw -0.0 + 0.0 is 0.0: == calls the +yaw pose the mean, but the centre
-    # sits straight behind the axle, so the sign of the zero picks the side
-    # the vehicle steers to.
+    # yaw -0.0 + 0.0 is 0.0: == calls the +yaw pose the mean, but the two
+    # poses differ in the sign of a zero, so the +yaw pose is steered again.
     scen = make_scenario(
         Circle(-1.5, -0.0, 2.0),
         start_pose=Pose(0.0, 0.0, -0.0),
@@ -423,6 +412,7 @@ def test_a_sigma_pose_that_differs_from_the_mean_by_a_zero_sign_is_steered(monke
     delta, y_e = step_utpp(scen.start_pose, scen)
     assert calls[0] == 2
     assert (delta, y_e) == step_utpp_oracle(scen.start_pose, scen)
-    # Both sides are there: the mean steers one way, the +yaw pose the other.
+    # The centre sits straight behind the axle: an exact tie, which goes left
+    # whichever sign the zero has.
     mean, *others = generate_sigma_points(scen.start_pose, scen.noise.cov, scen.ut)
-    assert step_pp(mean, scen)[0] == -step_pp(others[4], scen)[0] != 0.0
+    assert step_pp(mean, scen)[0] == step_pp(others[4], scen)[0] > 0.0
