@@ -29,7 +29,6 @@ from .geometry import (
     global_to_vehicle,
     line_to_vehicle,
     normalize_angle,
-    vehicle_to_global,
 )
 from .pursuit import (
     CrossTrack,
@@ -128,6 +127,5 @@ __all__ = [
     "steering_angle",
     "step_pp",
     "step_utpp",
-    "vehicle_to_global",
     "weighted_steering",
 ]

@@ -14,9 +14,10 @@ from pathlib import Path
 
 from .errors import ConfigInvalid, TooFewWaypoints, UtPursuitError
 from .geometry import Circle, Pose, StraightLine
+from .pursuit import DEFAULT_STEERING_LIMIT
 from .roads import RoadModel
 from .sim import Controller, Scenario
-from .uncertainty import Covariance3, derive_ut_params
+from .uncertainty import DEFAULT_UT, Covariance3, derive_ut_params
 from .vehicle import DEFAULT_MAX_LATERAL_DEV, NoiseModel
 from .waypoints import DEFAULT_STRAIGHT_EPS, load_waypoints
 
@@ -178,8 +179,9 @@ def parse_config(path: str) -> Scenario:
     seed = _get_int(cp, "sim", "seed", 0)
     noise = _parse_noise(cp, seed)
 
-    alpha = _get_float(cp, "ut", "alpha", 0.001) if cp.has_section("ut") else 0.001
-    kappa = _get_float(cp, "ut", "kappa", 0.0) if cp.has_section("ut") else 0.0
+    alpha = _get_float(cp, "ut", "alpha", DEFAULT_UT.alpha)
+    kappa = _get_float(cp, "ut", "kappa", DEFAULT_UT.kappa)
+    limit_deg = _get_float(cp, "vehicle", "steering_limit_deg", None)
     try:
         ut = derive_ut_params(3, alpha, kappa)
     except UtPursuitError as exc:
@@ -202,7 +204,7 @@ def parse_config(path: str) -> Scenario:
             controller=controller,
             noise=noise,
             ut=ut,
-            steering_limit=math.radians(_get_float(cp, "vehicle", "steering_limit_deg", 35.0)),
+            steering_limit=DEFAULT_STEERING_LIMIT if limit_deg is None else math.radians(limit_deg),
             paper_literal=_get_bool(cp, "sim", "paper_literal", False),
             straight_eps=straight_eps,
         )

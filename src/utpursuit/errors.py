@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-``RoadGeometryFault`` subclasses are recoverable per-step conditions: the
-simulation loop catches them, holds the previous steering command and keeps
-going.  Everything else signals invalid inputs and is raised eagerly.
+``RoadGeometryFault`` subclasses, CoincidentPoints in a local waypoint triple
+among them, are recoverable per-step conditions: the simulation loop catches
+them, holds the previous steering command and keeps going.  Everything else
+signals invalid inputs and is raised eagerly.
 """
 
 
@@ -27,12 +28,12 @@ class TooFewWaypoints(UtPursuitError):
     """A waypoint path needs at least three points."""
 
 
-class CoincidentPoints(UtPursuitError):
-    """Curvature of three points is undefined when two of them coincide."""
-
-
 class RoadGeometryFault(UtPursuitError):
     """Base class for recoverable per-step geometric faults."""
+
+
+class CoincidentPoints(RoadGeometryFault):
+    """Curvature of three points is undefined when two of them coincide."""
 
 
 class PerpendicularLine(RoadGeometryFault):

@@ -77,15 +77,8 @@ class Circle:
         return (self.cx, self.cy)
 
 
-def vehicle_to_global(point: Point2, frame: Pose) -> Point2:
-    """Map a vehicle-frame point into the global frame."""
-    c, s = math.cos(frame.yaw), math.sin(frame.yaw)
-    px, py = point
-    return (c * px - s * py + frame.x, s * px + c * py + frame.y)
-
-
 def global_to_vehicle(point: Point2, frame: Pose) -> Point2:
-    """Map a global-frame point into the vehicle frame (inverse of above)."""
+    """Map a global-frame point into the vehicle frame."""
     c, s = math.cos(frame.yaw), math.sin(frame.yaw)
     dx, dy = point[0] - frame.x, point[1] - frame.y
     return (c * dx + s * dy, -s * dx + c * dy)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from .geometry import Circle, Pose, StraightLine
+from .geometry import Circle, StraightLine
 from .roads import RoadModel
 from .sim import RunSummary, Scenario, TrajectoryRecord
 from .vehicle import RNG_NAME
@@ -57,32 +57,6 @@ def emit_csv(records: list[TrajectoryRecord], path: str) -> None:
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path: str) -> list[TrajectoryRecord]:
-    """Parse a file written by emit_csv back into records."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: unexpected CSV header")
-    records = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 12:
-            raise ValueError(f"{path}: expected 12 cells, got {len(cells)}")
-        records.append(
-            TrajectoryRecord(
-                step=int(cells[0]),
-                time=float(cells[1]),
-                true_pose=Pose(float(cells[2]), float(cells[3]), float(cells[4])),
-                measured_pose=Pose(float(cells[5]), float(cells[6]), float(cells[7])),
-                y_e=float(cells[8]) if cells[8] else None,
-                delta=float(cells[9]),
-                lateral_error=float(cells[10]),
-                fault=cells[11] or None,
-            )
-        )
-    return records
 
 
 def emit_summary_json(summary: RunSummary, scenario: Scenario, path: str) -> None:
@@ -198,20 +172,3 @@ def emit_svg(records: list[TrajectoryRecord], road: RoadModel, path: str) -> Non
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def read_svg_polylines(path: str) -> list[list[tuple[float, float]]]:
-    """Extract every polyline's points, in document order."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    out = []
-    pos = 0
-    while True:
-        start = text.find('<polyline points="', pos)
-        if start < 0:
-            return out
-        start += len('<polyline points="')
-        end = text.index('"', start)
-        pairs = text[start:end].split()
-        out.append([tuple(map(float, p.split(","))) for p in pairs])
-        pos = end

@@ -19,7 +19,7 @@ from typing import Callable
 from .errors import ConfigInvalid, RoadGeometryFault
 from .geometry import Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
 from .pursuit import (
-    CrossTrack,
+    DEFAULT_STEERING_LIMIT,
     PursuitConfig,
     cross_track_circle,
     cross_track_line,
@@ -27,7 +27,7 @@ from .pursuit import (
     steering_angle,
 )
 from .roads import RoadModel, lateral_deviation
-from .uncertainty import Covariance3, UtParams, derive_ut_params, generate_sigma_points, weighted_steering
+from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
 from .waypoints import (
     DEFAULT_STRAIGHT_EPS,
@@ -55,10 +55,6 @@ class Controller(Enum):
     UTPP = "utpp"
 
 
-def _default_ut() -> UtParams:
-    return derive_ut_params(3, 0.001, 0.0)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything one simulation run depends on."""
@@ -73,8 +69,8 @@ class Scenario:
     controller: Controller = Controller.PP
     # The default is a perfect sensor: measured pose == true pose, and utpp == pp.
     noise: NoiseModel = NoiseModel(Covariance3(0.0, 0.0, 0.0))
-    ut: UtParams = field(default_factory=_default_ut)
-    steering_limit: float = math.radians(35.0)
+    ut: UtParams = DEFAULT_UT
+    steering_limit: float = DEFAULT_STEERING_LIMIT
     paper_literal: bool = False
     straight_eps: float = DEFAULT_STRAIGHT_EPS
 
@@ -146,10 +142,13 @@ class BatchStats:
     mean_fault_count: float
 
 
-def _cross_track(road: LocalRoad, pose: Pose, d_l: float) -> CrossTrack:
+def _steer(road: LocalRoad, pose: Pose, d_l: float, cfg: PursuitConfig) -> tuple[float, float]:
+    """The pure-pursuit command of one pose against a global line or circle: (delta, y_e)."""
     if isinstance(road, StraightLine):
-        return cross_track_line(line_to_vehicle(road, pose), d_l)
-    return cross_track_circle(circle_to_vehicle(road, pose), d_l)
+        y_e = cross_track_line(line_to_vehicle(road, pose), d_l).y_e
+    else:
+        y_e = cross_track_circle(circle_to_vehicle(road, pose), d_l).y_e
+    return steering_angle(y_e, d_l, cfg), y_e
 
 
 def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
@@ -159,17 +158,7 @@ def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     road = scenario.road
     if isinstance(road, WaypointPath):
         road = reduce_to_local_road(road, road.spatial_index(), pose, d_l, scenario.straight_eps)
-    y_e = _cross_track(road, pose, d_l).y_e
-    return steering_angle(y_e, d_l, cfg), y_e
-
-
-def _is_mean(point: Pose, mean: Pose) -> bool:
-    """Whether a sigma pose is bit-equal to the mean, so it steers as the mean does.
-
-    == alone also matches 0.0 with -0.0, whose sign can reach a zero
-    cross-track; repr tells them apart, and is only needed for a zero field.
-    """
-    return point == mean and (0.0 not in (mean.x, mean.y, mean.yaw) or repr(point) == repr(mean))
+    return _steer(road, pose, d_l, cfg)
 
 
 def _local_roads(scenario: Scenario, poses: dict[int, Pose], d_l: float) -> Callable[[int], LocalRoad]:
@@ -199,24 +188,24 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     Seven sigma poses are steered independently and combined with the UT
     weights; y_e is the mean sigma pose's.  A fault on the mean pose faults
     the whole step; a fault on any other sigma pose falls back to the mean
-    pose's steering angle.  A sigma pose equal to the mean (a zero
-    covariance axis) reuses the mean's angle without steering again.
+    pose's steering angle.  The two poses of a zero-variance axis sit on the
+    mean and take the mean's angle without being steered.
     """
     cfg = scenario.pursuit
     d_l = lookahead_distance(scenario.speed, cfg)
-    mean, *others = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
-    moved = {i: point for i, point in enumerate(others, start=1) if not _is_mean(point, mean)}
-    road_of = _local_roads(scenario, {0: mean, **moved}, d_l)
-    y_e = _cross_track(road_of(0), mean, d_l).y_e
-    delta0 = steering_angle(y_e, d_l, cfg)
-    deltas = [delta0] * (1 + len(others))
+    cov = scenario.noise.cov
+    sigma = generate_sigma_points(pose, cov, scenario.ut)
+    # Poses 2a + 1 and 2a + 2 perturb axis a: x, y, then yaw.
+    variances = (cov.var_x, cov.var_y, cov.var_yaw)
+    moved = {i: sigma[i] for i in range(1, len(sigma)) if variances[(i - 1) // 2] > 0.0}
+    road_of = _local_roads(scenario, {0: sigma[0], **moved}, d_l)
+    delta0, y_e = _steer(road_of(0), sigma[0], d_l, cfg)
+    deltas = [delta0] * len(sigma)
     for i, point in moved.items():
         try:
-            cross = _cross_track(road_of(i), point, d_l)
+            deltas[i] = _steer(road_of(i), point, d_l, cfg)[0]
         except RoadGeometryFault as exc:
             logger.debug("sigma point %d fell back to the mean steering: %s", i, exc)
-        else:
-            deltas[i] = steering_angle(cross.y_e, d_l, cfg)
     return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
 
 

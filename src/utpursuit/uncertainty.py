@@ -92,6 +92,10 @@ def derive_ut_params(dim: int, alpha: float, kappa: float) -> UtParams:
     return UtParams(dim=dim, alpha=alpha, kappa=kappa, lam=lam, w0=lam / denom, wi=1.0 / (2.0 * denom))
 
 
+# The pose UT of the reference scenarios, used where a scenario names no alpha or kappa.
+DEFAULT_UT = derive_ut_params(3, 0.001, 0.0)
+
+
 def generate_sigma_points(mean: Pose, cov: Covariance3, params: UtParams) -> tuple[Pose, ...]:
     """Place seven sigma points around a mean pose for a diagonal covariance.
 

@@ -1,29 +1,28 @@
 """Waypoint paths and their per-step reduction to a local line or circle.
 
 A waypoint road is handled by probing one look-ahead distance in front of
-the rear axle, finding the nearest waypoint with an exact vectorised scan
-over all waypoints, and fitting the waypoint triple around it: three nearly
-collinear points become a straight line, anything else becomes the
-circumcircle.  Menger curvature decides which, and its sign
+the rear axle, finding the nearest waypoint, and fitting the waypoint triple
+around it: three nearly collinear points become a straight line, anything
+else becomes the circumcircle.  Menger curvature decides which, and its sign
 (counter-clockwise positive) is kept for diagnostics.
 
-Nearby probes, such as those of one step's sigma poses, share one scan
-(WaypointIndex.nearest_group).  Only the first probe is scanned against every
-waypoint; its nearest waypoint is d0 away.  Every other probe lies within
-delta of the first, so that waypoint is at most d0 + delta from it, and so is
-the probe's own nearest waypoint, which therefore lies within d0 + 2 delta of
-the first probe.  Only this shortlist, with its radius widened for rounding,
-is rescored for the other probes; when it holds a single waypoint, that is
-every probe's answer.
+Both path queries follow one rule: numpy shortlists, the scalar loop of the
+tests' oracle decides.  One vectorised scan gives the nearest waypoint's
+distance d0 and a shortlist, widened for rounding, of every waypoint that
+could hold the answer; the loop runs over that shortlist only.
 
-Projecting a point onto the polyline uses the same idea.  The nearest
-waypoint is a point of the polyline d away, so the closest point is at most
-d away too.  A segment holding a point within d of the query has its nearer
-endpoint within d + L/2, where L is the segment's length.  So one scan marks
-every waypoint i within d + reach_i, where reach_i is half the longer of the
-two segments at waypoint i, widened for rounding, and only the segments with a
-marked endpoint go through the scalar per-segment loop.  The per-waypoint
-reach keeps one long segment from putting every other segment on the list.
+nearest_group serves nearby probes, such as one step's sigma poses.  Each
+lies within delta of the first probe, so the first probe's nearest waypoint
+is within d0 + delta of it, and so is its own nearest waypoint, which thus
+lies within d0 + 2 delta of the first probe.  A one-waypoint shortlist
+answers every probe.
+
+project's closest point is at most d0 away, and a segment holding a point
+within d0 has its nearer endpoint within d0 + L/2, where L is its length.  So
+waypoint i is shortlisted within d0 + reach_i, where reach_i is half the
+longer segment at waypoint i, which keeps one long segment from putting every
+other segment on the list; segments with a shortlisted endpoint go through
+the loop.
 """
 
 from __future__ import annotations
@@ -46,34 +45,17 @@ VERTICAL_COS_EPS = 1e-12
 LocalRoad = StraightLine | Circle
 
 
-# numpy squares by an exact-rounded multiply, but Python's float ** calls libm
-# pow, which rounds about one square in a thousand the other way.  Sums of two
-# squares then differ by under 2**-50 relative (plus a few subnormal steps),
-# so rescoring what lies within this of the minimum reproduces the scalar
-# result exactly.
-_NEAR_TIE_REL = 2.0**-48
-_NEAR_TIE_ABS = 2.0**-1070
-# The shortlist radii, d0 + 2 delta and d + reach, are widened by a relative
-# margin for rounded distances and squares.  The group radius also gets an
+# The shortlist radii, d0 + 2 delta and d0 + reach, are widened by a relative
+# margin for rounded distances and squares.  numpy squares by an exact-rounded
+# multiply, but the scalar loop's ** calls libm pow, which rounds about one
+# square in a thousand the other way; sums of two squares then differ by under
+# 2**-50 relative, far inside the margin.  The group radius also gets an
 # absolute one for squares rounded in the subnormal range, whose error of a few
 # 2**-1075 is up to about 2**-536 in distance; the projection radius needs
 # none, since every segment of a WaypointPath is longer than
 # MIN_WAYPOINT_SPACING, which makes its relative margin at least 5e-16 m.
 _SHORTLIST_REL = 1.0 + 1e-6
 _SHORTLIST_ABS = 2.0**-530
-
-
-def _first_min_d2(ex: np.ndarray, ey: np.ndarray, d2: np.ndarray | None = None) -> int:
-    """First index minimising ex**2 + ey**2 as Python floats compute it."""
-    if d2 is None:
-        d2 = ex**2 + ey**2
-    # The method skips np.argmin's dispatch, which costs more than a short scan.
-    k = int(d2.argmin())
-    near = (d2 <= float(d2[k]) * (1.0 + _NEAR_TIE_REL) + _NEAR_TIE_ABS).nonzero()[0]
-    if len(near) <= 1:
-        return k
-    # min keeps the first of equal keys: the lowest index, as a strict < scan.
-    return min(near.tolist(), key=lambda j: float(ex[j]) ** 2 + float(ey[j]) ** 2)
 
 
 class WaypointIndex:
@@ -92,7 +74,7 @@ class WaypointIndex:
         len2 = dx * dx + dy * dy
         self.segments = np.stack([self.xs[:-1], self.ys[:-1], dx, dy, len2], axis=1)
         # Half the longer of the segments at waypoint i, widened: waypoint i
-        # is marked when it lies within (d + reach_i) * _SHORTLIST_REL.
+        # is marked when it lies within (d0 + reach_i) * _SHORTLIST_REL.
         half = 0.5 * np.sqrt(len2)
         self.reach = np.zeros_like(self.xs)
         self.reach[:-1] = half
@@ -106,24 +88,37 @@ class WaypointIndex:
     def nearest_group(self, probes: list[Point2]) -> list[int]:
         """Index of the waypoint nearest to each probe, in one scan.
 
-        probes[0] is scanned against every waypoint; the others are rescored
-        on the shortlist of waypoints within d0 + 2 delta of it (see the
-        module docstring), which keeps index order and so the tie-breaking.
+        Only probes[0] is scanned against every waypoint.  Each probe, the
+        first included, is then decided by the scalar loop, in index order
+        with a strict < and Python's **, over the shortlist of waypoints
+        within d0 + 2 delta of probes[0] (see the module docstring).
         """
         qx, qy = probes[0]
-        ex, ey = self.xs - qx, self.ys - qy
-        d2 = ex**2 + ey**2
-        k = _first_min_d2(ex, ey, d2)
-        if len(probes) == 1:
-            return [k]
-        others = probes[1:]
-        spread = max(math.hypot(px - qx, py - qy) for px, py in others)
+        # In place, as in project.
+        d2 = self.xs - qx
+        d2 *= d2
+        e2 = self.ys - qy
+        e2 *= e2
+        d2 += e2
+        # The method skips np.argmin's dispatch, which costs more than a short scan.
+        k = int(d2.argmin())
+        spread = 0.0
+        for px, py in probes[1:]:
+            spread = max(spread, math.hypot(px - qx, py - qy))
         radius = (math.sqrt(float(d2[k])) + 2.0 * spread) * _SHORTLIST_REL + _SHORTLIST_ABS
         shortlist = (d2 <= radius * radius).nonzero()[0]
         if len(shortlist) == 1:
             return [k] * len(probes)
-        xs, ys = self.xs[shortlist], self.ys[shortlist]
-        return [k] + [int(shortlist[_first_min_d2(xs - px, ys - py)]) for px, py in others]
+        near = list(zip(shortlist.tolist(), self.xs[shortlist].tolist(), self.ys[shortlist].tolist()))
+        found = []
+        for px, py in probes:
+            best_d2, best = math.inf, k
+            for j, x, y in near:
+                q2 = (x - px) ** 2 + (y - py) ** 2
+                if q2 < best_d2:
+                    best_d2, best = q2, j
+            found.append(best)
+        return found
 
     def project(self, point: Point2) -> Point2:
         """Closest point on the polyline, segment interiors included.

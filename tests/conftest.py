@@ -6,8 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from utpursuit import Circle, Controller, Covariance3, NoiseModel, Pose, Scenario, StraightLine, WaypointPath
+from utpursuit import (
+    Circle,
+    Controller,
+    Covariance3,
+    NoiseModel,
+    Pose,
+    Scenario,
+    StraightLine,
+    TrajectoryRecord,
+    WaypointPath,
+)
 from utpursuit.config import parse_config
+from utpursuit.output import CSV_HEADER
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -91,3 +102,53 @@ def stadium_path() -> WaypointPath:
     pts += [(leg - i * leg / n_leg, 2 * r) for i in range(n_leg)]
     pts += [(-r * math.sin(i * step), r + r * math.cos(i * step)) for i in range(n_arc)]
     return WaypointPath(pts + [pts[0]])
+
+
+def vehicle_to_global(point: tuple[float, float], frame: Pose) -> tuple[float, float]:
+    """Map a vehicle-frame point into the global frame: the oracle for global_to_vehicle."""
+    c, s = math.cos(frame.yaw), math.sin(frame.yaw)
+    px, py = point
+    return (c * px - s * py + frame.x, s * px + c * py + frame.y)
+
+
+def read_csv(path: str) -> list[TrajectoryRecord]:
+    """Parse a file written by emit_csv back into records."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"{path}: unexpected CSV header")
+    records = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != 12:
+            raise ValueError(f"{path}: expected 12 cells, got {len(cells)}")
+        records.append(
+            TrajectoryRecord(
+                step=int(cells[0]),
+                time=float(cells[1]),
+                true_pose=Pose(float(cells[2]), float(cells[3]), float(cells[4])),
+                measured_pose=Pose(float(cells[5]), float(cells[6]), float(cells[7])),
+                y_e=float(cells[8]) if cells[8] else None,
+                delta=float(cells[9]),
+                lateral_error=float(cells[10]),
+                fault=cells[11] or None,
+            )
+        )
+    return records
+
+
+def read_svg_polylines(path: str) -> list[list[tuple[float, float]]]:
+    """Extract every polyline's points from a file written by emit_svg, in document order."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    out = []
+    pos = 0
+    while True:
+        start = text.find('<polyline points="', pos)
+        if start < 0:
+            return out
+        start += len('<polyline points="')
+        end = text.index('"', start)
+        pairs = text[start:end].split()
+        out.append([tuple(map(float, p.split(","))) for p in pairs])
+        pos = end

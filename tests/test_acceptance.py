@@ -30,13 +30,12 @@ from utpursuit import (
     run,
     run_batch,
     steering_angle,
-    vehicle_to_global,
 )
 from utpursuit.cli import main
 from utpursuit.config import parse_config
 from utpursuit.waypoints import build_index, reduce_to_local_road
 
-from conftest import ACCEPTANCE_RESULTS, CONFIG_DIR, noise_free
+from conftest import ACCEPTANCE_RESULTS, CONFIG_DIR, noise_free, vehicle_to_global
 from test_pursuit import line_circle_intersections, two_circle_intersections
 
 STRAIGHT_CFG = str(CONFIG_DIR / "straight.cfg")

@@ -22,11 +22,9 @@ from utpursuit.output import (
     emit_summary_json,
     emit_svg,
     format_float,
-    read_csv,
-    read_svg_polylines,
 )
 
-from conftest import CONFIG_DIR, make_scenario, reference_noise
+from conftest import CONFIG_DIR, make_scenario, read_csv, read_svg_polylines, reference_noise
 
 STRAIGHT_CFG = str(CONFIG_DIR / "straight.cfg")
 CIRCLE_CFG = str(CONFIG_DIR / "circle.cfg")

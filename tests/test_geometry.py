@@ -12,8 +12,9 @@ from utpursuit import (
     global_to_vehicle,
     line_to_vehicle,
     normalize_angle,
-    vehicle_to_global,
 )
+
+from conftest import vehicle_to_global
 
 
 def test_normalize_angle_range_and_boundaries():

@@ -6,6 +6,7 @@ import pytest
 
 from utpursuit import (
     Circle,
+    CoincidentPoints,
     RoadGeometryFault,
     VerticalRoad,
     ConfigInvalid,
@@ -342,17 +343,45 @@ def test_utpp_runs_match_per_pose_oracle(stem, monkeypatch):
     assert shared == [run(scen) for scen in scenarios]
 
 
-def test_vertical_triple_on_a_sigma_pose_falls_back_to_the_mean():
-    # A straight stretch along y = 0, then a vertical run at x = 20.  The
-    # +x sigma pose probes (20, 0.4), whose waypoint triple is vertical.
-    path = WaypointPath([(float(i), 0.0) for i in range(7)] + [(20.0, -1.0), (20.0, 0.0), (20.0, 1.0), (20.0, 2.0)])
-    noise = NoiseModel(Covariance3(108.0, 0.0, math.radians(10.0) ** 2))
+def test_step_utpp_matches_per_pose_oracle_on_zero_axes_and_signed_zeros():
+    # step_utpp leaves the two poses of a zero-variance axis unsteered; the
+    # oracle steers all seven.  Road and pose fields are often 0.0 or -0.0,
+    # so those poses differ from the mean in the sign of a zero.
+    rng = random.Random(29)
+    arc = parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")).road
+    flat = WaypointPath([(0.1 * k, -0.0) for k in range(40)])
+    uts = (derive_ut_params(3, 1e-3, 0.0), derive_ut_params(3, 1.0, 0.0))
+
+    def field(value):
+        return rng.choice((0.0, -0.0, value, value))
+
+    for _ in range(700):
+        roads = (
+            StraightLine(field(rng.uniform(-2.0, 2.0)), field(rng.uniform(-1.0, 1.0))),
+            Circle(field(rng.uniform(-6.0, 6.0)), field(rng.uniform(-6.0, 6.0)), rng.uniform(0.5, 8.0)),
+            arc,
+            flat,
+        )
+        for road in roads:
+            # -0.0 + z is z for every z, signed zeros included.
+            x, y = rng.choice(road.points) if isinstance(road, WaypointPath) else (-0.0, -0.0)
+            pose = Pose(x + field(rng.uniform(-1.0, 1.0)), y + field(rng.uniform(-1.0, 1.0)), field(rng.uniform(-3.2, 3.2)))
+            cov = Covariance3(*(rng.choice((0.0, rng.uniform(0.0, 0.3) ** 2)) for _ in range(3)))
+            for ut in uts:
+                scen = make_scenario(road, controller=Controller.UTPP, noise=NoiseModel(cov), ut=ut)
+                assert repr(_outcome(step_utpp, pose, scen)) == repr(_outcome(step_utpp_oracle, pose, scen))
+
+
+def _check_sigma_fallback(path, start, var_x, fault):
+    # With var_x chosen so that only the +x sigma pose (slot 1) probes the
+    # faulting triple: that slot takes the mean's command, the step does not fault.
+    noise = NoiseModel(Covariance3(var_x, 0.0, math.radians(10.0) ** 2))
     ut = derive_ut_params(3, 1.0, 0.0)  # zero center weight: every slot shows in the command
-    scen = make_scenario(path, start_pose=Pose(1.0, 0.4, 0.0), controller=Controller.UTPP, noise=noise, ut=ut, steps=1)
+    scen = make_scenario(path, start_pose=start, controller=Controller.UTPP, noise=noise, ut=ut, steps=1)
     d_l = lookahead_distance(scen.speed, scen.pursuit)
     index = path.spatial_index()
     sigma = generate_sigma_points(scen.start_pose, noise.cov, ut)
-    with pytest.raises(VerticalRoad):
+    with pytest.raises(fault):
         local_road(path, select_lookahead_waypoint(index, sigma[1], d_l))
     deltas = []
     for i, pose in enumerate(sigma):
@@ -363,12 +392,39 @@ def test_vertical_triple_on_a_sigma_pose_falls_back_to_the_mean():
             deltas.append(steering_angle(cross_track_line(line_to_vehicle(road, pose), d_l).y_e, d_l, scen.pursuit))
     assert len(set(deltas)) > 1
     delta, y_e = step_utpp(scen.start_pose, scen)
-    assert (delta, y_e) == (weighted_steering(deltas, ut, scen.steering_limit), -0.4)
+    assert (delta, y_e) == (weighted_steering(deltas, ut, scen.steering_limit), -start.y)
     records, summary = run(scen)
     assert records[0].fault is None and summary.fault_count == 0
     # The same triple under the mean pose faults the step.
-    with pytest.raises(VerticalRoad):
+    with pytest.raises(fault):
         step_utpp(sigma[1], scen)
+
+
+def test_vertical_triple_on_a_sigma_pose_falls_back_to_the_mean():
+    # A straight stretch along y = 0, then a vertical run at x = 20.  The
+    # +x sigma pose probes (20, 0.4), whose waypoint triple is vertical.
+    path = WaypointPath([(float(i), 0.0) for i in range(7)] + [(20.0, -1.0), (20.0, 0.0), (20.0, 1.0), (20.0, 2.0)])
+    _check_sigma_fallback(path, Pose(1.0, 0.4, 0.0), 108.0, VerticalRoad)
+
+
+def hairpin_path() -> WaypointPath:
+    """Out along y = 0 to a tip at (5, 0), back along y = 5e-10: waypoints 4 and 6 coincide."""
+    return WaypointPath([(float(i), 0.0) for i in range(6)] + [(float(i), 5e-10) for i in range(4, -1, -1)])
+
+
+def test_coincident_triple_on_a_sigma_pose_falls_back_to_the_mean():
+    # The +x sigma pose sits at (4.2, -0.4) and probes (5.2, -0.4), nearest to
+    # the tip, whose triple (4, 0), (5, 0), (4, 5e-10) has no curvature.
+    _check_sigma_fallback(hairpin_path(), Pose(1.0, -0.4, 0.0), 3.2**2 / 3.0, CoincidentPoints)
+
+
+@pytest.mark.parametrize("controller", [Controller.PP, Controller.UTPP])
+def test_coincident_triple_faults_the_step_and_the_run_goes_on(controller):
+    scen = make_scenario(hairpin_path(), start_pose=Pose(0.0, 0.0, 0.0), controller=controller, noise=reference_noise())
+    records, summary = run(scen)
+    assert len(records) == scen.steps
+    assert {r.fault for r in records} == {None, "CoincidentPoints"}
+    assert summary.fault_count == sum(r.fault is not None for r in records)
 
 
 def _count_cross_tracks(monkeypatch) -> list[int]:
@@ -398,9 +454,9 @@ def test_sigma_poses_equal_to_the_mean_are_not_steered_again(road, monkeypatch):
         assert (delta, y_e) == step_utpp_oracle(pose, scen)
 
 
-def test_a_sigma_pose_that_differs_from_the_mean_by_a_zero_sign_is_steered(monkeypatch):
-    # yaw -0.0 + 0.0 is 0.0: == calls the +yaw pose the mean, but the two
-    # poses differ in the sign of a zero, so the +yaw pose is steered again.
+def test_a_zero_variance_axis_is_not_steered_even_across_a_zero_sign(monkeypatch):
+    # yaw -0.0 + 0.0 is 0.0: the +yaw pose differs from the mean in the sign
+    # of a zero, but its axis has zero variance, so only the mean is steered.
     scen = make_scenario(
         Circle(-1.5, -0.0, 2.0),
         start_pose=Pose(0.0, 0.0, -0.0),
@@ -410,7 +466,7 @@ def test_a_sigma_pose_that_differs_from_the_mean_by_a_zero_sign_is_steered(monke
     )
     calls = _count_cross_tracks(monkeypatch)
     delta, y_e = step_utpp(scen.start_pose, scen)
-    assert calls[0] == 2
+    assert calls[0] == 1
     assert (delta, y_e) == step_utpp_oracle(scen.start_pose, scen)
     # The centre sits straight behind the axle: an exact tie, which goes left
     # whichever sign the zero has.
