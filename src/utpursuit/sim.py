@@ -87,18 +87,20 @@ class Scenario:
         object.__setattr__(self, "pursuit", pursuit)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigInvalid(f"dt must be positive, got {self.dt}")
-        if self.steps < 1:
-            raise ConfigInvalid(f"steps must be >= 1, got {self.steps}")
+        if not isinstance(self.steps, int) or self.steps < 1:
+            raise ConfigInvalid(f"steps must be an integer >= 1, got {self.steps!r}")
+        if not isinstance(self.controller, Controller):
+            raise ConfigInvalid(f"controller must be a Controller, got {self.controller!r}")
         if not (math.isfinite(self.straight_eps) and self.straight_eps > 0.0):
             raise ConfigInvalid(f"straight_eps must be positive, got {self.straight_eps}")
         if isinstance(self.road, StraightLine) and abs(self.road.slope) >= MAX_ROAD_SLOPE:
             raise ConfigInvalid(
                 f"road slope {self.road.slope} too steep; |slope| must stay below {MAX_ROAD_SLOPE:.1f}"
             )
+        if not isinstance(self.noise.rng_seed, int):
+            raise ConfigInvalid(f"seed must be an integer, got {self.noise.rng_seed!r}")
         if self.noise.rng_seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.noise.rng_seed}")
-        if self.ut.dim != 3:
-            raise ConfigInvalid(f"ut dim must be 3 for pose uncertainty, got {self.ut.dim}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,27 +187,29 @@ def _local_roads(scenario: Scenario, poses: dict[int, Pose], d_l: float) -> Call
 def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     """One unscented pure-pursuit decision from the measured pose: (delta, y_e).
 
-    Seven sigma poses are steered independently and combined with the UT
-    weights; y_e is the mean sigma pose's.  A fault on the mean pose faults
-    the whole step; a fault on any other sigma pose falls back to the mean
-    pose's steering angle.  The two poses of a zero-variance axis sit on the
-    mean and take the mean's angle without being steered.
+    The seven sigma poses are steered and their commands combined with the
+    UT weights; y_e is the mean sigma pose's.  A fault on the mean pose
+    faults the whole step.  Each axis contributes the commands of its two
+    sigma poses, or, when its variance is zero or either pose faults, the
+    mean's command in both slots, so the axis adds no curvature term.
     """
     cfg = scenario.pursuit
     d_l = lookahead_distance(scenario.speed, cfg)
     cov = scenario.noise.cov
     sigma = generate_sigma_points(pose, cov, scenario.ut)
-    # Poses 2a + 1 and 2a + 2 perturb axis a: x, y, then yaw.
-    variances = (cov.var_x, cov.var_y, cov.var_yaw)
-    moved = {i: sigma[i] for i in range(1, len(sigma)) if variances[(i - 1) // 2] > 0.0}
-    road_of = _local_roads(scenario, {0: sigma[0], **moved}, d_l)
+    # Poses i and i + 1 perturb the axis by + and - its spread.
+    axes = (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw))
+    pairs = [(axis, i) for axis, i, var in axes if var > 0.0]
+    road_of = _local_roads(scenario, {0: sigma[0], **{j: sigma[j] for _, i in pairs for j in (i, i + 1)}}, d_l)
     delta0, y_e = _steer(road_of(0), sigma[0], d_l, cfg)
     deltas = [delta0] * len(sigma)
-    for i, point in moved.items():
+    for axis, i in pairs:
         try:
-            deltas[i] = _steer(road_of(i), point, d_l, cfg)[0]
+            delta_plus = _steer(road_of(i), sigma[i], d_l, cfg)[0]
+            deltas[i + 1] = _steer(road_of(i + 1), sigma[i + 1], d_l, cfg)[0]
+            deltas[i] = delta_plus
         except RoadGeometryFault as exc:
-            logger.debug("sigma point %d fell back to the mean steering: %s", i, exc)
+            logger.debug("sigma axis %s fell back to the mean steering: %s", axis, exc)
     return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
 
 

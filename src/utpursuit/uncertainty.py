@@ -1,24 +1,26 @@
 """Sigma-point machinery for propagating pose uncertainty through steering.
 
 The pose covariance is restricted to a diagonal (independent x, y, yaw
-noise), so sigma points are axis-aligned perturbations of the mean pose.
-The scaled unscented transform with lambda = alpha^2 (dim + kappa) - dim is
-used throughout; with the small alpha used by the reference scenarios the
-center weight is a large negative number and the off-center weights are
-large positive ones, which makes the degenerate all-equal case worth short
-circuiting (see weighted_steering).
+noise), so sigma points are axis-aligned perturbations of the mean pose: the
+mean, then one +/- pair per axis.  The scaled unscented transform of the
+3-D pose, fixed by alpha and kappa (UtParams), is used throughout; with the
+small alpha used by the reference scenarios the center weight is a large
+negative number and the off-center weights are large positive ones, which
+makes the degenerate all-equal case worth short circuiting (see
+weighted_steering).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DegenerateScaling
 from .geometry import Pose
 
 WEIGHT_SUM_TOL = 1e-9
+POSE_DIM = 3  # x, y and yaw
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,73 +42,64 @@ class Covariance3:
 
 @dataclass(frozen=True, slots=True)
 class UtParams:
-    """Scaled unscented-transform parameters and the weights they induce."""
+    """The scaled unscented transform of a 3-D pose: alpha, kappa and the weights they induce.
 
-    dim: int
+    lambda = alpha^2 (3 + kappa) - 3, w0 = lambda / (3 + lambda) and
+    wi = 1 / (2 (3 + lambda)).  Raises DegenerateScaling when
+    alpha^2 (3 + kappa) <= 0, which would put the sigma points at or beyond
+    the mean with an undefined spread, and when rounding leaves 3 + lambda
+    at 0 or weights that miss 1 by more than WEIGHT_SUM_TOL.  For kappa 0
+    that rejects every alpha below about 8.6e-9, some between that and
+    about 3.5e-4, and every alpha above about 7.7e153.
+    """
+
     alpha: float
     kappa: float
-    lam: float
-    w0: float
-    wi: float
+    lam: float = field(init=False)
+    w0: float = field(init=False)
+    wi: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.dim + self.lam <= 0.0:
-            raise DegenerateScaling(f"dim + lambda must be positive, got {self.dim + self.lam}")
-        # Written so that a NaN weight fails the check too.
-        if not abs(self.w0 + 2 * self.dim * self.wi - 1.0) <= WEIGHT_SUM_TOL:
+        scaled = self.alpha * self.alpha * (POSE_DIM + self.kappa)
+        if scaled <= 0.0:
             raise DegenerateScaling(
-                f"sigma-point weights do not sum to 1 (w0={self.w0}, wi={self.wi}, alpha={self.alpha})"
+                f"alpha^2 (3 + kappa) must be positive, got {scaled} (alpha={self.alpha}, kappa={self.kappa})"
             )
-
-    @property
-    def n_points(self) -> int:
-        return 2 * self.dim + 1
+        lam = scaled - POSE_DIM
+        denom = POSE_DIM + lam
+        if denom <= 0.0:
+            raise DegenerateScaling(
+                f"3 + lambda rounds to {denom} (alpha={self.alpha}, kappa={self.kappa}); alpha is too small"
+            )
+        w0, wi = lam / denom, 1.0 / (2.0 * denom)
+        # Written so that a NaN weight fails the check too.
+        if not abs(w0 + 2 * POSE_DIM * wi - 1.0) <= WEIGHT_SUM_TOL:
+            raise DegenerateScaling(f"sigma-point weights do not sum to 1 (w0={w0}, wi={wi}, alpha={self.alpha})")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "w0", w0)
+        object.__setattr__(self, "wi", wi)
 
 
 def derive_ut_params(dim: int, alpha: float, kappa: float) -> UtParams:
-    """Build UtParams from the scaling constants.
-
-    lambda = alpha^2 (dim + kappa) - dim, w0 = lambda / (dim + lambda),
-    wi = 1 / (2 (dim + lambda)).  Raises DegenerateScaling when
-    alpha^2 (dim + kappa) <= 0, which would put the sigma points at or
-    beyond the mean with an undefined spread, and when rounding leaves
-    dim + lambda at 0 or weights that miss 1 by more than WEIGHT_SUM_TOL.  For
-    dim 3 and kappa 0 that rejects every alpha below about 8.6e-9, some
-    between that and about 3.5e-4, and every alpha above about 7.7e153.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    scaled = alpha * alpha * (dim + kappa)
-    if scaled <= 0.0:
-        raise DegenerateScaling(
-            f"alpha^2 (dim + kappa) must be positive, got {scaled} (alpha={alpha}, kappa={kappa})"
-        )
-    lam = scaled - dim
-    denom = dim + lam
-    if denom <= 0.0:
-        raise DegenerateScaling(
-            f"dim + lambda rounds to {denom} (alpha={alpha}, kappa={kappa}); alpha is too small"
-        )
-    return UtParams(dim=dim, alpha=alpha, kappa=kappa, lam=lam, w0=lam / denom, wi=1.0 / (2.0 * denom))
+    """UtParams(alpha, kappa), for a pose uncertainty of dimension dim, which must be 3."""
+    if dim != POSE_DIM:
+        raise ValueError(f"pose uncertainty has dimension {POSE_DIM}, got {dim}")
+    return UtParams(alpha, kappa)
 
 
 # The pose UT of the reference scenarios, used where a scenario names no alpha or kappa.
-DEFAULT_UT = derive_ut_params(3, 0.001, 0.0)
+DEFAULT_UT = UtParams(0.001, 0.0)
 
 
 def generate_sigma_points(mean: Pose, cov: Covariance3, params: UtParams) -> tuple[Pose, ...]:
     """Place seven sigma points around a mean pose for a diagonal covariance.
 
-    Returns the 2 dim + 1 poses as a tuple.  Point 0 is the mean itself.
+    Returns the seven poses as a tuple.  Point 0 is the mean itself.
     Points (1, 2), (3, 4), (5, 6) perturb x, y and yaw by
-    +/- sqrt(dim + lambda) * sigma along each axis.  Yaw values wrap into
+    +/- sqrt(3 + lambda) * sigma along each axis.  Yaw values wrap into
     (-pi, pi] like every Pose.
     """
-    if params.dim != 3:
-        raise ValueError(f"pose sigma points need dim = 3, got {params.dim}")
-    scale = math.sqrt(params.dim + params.lam)
+    scale = math.sqrt(POSE_DIM + params.lam)
     sx = scale * math.sqrt(cov.var_x)
     sy = scale * math.sqrt(cov.var_y)
     syaw = scale * math.sqrt(cov.var_yaw)
@@ -131,8 +124,8 @@ def weighted_steering(
     weights would otherwise inject rounding noise.  When steering_limit is
     given the combined angle is clamped to [-limit, limit] silently.
     """
-    if len(deltas) != params.n_points:
-        raise ValueError(f"expected {params.n_points} steering angles, got {len(deltas)}")
+    if len(deltas) != 2 * POSE_DIM + 1:
+        raise ValueError(f"expected {2 * POSE_DIM + 1} steering angles, got {len(deltas)}")
     if not all(math.isfinite(d) for d in deltas):
         raise ValueError("steering angles must be finite")
     first = deltas[0]

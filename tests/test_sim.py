@@ -74,6 +74,13 @@ def test_scenario_validation():
             make_scenario(STRAIGHT_ROAD, **{name: value})
     with pytest.raises(ConfigInvalid, match="seed must be >= 0, got -1"):
         make_scenario(STRAIGHT_ROAD, noise=reference_noise(seed=-1))
+    # Fields of the wrong type are rejected, not coerced or run as something else.
+    with pytest.raises(ConfigInvalid, match="controller"):
+        make_scenario(STRAIGHT_ROAD, controller="utpp")
+    with pytest.raises(ConfigInvalid, match="steps"):
+        make_scenario(STRAIGHT_ROAD, steps=2.5)
+    with pytest.raises(ConfigInvalid, match="seed"):
+        make_scenario(STRAIGHT_ROAD, noise=reference_noise(seed=1.5))
 
 
 def test_first_straight_road_command_is_quarter_lock():
@@ -159,40 +166,40 @@ def test_fault_holds_the_previous_command():
         assert records[i].y_e is None
 
 
+def without_variance(scen: Scenario, var: str) -> Scenario:
+    """The same scenario with one axis's variance set to 0."""
+    return replace(scen, noise=replace(scen.noise, cov=replace(scen.noise.cov, **{var: 0.0})))
+
+
 def test_utpp_sigma_point_fallback_is_not_a_step_fault():
-    # The road circle is tangent-close: the mean pose still reaches it but
-    # the -y sigma pose does not, so that single point falls back.  At the
-    # reference alpha the huge weights drive the combined command into the
-    # steering clamp; at alpha = 1 it stays inside, so the value that fills
-    # slot 4 shows in it.
+    # The road circle is tangent-close: the mean pose and the +y sigma pose
+    # still reach it but the -y sigma pose does not, so the y axis falls back
+    # as a pair: slots 3 and 4 both take the mean pose's command.  With x and
+    # yaw at zero variance that leaves pp's command, +1.1071 rad, at every alpha.
+    # Filling slot 4 alone would leave the +y pose's first-order term, which
+    # the weights scale to -1.3963 rad at the reference alpha.
     noise = NoiseModel(cov=Covariance3(0.0, 0.01, 0.0), rng_seed=0)
-    for ut in (derive_ut_params(3, 0.001, 0.0), derive_ut_params(3, 1.0, 0.0)):
+    for alpha in (1e-3, 1.0):
         scen = make_scenario(
             Circle(0.0, 2.0, 1.000001),
             start_pose=Pose(0.0, 0.0, 0.0),
             controller=Controller.UTPP,
             noise=noise,
-            ut=ut,
+            ut=derive_ut_params(3, alpha, 0.0),
             steps=1,
         )
         d_l = lookahead_distance(scen.speed, scen.pursuit)
-        deltas = []
-        for i, pose in enumerate(generate_sigma_points(scen.start_pose, noise.cov, ut)):
-            if i == 4:  # the -y perturbation loses the intersection
-                with pytest.raises(NoIntersection):
-                    cross_track_circle(circle_to_vehicle(scen.road, pose), d_l)
-                deltas.append(deltas[0])  # falls back to the mean pose's command
-            else:
-                cross = cross_track_circle(circle_to_vehicle(scen.road, pose), d_l)
-                deltas.append(steering_angle(cross.y_e, d_l, scen.pursuit))
+        sigma = generate_sigma_points(scen.start_pose, noise.cov, scen.ut)
+        cross_track_circle(circle_to_vehicle(scen.road, sigma[3]), d_l)
+        with pytest.raises(NoIntersection):
+            cross_track_circle(circle_to_vehicle(scen.road, sigma[4]), d_l)
         delta, y_e = step_utpp(scen.start_pose, scen)
-        assert delta == weighted_steering(deltas, ut, scen.steering_limit)
-        assert math.isfinite(delta)
-        assert steering_angle(y_e, d_l, scen.pursuit) == deltas[0]
+        assert (delta, y_e) == step_pp(scen.start_pose, scen)
+        assert (delta, y_e) == step_utpp(scen.start_pose, without_variance(scen, "var_y"))
+        assert delta == pytest.approx(1.1071, abs=1e-4)
         records, summary = run(scen)
         assert records[0].fault is None
         assert summary.fault_count == 0
-    assert abs(delta) < scen.steering_limit
 
 
 def test_paper_literal_mode_overwrites_the_true_pose():
@@ -270,7 +277,10 @@ def test_summary_statistics_are_consistent_with_records():
 
 
 def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
-    """step_utpp as seven independent poses, each with its own waypoint scan and reduction."""
+    """step_utpp as seven independent poses, each with its own waypoint scan and reduction.
+
+    A fault on either pose of a +/- pair puts the mean's command in both of its slots.
+    """
     cfg = scenario.pursuit
     d_l = lookahead_distance(scenario.speed, cfg)
 
@@ -282,15 +292,18 @@ def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
             return cross_track_line(line_to_vehicle(road, p), d_l)
         return cross_track_circle(circle_to_vehicle(road, p), d_l)
 
+    def steer(p):
+        return steering_angle(cross(p).y_e, d_l, cfg)
+
     mean, *others = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
     y_e = cross(mean).y_e
     delta0 = steering_angle(y_e, d_l, cfg)
     deltas = [delta0]
-    for point in others:
+    for plus, minus in zip(others[::2], others[1::2]):
         try:
-            deltas.append(steering_angle(cross(point).y_e, d_l, cfg))
+            deltas += [steer(plus), steer(minus)]
         except RoadGeometryFault:
-            deltas.append(delta0)
+            deltas += [delta0, delta0]
     return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
 
 
@@ -372,11 +385,13 @@ def test_step_utpp_matches_per_pose_oracle_on_zero_axes_and_signed_zeros():
                 assert repr(_outcome(step_utpp, pose, scen)) == repr(_outcome(step_utpp_oracle, pose, scen))
 
 
-def _check_sigma_fallback(path, start, var_x, fault):
+def _check_sigma_fallback(path, start, var_x, fault, alpha):
     # With var_x chosen so that only the +x sigma pose (slot 1) probes the
-    # faulting triple: that slot takes the mean's command, the step does not fault.
-    noise = NoiseModel(Covariance3(var_x, 0.0, math.radians(10.0) ** 2))
-    ut = derive_ut_params(3, 1.0, 0.0)  # zero center weight: every slot shows in the command
+    # faulting triple: both x slots take the mean's command, which is the
+    # command of the same step with var_x = 0, and the step does not fault.
+    # The covariance scales with 1 / alpha^2, so both alphas place the same poses.
+    noise = NoiseModel(Covariance3(var_x / alpha**2, 0.0, math.radians(10.0) ** 2 / alpha**2))
+    ut = derive_ut_params(3, alpha, 0.0)
     scen = make_scenario(path, start_pose=start, controller=Controller.UTPP, noise=noise, ut=ut, steps=1)
     d_l = lookahead_distance(scen.speed, scen.pursuit)
     index = path.spatial_index()
@@ -385,7 +400,7 @@ def _check_sigma_fallback(path, start, var_x, fault):
         local_road(path, select_lookahead_waypoint(index, sigma[1], d_l))
     deltas = []
     for i, pose in enumerate(sigma):
-        if i == 1:
+        if i in (1, 2):
             deltas.append(deltas[0])
         else:
             road = local_road(path, select_lookahead_waypoint(index, pose, d_l))
@@ -393,6 +408,7 @@ def _check_sigma_fallback(path, start, var_x, fault):
     assert len(set(deltas)) > 1
     delta, y_e = step_utpp(scen.start_pose, scen)
     assert (delta, y_e) == (weighted_steering(deltas, ut, scen.steering_limit), -start.y)
+    assert (delta, y_e) == step_utpp(scen.start_pose, without_variance(scen, "var_x"))
     records, summary = run(scen)
     assert records[0].fault is None and summary.fault_count == 0
     # The same triple under the mean pose faults the step.
@@ -404,7 +420,8 @@ def test_vertical_triple_on_a_sigma_pose_falls_back_to_the_mean():
     # A straight stretch along y = 0, then a vertical run at x = 20.  The
     # +x sigma pose probes (20, 0.4), whose waypoint triple is vertical.
     path = WaypointPath([(float(i), 0.0) for i in range(7)] + [(20.0, -1.0), (20.0, 0.0), (20.0, 1.0), (20.0, 2.0)])
-    _check_sigma_fallback(path, Pose(1.0, 0.4, 0.0), 108.0, VerticalRoad)
+    for alpha in (1e-3, 1.0):
+        _check_sigma_fallback(path, Pose(1.0, 0.4, 0.0), 108.0, VerticalRoad, alpha)
 
 
 def hairpin_path() -> WaypointPath:
@@ -415,7 +432,8 @@ def hairpin_path() -> WaypointPath:
 def test_coincident_triple_on_a_sigma_pose_falls_back_to_the_mean():
     # The +x sigma pose sits at (4.2, -0.4) and probes (5.2, -0.4), nearest to
     # the tip, whose triple (4, 0), (5, 0), (4, 5e-10) has no curvature.
-    _check_sigma_fallback(hairpin_path(), Pose(1.0, -0.4, 0.0), 3.2**2 / 3.0, CoincidentPoints)
+    for alpha in (1e-3, 1.0):
+        _check_sigma_fallback(hairpin_path(), Pose(1.0, -0.4, 0.0), 3.2**2 / 3.0, CoincidentPoints, alpha)
 
 
 @pytest.mark.parametrize("controller", [Controller.PP, Controller.UTPP])

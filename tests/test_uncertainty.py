@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utpursuit import (
+    Controller,
     Covariance3,
     DegenerateScaling,
     Pose,
+    RoadGeometryFault,
+    UtParams,
     derive_ut_params,
     generate_sigma_points,
+    run,
+    step_pp,
     weighted_steering,
 )
+from utpursuit.config import parse_config
+
+from conftest import CONFIG_DIR
 
 REF = derive_ut_params(3, 0.001, 0.0)
 
@@ -37,6 +46,14 @@ def test_reference_params_weights():
     assert REF.w0 == pytest.approx(-999999.0, abs=1e-4)
     assert REF.wi == pytest.approx(166666.667, abs=1e-3)
     assert abs(REF.w0 + 6 * REF.wi - 1.0) <= 1e-9
+
+
+def test_ut_params_are_alpha_and_kappa():
+    assert [f.name for f in fields(UtParams) if f.init] == ["alpha", "kappa"]
+    assert UtParams(0.001, 0.0) == REF
+    # The pose dimension is 3; derive_ut_params is where a caller's dim is checked.
+    with pytest.raises(ValueError, match="dimension 3"):
+        derive_ut_params(2, 0.001, 0.0)
 
 
 def test_degenerate_scaling_raises():
@@ -141,3 +158,47 @@ def test_weighted_steering_validates_inputs():
         weighted_steering([0.0] * 6, REF)
     with pytest.raises(ValueError):
         weighted_steering([0.0] * 6 + [math.nan], REF)
+
+
+def utpp_to_pp_distance_ratio(scenario, n_samples=4000, every=10):
+    """Monte Carlo check of the UT's claim on one utpp run.
+
+    On every `every`-th step, the mean of step_pp over n_samples seeded draws
+    from N(measured pose, cov) stands for the expected pp command.  Returns
+    mean |utpp - MC| / mean |pp - MC| over those steps, and the share of
+    draws that faulted (they are left out of the mean).
+    """
+    records, _ = run(scenario)
+    cov = scenario.noise.cov
+    sd = np.sqrt([cov.var_x, cov.var_y, cov.var_yaw])
+    ut_err, pp_err, faulted = [], [], 0
+    for r in records[::every]:
+        if r.fault is not None:
+            continue
+        pose = r.measured_pose
+        rng = np.random.default_rng([scenario.noise.rng_seed, r.step])
+        commands = []
+        for x, y, yaw in rng.normal((pose.x, pose.y, pose.yaw), sd, size=(n_samples, 3)).tolist():
+            try:
+                commands.append(step_pp(Pose(x, y, yaw), scenario)[0])
+            except RoadGeometryFault:
+                faulted += 1
+        mc = math.fsum(commands) / len(commands)
+        ut_err.append(abs(r.delta - mc))
+        pp_err.append(abs(step_pp(pose, scenario)[0] - mc))
+    return math.fsum(ut_err) / math.fsum(pp_err), faulted / (n_samples * len(ut_err))
+
+
+# Over run seeds 0-29 with 4000 draws per checked step, the ratio ranged
+# 0.213-0.358 on straight.cfg and 0.174-0.290 on circle.cfg (alpha 1e-3).
+# The bound adds a margin of about 40% to the larger maximum; utpp = pp reads 1.
+MC_RATIO_BOUND = 0.5
+
+
+@pytest.mark.parametrize("stem", ["straight", "circle"])
+def test_utpp_command_is_closer_than_pp_to_the_monte_carlo_mean(stem):
+    scenario = replace(parse_config(str(CONFIG_DIR / f"{stem}.cfg")), controller=Controller.UTPP)
+    assert scenario.ut == REF
+    ratio, fault_share = utpp_to_pp_distance_ratio(scenario)
+    assert ratio < MC_RATIO_BOUND
+    assert fault_share < 0.01
