@@ -19,12 +19,12 @@ from .roads import RoadModel
 from .sim import Controller, Scenario
 from .uncertainty import DEFAULT_UT, Covariance3, derive_ut_params
 from .vehicle import DEFAULT_MAX_LATERAL_DEV, NoiseModel
-from .waypoints import DEFAULT_STRAIGHT_EPS, load_waypoints
+from .waypoints import load_waypoints
 
 _ROAD_KEYS = {
     "line": {"type", "slope", "intercept"},
     "circle": {"type", "center_x", "center_y", "radius"},
-    "waypoints": {"type", "file", "straight_eps"},
+    "waypoints": {"type", "file"},
 }
 _SECTION_KEYS = {
     "vehicle": {"start_x", "start_y", "start_yaw_deg", "speed", "wheelbase", "steering_limit_deg"},
@@ -85,12 +85,11 @@ def _check_keys(cp: configparser.ConfigParser, section: str, allowed: set[str]) 
             raise ConfigInvalid(f"unknown key '{section}.{key}'")
 
 
-def _parse_road(cp: configparser.ConfigParser, base_dir: Path) -> tuple[RoadModel, float]:
+def _parse_road(cp: configparser.ConfigParser, base_dir: Path) -> RoadModel:
     road_type = _get(cp, "road", "type").strip().lower()
     if road_type not in _ROAD_KEYS:
         raise ConfigInvalid(f"'road.type': expected line, circle or waypoints, got {road_type!r}")
     _check_keys(cp, "road", _ROAD_KEYS[road_type])
-    straight_eps = DEFAULT_STRAIGHT_EPS
     try:
         if road_type == "line":
             road: RoadModel = StraightLine(
@@ -104,14 +103,13 @@ def _parse_road(cp: configparser.ConfigParser, base_dir: Path) -> tuple[RoadMode
             )
         else:
             file_name = _get(cp, "road", "file")
-            straight_eps = _get_float(cp, "road", "straight_eps", DEFAULT_STRAIGHT_EPS)
             try:
                 road = load_waypoints(str((base_dir / file_name).resolve()))
             except (OSError, ValueError, TooFewWaypoints) as exc:
                 raise ConfigInvalid(f"'road.file': {exc}") from None
     except ValueError as exc:
         raise ConfigInvalid(f"[road]: {exc}") from None
-    return road, straight_eps
+    return road
 
 
 def _get_sigma(cp: configparser.ConfigParser, key: str, default=_REQUIRED) -> float:
@@ -168,7 +166,7 @@ def parse_config(path: str) -> Scenario:
     if cp.has_section("ut"):
         _check_keys(cp, "ut", _SECTION_KEYS["ut"])
 
-    road, straight_eps = _parse_road(cp, cfg_path.resolve().parent)
+    road = _parse_road(cp, cfg_path.resolve().parent)
 
     controller_raw = _get(cp, "sim", "controller").strip().lower()
     try:
@@ -206,7 +204,6 @@ def parse_config(path: str) -> Scenario:
             ut=ut,
             steering_limit=DEFAULT_STEERING_LIMIT if limit_deg is None else math.radians(limit_deg),
             paper_literal=_get_bool(cp, "sim", "paper_literal", False),
-            straight_eps=straight_eps,
         )
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None

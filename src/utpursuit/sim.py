@@ -29,14 +29,7 @@ from .pursuit import (
 from .roads import RoadModel, lateral_deviation
 from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
-from .waypoints import (
-    DEFAULT_STRAIGHT_EPS,
-    LocalRoad,
-    WaypointPath,
-    local_road,
-    reduce_to_local_road,
-    select_lookahead_waypoints,
-)
+from .waypoints import LocalRoad, WaypointPath, local_road, reduce_to_local_road, select_lookahead_waypoints
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +65,6 @@ class Scenario:
     ut: UtParams = DEFAULT_UT
     steering_limit: float = DEFAULT_STEERING_LIMIT
     paper_literal: bool = False
-    straight_eps: float = DEFAULT_STRAIGHT_EPS
 
     # The steering law's parameters, built and checked once per scenario.
     pursuit: PursuitConfig = field(init=False, compare=False, repr=False)
@@ -91,8 +83,6 @@ class Scenario:
             raise ConfigInvalid(f"steps must be an integer >= 1, got {self.steps!r}")
         if not isinstance(self.controller, Controller):
             raise ConfigInvalid(f"controller must be a Controller, got {self.controller!r}")
-        if not (math.isfinite(self.straight_eps) and self.straight_eps > 0.0):
-            raise ConfigInvalid(f"straight_eps must be positive, got {self.straight_eps}")
         if isinstance(self.road, StraightLine) and abs(self.road.slope) >= MAX_ROAD_SLOPE:
             raise ConfigInvalid(
                 f"road slope {self.road.slope} too steep; |slope| must stay below {MAX_ROAD_SLOPE:.1f}"
@@ -159,7 +149,7 @@ def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     d_l = lookahead_distance(scenario.speed, cfg)
     road = scenario.road
     if isinstance(road, WaypointPath):
-        road = reduce_to_local_road(road, road.spatial_index(), pose, d_l, scenario.straight_eps)
+        road = reduce_to_local_road(road, pose, d_l)
     return _steer(road, pose, d_l, cfg)
 
 
@@ -172,13 +162,13 @@ def _local_roads(scenario: Scenario, poses: dict[int, Pose], d_l: float) -> Call
     road = scenario.road
     if not isinstance(road, WaypointPath):
         return lambda i: road
-    selected = dict(zip(poses, select_lookahead_waypoints(road.spatial_index(), list(poses.values()), d_l)))
+    selected = dict(zip(poses, select_lookahead_waypoints(road, list(poses.values()), d_l)))
     built: dict[int, LocalRoad] = {}
 
     def road_of(i: int) -> LocalRoad:
         w = selected[i]
         if w not in built:
-            built[w] = local_road(road, w, scenario.straight_eps)
+            built[w] = local_road(road, w)
         return built[w]
 
     return road_of

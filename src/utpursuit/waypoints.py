@@ -2,9 +2,10 @@
 
 A waypoint road is handled by probing one look-ahead distance in front of
 the rear axle, finding the nearest waypoint, and fitting the waypoint triple
-around it: three nearly collinear points become a straight line, anything
-else becomes the circumcircle.  Menger curvature decides which, and its sign
-(counter-clockwise positive) is kept for diagnostics.
+around it: a triple whose |Menger curvature| is under STRAIGHT_EPS becomes
+a straight line, any other its circumcircle; the curvature's sign
+(counter-clockwise positive) is kept for diagnostics.  Every query takes
+the WaypointPath, which builds and keeps its own WaypointIndex.
 
 Both path queries follow one rule: numpy shortlists, the scalar loop of the
 tests' oracle decides.  One vectorised scan gives the nearest waypoint's
@@ -37,8 +38,8 @@ from .geometry import Circle, Point2, Pose, StraightLine
 
 # Anything closer than this is treated as the same physical point.
 MIN_WAYPOINT_SPACING = 1e-9
-# |curvature| below this means the local waypoint triple is a straight stretch.
-DEFAULT_STRAIGHT_EPS = 1e-3
+# |curvature| below this (1/m) means the local waypoint triple is a straight stretch.
+STRAIGHT_EPS = 1e-3
 # A fitted line direction this close to vertical has no usable slope form.
 VERTICAL_COS_EPS = 1e-12
 
@@ -81,9 +82,15 @@ class WaypointIndex:
         np.maximum(self.reach[1:], half, out=self.reach[1:])
         self.reach *= _SHORTLIST_REL
 
-    def nearest(self, query: Point2) -> int:
-        """Index of the waypoint nearest to query."""
-        return self.nearest_group([query])[0]
+    def _squared_distances(self, qx: float, qy: float) -> tuple[np.ndarray, np.ndarray]:
+        # Each waypoint's squared distance to (qx, qy), in place: a call allocates
+        # two float arrays, and the second, the y terms, is the caller's scratch.
+        d2 = self.xs - qx
+        d2 *= d2
+        scratch = self.ys - qy
+        scratch *= scratch
+        d2 += scratch
+        return d2, scratch
 
     def nearest_group(self, probes: list[Point2]) -> list[int]:
         """Index of the waypoint nearest to each probe, in one scan.
@@ -94,12 +101,7 @@ class WaypointIndex:
         within d0 + 2 delta of probes[0] (see the module docstring).
         """
         qx, qy = probes[0]
-        # In place, as in project.
-        d2 = self.xs - qx
-        d2 *= d2
-        e2 = self.ys - qy
-        e2 *= e2
-        d2 += e2
+        d2 = self._squared_distances(qx, qy)[0]
         # The method skips np.argmin's dispatch, which costs more than a short scan.
         k = int(d2.argmin())
         spread = 0.0
@@ -135,12 +137,7 @@ class WaypointIndex:
         10^4-point path (Python 3.11 on a shared 2-core Xeon).
         """
         px, py = point
-        # In place, so each call allocates two float arrays instead of seven.
-        d2 = self.xs - px
-        d2 *= d2
-        r2 = self.ys - py
-        r2 *= r2
-        d2 += r2
+        d2, r2 = self._squared_distances(px, py)
         np.add(self.reach, math.sqrt(float(d2.min())) * _SHORTLIST_REL, out=r2)
         r2 *= r2
         near = d2 <= r2
@@ -153,9 +150,6 @@ class WaypointIndex:
             if q2 < best_d2:
                 best_d2, best = q2, (qx, qy)
         return best
-
-    def __len__(self) -> int:
-        return len(self.xs)
 
 
 @dataclass
@@ -189,20 +183,20 @@ def build_index(path: WaypointPath) -> WaypointIndex:
     return WaypointIndex(path.points)
 
 
-def select_lookahead_waypoint(index: WaypointIndex, pose: Pose, d_l: float) -> int:
+def select_lookahead_waypoint(path: WaypointPath, pose: Pose, d_l: float) -> int:
     """Pick the waypoint nearest to the probe point one look-ahead ahead.
 
     The probe sits at pose + d_l (cos yaw, sin yaw); the returned index is
     clamped into [1, len - 2] so it always has both neighbors.
     """
-    return select_lookahead_waypoints(index, [pose], d_l)[0]
+    return select_lookahead_waypoints(path, [pose], d_l)[0]
 
 
-def select_lookahead_waypoints(index: WaypointIndex, poses: list[Pose], d_l: float) -> list[int]:
+def select_lookahead_waypoints(path: WaypointPath, poses: list[Pose], d_l: float) -> list[int]:
     """select_lookahead_waypoint for each pose, with one shared nearest-waypoint scan."""
     probes = [(p.x + d_l * math.cos(p.yaw), p.y + d_l * math.sin(p.yaw)) for p in poses]
-    last = len(index) - 2
-    return [min(max(i, 1), last) for i in index.nearest_group(probes)]
+    last = len(path) - 2
+    return [min(max(i, 1), last) for i in path.spatial_index().nearest_group(probes)]
 
 
 def menger_curvature(a: Point2, b: Point2, c: Point2) -> float:
@@ -252,27 +246,21 @@ def _fit_line(a: Point2, b: Point2, c: Point2) -> StraightLine:
     return StraightLine(slope, float(centroid[1]) - slope * float(centroid[0]))
 
 
-def reduce_to_local_road(
-    path: WaypointPath,
-    index: WaypointIndex,
-    pose: Pose,
-    d_l: float,
-    straight_eps: float = DEFAULT_STRAIGHT_EPS,
-) -> LocalRoad:
+def reduce_to_local_road(path: WaypointPath, pose: Pose, d_l: float) -> LocalRoad:
     """Collapse the waypoints around the look-ahead into a line or circle."""
-    return local_road(path, select_lookahead_waypoint(index, pose, d_l), straight_eps)
+    return local_road(path, select_lookahead_waypoint(path, pose, d_l))
 
 
-def local_road(path: WaypointPath, w: int, straight_eps: float = DEFAULT_STRAIGHT_EPS) -> LocalRoad:
+def local_road(path: WaypointPath, w: int) -> LocalRoad:
     """The line or circle through waypoints w - 1, w and w + 1.
 
     Both results stay in the global frame.  |Menger curvature| of the
-    waypoint triple below straight_eps selects the least-squares line;
+    waypoint triple below STRAIGHT_EPS selects the least-squares line;
     otherwise the triple's circumcircle (radius 1 / |kappa|) is returned.
     """
     a, b, c = path.points[w - 1], path.points[w], path.points[w + 1]
     kappa = menger_curvature(a, b, c)
-    if abs(kappa) < straight_eps:
+    if abs(kappa) < STRAIGHT_EPS:
         return _fit_line(a, b, c)
     cx, cy = circumcenter(a, b, c)
     return Circle(cx, cy, 1.0 / abs(kappa))

@@ -258,7 +258,7 @@ def test_criterion_09_waypoint_reduction_and_index():
     failures = []
     scen = parse_config(str(CONFIG_DIR / "waypoint_arc.cfg"))
     path = scen.road
-    local = reduce_to_local_road(path, path.spatial_index(), Pose(0.0, 0.5, 0.0), 1.0)
+    local = reduce_to_local_road(path, Pose(0.0, 0.5, 0.0), 1.0)
     if not isinstance(local, Circle):
         failures.append(f"expected a circle reduction, got {type(local).__name__}")
     else:
@@ -273,7 +273,7 @@ def test_criterion_09_waypoint_reduction_and_index():
     for _ in range(1000):
         q = rng.uniform(-12.0, 12.0, size=2)
         expected = int(np.argmin(((pts - q) ** 2).sum(axis=1)))
-        if tree.nearest(tuple(q)) != expected:
+        if tree.nearest_group([tuple(q)])[0] != expected:
             mismatches += 1
     if mismatches:
         failures.append(f"{mismatches}/1000 nearest-waypoint queries disagree with a linear scan")

@@ -98,6 +98,11 @@ def test_unknown_key_and_section_are_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, MINIMAL_CFG + "bogus = 1\n"))
     with pytest.raises(ConfigInvalid, match=r"unknown section '\[extra\]'"):
         parse_config(write_cfg(tmp_path, MINIMAL_CFG + "\n[extra]\nx = 1\n"))
+    # A waypoint road's line/circle threshold is a constant, not a key.
+    road = f"[road]\ntype = waypoints\nfile = {CONFIG_DIR / 'waypoint_arc.txt'}\nstraight_eps = 0.001\n"
+    text = MINIMAL_CFG.replace("[road]\ntype = line\nslope = 0.0\nintercept = 0.0\n", road)
+    with pytest.raises(ConfigInvalid, match=r"unknown key 'road\.straight_eps'"):
+        parse_config(write_cfg(tmp_path, text))
 
 
 def test_malformed_values_are_rejected(tmp_path):

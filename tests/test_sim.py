@@ -287,7 +287,7 @@ def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     def cross(p):
         road = scenario.road
         if isinstance(road, WaypointPath):
-            road = reduce_to_local_road(road, road.spatial_index(), p, d_l, scenario.straight_eps)
+            road = reduce_to_local_road(road, p, d_l)
         if isinstance(road, StraightLine):
             return cross_track_line(line_to_vehicle(road, p), d_l)
         return cross_track_circle(circle_to_vehicle(road, p), d_l)
@@ -394,16 +394,15 @@ def _check_sigma_fallback(path, start, var_x, fault, alpha):
     ut = derive_ut_params(3, alpha, 0.0)
     scen = make_scenario(path, start_pose=start, controller=Controller.UTPP, noise=noise, ut=ut, steps=1)
     d_l = lookahead_distance(scen.speed, scen.pursuit)
-    index = path.spatial_index()
     sigma = generate_sigma_points(scen.start_pose, noise.cov, ut)
     with pytest.raises(fault):
-        local_road(path, select_lookahead_waypoint(index, sigma[1], d_l))
+        local_road(path, select_lookahead_waypoint(path, sigma[1], d_l))
     deltas = []
     for i, pose in enumerate(sigma):
         if i in (1, 2):
             deltas.append(deltas[0])
         else:
-            road = local_road(path, select_lookahead_waypoint(index, pose, d_l))
+            road = local_road(path, select_lookahead_waypoint(path, pose, d_l))
             deltas.append(steering_angle(cross_track_line(line_to_vehicle(road, pose), d_l).y_e, d_l, scen.pursuit))
     assert len(set(deltas)) > 1
     delta, y_e = step_utpp(scen.start_pose, scen)

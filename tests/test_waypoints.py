@@ -65,7 +65,7 @@ def test_index_matches_linear_scan():
     for _ in range(1000):
         q = rng.uniform(-120.0, 120.0, size=2)
         expected = int(np.argmin(((pts - q) ** 2).sum(axis=1)))
-        assert index.nearest(tuple(q)) == expected
+        assert index.nearest_group([tuple(q)])[0] == expected
 
 
 def nearest_waypoint_oracle(query, points):
@@ -87,14 +87,14 @@ def nearest_waypoint_oracle(query, points):
 )
 def test_index_matches_scalar_scan_on_near_ties(query, a, b):
     for pts in ([a, b, (100.0, 100.0)], [b, a, (100.0, 100.0)]):
-        assert build_index(WaypointPath(pts)).nearest(query) == nearest_waypoint_oracle(query, pts)
+        assert build_index(WaypointPath(pts)).nearest_group([query])[0] == nearest_waypoint_oracle(query, pts)
 
 
 def test_index_tie_breaks_to_lowest_index():
     index = build_index(WaypointPath([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))
     # (0.5, 0.3) is exactly equidistant from waypoints 0 and 1.
-    assert index.nearest((0.5, 0.3)) == 0
-    assert index.nearest((1.5, -0.25)) == 1
+    assert index.nearest_group([(0.5, 0.3)])[0] == 0
+    assert index.nearest_group([(1.5, -0.25)])[0] == 1
 
 
 def test_index_many_duplicate_coordinates():
@@ -107,7 +107,7 @@ def test_index_many_duplicate_coordinates():
         q = rng.uniform(-1.0, 5.0, size=2)
         d2 = ((arr - q) ** 2).sum(axis=1)
         expected = int(np.argmin(d2))
-        assert index.nearest(tuple(q)) == expected
+        assert index.nearest_group([tuple(q)])[0] == expected
 
 
 def test_loop_seam_resolves_to_first_waypoint_and_clamps():
@@ -115,10 +115,10 @@ def test_loop_seam_resolves_to_first_waypoint_and_clamps():
     path = load_waypoints(str(CONFIG_DIR / "waypoint_arc.txt"))
     assert path.points[0] == path.points[-1] == (0.0, 0.0)
     index = build_index(path)
-    assert index.nearest((0.0, -0.1)) == 0
+    assert index.nearest_group([(0.0, -0.1)])[0] == 0
     # The probe (-1 + 1, -0.1) lands on the same seam query and clamps to 1,
     # so the local triple never wraps across the seam.
-    assert select_lookahead_waypoint(index, Pose(-1.0, -0.1, 0.0), 1.0) == 1
+    assert select_lookahead_waypoint(path, Pose(-1.0, -0.1, 0.0), 1.0) == 1
 
 
 @st.composite
@@ -168,18 +168,17 @@ def test_nearest_group_equals_nearest_per_probe(group):
     points, probes = group
     index = WaypointIndex(points)
     got = index.nearest_group(probes)
-    assert got == [index.nearest(q) for q in probes]
+    assert got == [index.nearest_group([q])[0] for q in probes]
     assert got == [nearest_waypoint_oracle(q, points) for q in probes]
 
 
 def test_select_lookahead_waypoint_probes_ahead_and_clamps():
     path = WaypointPath([(float(i), 0.0) for i in range(10)])
-    index = build_index(path)
-    assert select_lookahead_waypoint(index, Pose(3.1, 0.0, 0.0), 1.0) == 4
+    assert select_lookahead_waypoint(path, Pose(3.1, 0.0, 0.0), 1.0) == 4
     # Probing backwards from the start clamps to index 1.
-    assert select_lookahead_waypoint(index, Pose(0.0, 0.0, math.pi), 1.0) == 1
+    assert select_lookahead_waypoint(path, Pose(0.0, 0.0, math.pi), 1.0) == 1
     # Probing past the end clamps to len-2.
-    assert select_lookahead_waypoint(index, Pose(9.0, 0.0, 0.0), 3.0) == 8
+    assert select_lookahead_waypoint(path, Pose(9.0, 0.0, 0.0), 3.0) == 8
 
 
 def test_menger_curvature_signs_and_collinear():
@@ -226,7 +225,7 @@ def test_circumcenter_against_bisector_oracle():
 
 def test_reduce_collinear_path_gives_matching_line():
     path = WaypointPath([(float(i), 2.0 * i + 1.0) for i in range(8)])
-    road = reduce_to_local_road(path, build_index(path), Pose(2.0, 5.0, math.atan(2.0)), 1.0)
+    road = reduce_to_local_road(path, Pose(2.0, 5.0, math.atan(2.0)), 1.0)
     assert isinstance(road, StraightLine)
     assert road.slope == pytest.approx(2.0, abs=1e-12)
     assert road.intercept == pytest.approx(1.0, abs=1e-12)
@@ -234,7 +233,7 @@ def test_reduce_collinear_path_gives_matching_line():
 
 def test_reduce_arc_path_recovers_circle():
     path = arc_path()
-    road = reduce_to_local_road(path, build_index(path), Pose(0.0, 0.5, 0.0), 1.0)
+    road = reduce_to_local_road(path, Pose(0.0, 0.5, 0.0), 1.0)
     assert isinstance(road, Circle)
     assert road.cx == pytest.approx(0.0, abs=1e-6)
     assert road.cy == pytest.approx(5.0, abs=1e-6)
@@ -244,14 +243,14 @@ def test_reduce_arc_path_recovers_circle():
 def test_reduce_huge_radius_arc_falls_back_to_line():
     # Curvature 5e-4 sits below the default straight threshold of 1e-3.
     path = arc_path(radius=2000.0, cy=2000.0, step_deg=0.02, n=20)
-    road = reduce_to_local_road(path, build_index(path), Pose(0.0, 0.1, 0.0), 1.0)
+    road = reduce_to_local_road(path, Pose(0.0, 0.1, 0.0), 1.0)
     assert isinstance(road, StraightLine)
 
 
 def test_reduce_is_rigid_motion_equivariant():
     rng = np.random.default_rng(71)
     base = arc_path()
-    base_road = reduce_to_local_road(base, build_index(base), Pose(0.0, 0.5, 0.0), 1.0)
+    base_road = reduce_to_local_road(base, Pose(0.0, 0.5, 0.0), 1.0)
     assert isinstance(base_road, Circle)
     for _ in range(50):
         theta = rng.uniform(-math.pi, math.pi)
@@ -263,7 +262,7 @@ def test_reduce_is_rigid_motion_equivariant():
 
         moved = WaypointPath([move(p) for p in base.points])
         pose = Pose(*move((0.0, 0.5)), theta)
-        road = reduce_to_local_road(moved, build_index(moved), pose, 1.0)
+        road = reduce_to_local_road(moved, pose, 1.0)
         assert isinstance(road, Circle)
         ex, ey = move((base_road.cx, base_road.cy))
         assert road.cx == pytest.approx(ex, abs=1e-9)
@@ -276,7 +275,7 @@ def test_reduce_line_fit_is_rigid_motion_equivariant():
     pts = [(0.0, 0.0), (1.0, 1e-5), (2.0, 0.0), (3.0, 1e-5), (4.0, 0.0)]
     base = WaypointPath(pts)
     pose = Pose(1.0, 0.1, 0.0)
-    base_road = reduce_to_local_road(base, build_index(base), pose, 1.0)
+    base_road = reduce_to_local_road(base, pose, 1.0)
     assert isinstance(base_road, StraightLine)
     rng = np.random.default_rng(73)
     for _ in range(50):
@@ -288,7 +287,7 @@ def test_reduce_line_fit_is_rigid_motion_equivariant():
             return (c * p[0] - s * p[1] + tx, s * p[0] + c * p[1] + ty)
 
         moved = WaypointPath([move(p) for p in pts])
-        road = reduce_to_local_road(moved, build_index(moved), Pose(*move((1.0, 0.1)), theta), 1.0)
+        road = reduce_to_local_road(moved, Pose(*move((1.0, 0.1)), theta), 1.0)
         assert isinstance(road, StraightLine)
         # Compare the lines geometrically: moved base-line points must sit on it.
         for x in (-1.0, 1.0, 3.0):
