@@ -48,6 +48,17 @@ class Controller(Enum):
     UTPP = "utpp"
 
 
+# The Scenario fields that hold objects, and the types they must have; nothing is coerced.
+_FIELD_TYPES = (
+    ("road", (StraightLine, Circle, WaypointPath)),
+    ("start_pose", (Pose,)),
+    ("controller", (Controller,)),
+    ("noise", (NoiseModel,)),
+    ("ut", (UtParams,)),
+    ("paper_literal", (bool,)),
+)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one simulation run depends on."""
@@ -70,6 +81,12 @@ class Scenario:
     pursuit: PursuitConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # Checked first, so a wrong type fails here, named, rather than mid-run.
+        for name, kinds in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                expected = " or ".join(kind.__name__ for kind in kinds)
+                raise ConfigInvalid(f"{name} must be a {expected}, got {type(value).__name__}")
         if not (math.isfinite(self.speed) and self.speed > 0.0):
             raise ConfigInvalid(f"speed must be positive, got {self.speed}")
         try:
@@ -81,8 +98,6 @@ class Scenario:
             raise ConfigInvalid(f"dt must be positive, got {self.dt}")
         if not isinstance(self.steps, int) or self.steps < 1:
             raise ConfigInvalid(f"steps must be an integer >= 1, got {self.steps!r}")
-        if not isinstance(self.controller, Controller):
-            raise ConfigInvalid(f"controller must be a Controller, got {self.controller!r}")
         if isinstance(self.road, StraightLine) and abs(self.road.slope) >= MAX_ROAD_SLOPE:
             raise ConfigInvalid(
                 f"road slope {self.road.slope} too steep; |slope| must stay below {MAX_ROAD_SLOPE:.1f}"

@@ -162,10 +162,11 @@ class WaypointPath:
     def __post_init__(self) -> None:
         if len(self.points) < 3:
             raise TooFewWaypoints(f"need at least 3 waypoints, got {len(self.points)}")
+        for i, (x, y) in enumerate(self.points):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"waypoint {i} is not finite")
         for i in range(len(self.points) - 1):
             (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-            if not all(map(math.isfinite, (x0, y0, x1, y1))):
-                raise ValueError(f"waypoint {i if math.isfinite(x0 + y0) else i + 1} is not finite")
             if math.hypot(x1 - x0, y1 - y0) <= MIN_WAYPOINT_SPACING:
                 raise ValueError(f"waypoints {i} and {i + 1} are closer than {MIN_WAYPOINT_SPACING} m")
 

@@ -81,6 +81,15 @@ def test_scenario_validation():
         make_scenario(STRAIGHT_ROAD, steps=2.5)
     with pytest.raises(ConfigInvalid, match="seed"):
         make_scenario(STRAIGHT_ROAD, noise=reference_noise(seed=1.5))
+    for name, value in (
+        ("road", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),
+        ("start_pose", (0.0, 0.5, 0.0)),
+        ("paper_literal", "no"),
+        ("ut", (0.001, 0.0)),
+        ("noise", (0.0, 0.1**2, math.radians(10.0) ** 2)),
+    ):
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be a "):
+            make_scenario(**{"road": STRAIGHT_ROAD, name: value})
 
 
 def test_first_straight_road_command_is_quarter_lock():

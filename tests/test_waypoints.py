@@ -58,6 +58,19 @@ def test_waypoint_path_validation():
         WaypointPath([(0.0, 0.0), (math.nan, 0.0), (1.0, 0.0)])
 
 
+@pytest.mark.parametrize(
+    "points, bad",
+    [
+        ([(math.nan, 0.0), (1.0, 0.0), (2.0, 0.0)], 0),
+        ([(0.0, 0.0), (1.0, 0.0), (math.inf, 0.0)], 2),
+        ([(0.0, 0.0), (1.0, math.nan), (2.0, 0.0)], 1),
+    ],
+)
+def test_waypoint_path_names_the_non_finite_waypoint(points, bad):
+    with pytest.raises(ValueError, match=rf"^waypoint {bad} is not finite$"):
+        WaypointPath(points)
+
+
 def test_index_matches_linear_scan():
     rng = np.random.default_rng(53)
     pts = rng.uniform(-100.0, 100.0, size=(500, 2))
