@@ -2,8 +2,10 @@
 
 Angles in files are degrees; everything internal is radians.  Unknown
 sections or keys are rejected so typos fail loudly, and every diagnostic
-names the offending section.key.  Waypoint file paths resolve relative to
-the config file's directory.
+names the offending section.key.  Every value goes through one reader, _get,
+which parses it as a string, a finite float, an int or one of configparser's
+eight boolean words, and returns an absent key's default as it is.  Waypoint
+file paths resolve relative to the config file's directory.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .geometry import Circle, Pose, StraightLine
 from .pursuit import DEFAULT_STEERING_LIMIT
 from .roads import RoadModel
 from .sim import Controller, Scenario
-from .uncertainty import DEFAULT_UT, Covariance3, derive_ut_params
+from .uncertainty import DEFAULT_UT, Covariance3, UtParams
 from .vehicle import DEFAULT_MAX_LATERAL_DEV, NoiseModel
 from .waypoints import load_waypoints
 
@@ -36,47 +38,28 @@ _SECTION_KEYS = {
 _REQUIRED = object()
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, default=_REQUIRED) -> str:
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    if default is _REQUIRED:
-        raise ConfigInvalid(f"missing required key '{section}.{key}'")
-    return default
+def _boolean(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
-def _get_float(cp, section, key, default=_REQUIRED) -> float:
-    raw = _get(cp, section, key, default)
-    if not isinstance(raw, str):
-        return raw
+# What each value parser expects, as named in its error.
+_EXPECTED = {float: "a number", int: "an integer", _boolean: "a boolean"}
+
+
+def _get(cp: configparser.ConfigParser, section: str, key: str, parse=str, default=_REQUIRED):
+    """The value of section.key read by parse, or default (returned as is) when the key is absent."""
+    if not cp.has_option(section, key):
+        if default is _REQUIRED:
+            raise ConfigInvalid(f"missing required key '{section}.{key}'")
+        return default
+    raw = cp.get(section, key)
     try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigInvalid(f"'{section}.{key}': expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
+        value = parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigInvalid(f"'{section}.{key}': expected {_EXPECTED[parse]}, got {raw!r}") from None
+    if parse is float and not math.isfinite(value):
         raise ConfigInvalid(f"'{section}.{key}': must be finite, got {raw!r}")
     return value
-
-
-def _get_int(cp, section, key, default=_REQUIRED) -> int:
-    raw = _get(cp, section, key, default)
-    if not isinstance(raw, str):
-        return raw
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigInvalid(f"'{section}.{key}': expected an integer, got {raw!r}") from None
-
-
-def _get_bool(cp, section, key, default=_REQUIRED) -> bool:
-    raw = _get(cp, section, key, default)
-    if not isinstance(raw, str):
-        return raw
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigInvalid(f"'{section}.{key}': expected a boolean, got {raw!r}")
 
 
 def _check_keys(cp: configparser.ConfigParser, section: str, allowed: set[str]) -> None:
@@ -93,13 +76,13 @@ def _parse_road(cp: configparser.ConfigParser, base_dir: Path) -> RoadModel:
     try:
         if road_type == "line":
             road: RoadModel = StraightLine(
-                _get_float(cp, "road", "slope"), _get_float(cp, "road", "intercept")
+                _get(cp, "road", "slope", float), _get(cp, "road", "intercept", float)
             )
         elif road_type == "circle":
             road = Circle(
-                _get_float(cp, "road", "center_x"),
-                _get_float(cp, "road", "center_y"),
-                _get_float(cp, "road", "radius"),
+                _get(cp, "road", "center_x", float),
+                _get(cp, "road", "center_y", float),
+                _get(cp, "road", "radius", float),
             )
         else:
             file_name = _get(cp, "road", "file")
@@ -113,7 +96,7 @@ def _parse_road(cp: configparser.ConfigParser, base_dir: Path) -> RoadModel:
 
 
 def _get_sigma(cp: configparser.ConfigParser, key: str, default=_REQUIRED) -> float:
-    sigma = _get_float(cp, "noise", key, default)
+    sigma = _get(cp, "noise", key, float, default)
     if sigma < 0.0:
         raise ConfigInvalid(f"'noise.{key}': must be >= 0, got {sigma}")
     return sigma
@@ -129,13 +112,13 @@ def _parse_noise(cp: configparser.ConfigParser, seed: int) -> NoiseModel:
     if not cp.has_section("noise"):
         return perfect
     _check_keys(cp, "noise", _SECTION_KEYS["noise"])
-    enabled = _get_bool(cp, "noise", "enabled", True)
+    enabled = _get(cp, "noise", "enabled", _boolean, True)
     default = _REQUIRED if enabled else 0.0
     sigma_x, sigma_y, sigma_yaw_deg = (_get_sigma(cp, k, default) for k in ("sigma_x", "sigma_y", "sigma_yaw_deg"))
     try:
         noise = NoiseModel(
             cov=Covariance3(sigma_x**2, sigma_y**2, math.radians(sigma_yaw_deg) ** 2),
-            max_lateral_dev=_get_float(cp, "noise", "max_lateral_dev", DEFAULT_MAX_LATERAL_DEV),
+            max_lateral_dev=_get(cp, "noise", "max_lateral_dev", float, DEFAULT_MAX_LATERAL_DEV),
             rng_seed=seed,
         )
     except ValueError as exc:
@@ -174,36 +157,33 @@ def parse_config(path: str) -> Scenario:
     except ValueError:
         raise ConfigInvalid(f"'sim.controller': expected pp or utpp, got {controller_raw!r}") from None
 
-    seed = _get_int(cp, "sim", "seed", 0)
+    seed = _get(cp, "sim", "seed", int, 0)
     noise = _parse_noise(cp, seed)
 
-    alpha = _get_float(cp, "ut", "alpha", DEFAULT_UT.alpha)
-    kappa = _get_float(cp, "ut", "kappa", DEFAULT_UT.kappa)
-    limit_deg = _get_float(cp, "vehicle", "steering_limit_deg", None)
+    alpha = _get(cp, "ut", "alpha", float, DEFAULT_UT.alpha)
+    kappa = _get(cp, "ut", "kappa", float, DEFAULT_UT.kappa)
+    limit_deg = _get(cp, "vehicle", "steering_limit_deg", float, None)
     try:
-        ut = derive_ut_params(3, alpha, kappa)
+        ut = UtParams(alpha, kappa)
     except UtPursuitError as exc:
         raise ConfigInvalid(f"[ut]: {exc}") from None
 
-    try:
-        start = Pose(
-            _get_float(cp, "vehicle", "start_x"),
-            _get_float(cp, "vehicle", "start_y"),
-            math.radians(_get_float(cp, "vehicle", "start_yaw_deg")),
-        )
-        return Scenario(
-            road=road,
-            start_pose=start,
-            speed=_get_float(cp, "vehicle", "speed"),
-            wheelbase=_get_float(cp, "vehicle", "wheelbase"),
-            lookahead_gain=_get_float(cp, "sim", "lookahead_gain"),
-            dt=_get_float(cp, "sim", "dt"),
-            steps=_get_int(cp, "sim", "steps"),
-            controller=controller,
-            noise=noise,
-            ut=ut,
-            steering_limit=DEFAULT_STEERING_LIMIT if limit_deg is None else math.radians(limit_deg),
-            paper_literal=_get_bool(cp, "sim", "paper_literal", False),
-        )
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from None
+    start = Pose(
+        _get(cp, "vehicle", "start_x", float),
+        _get(cp, "vehicle", "start_y", float),
+        math.radians(_get(cp, "vehicle", "start_yaw_deg", float)),
+    )
+    return Scenario(
+        road=road,
+        start_pose=start,
+        speed=_get(cp, "vehicle", "speed", float),
+        wheelbase=_get(cp, "vehicle", "wheelbase", float),
+        lookahead_gain=_get(cp, "sim", "lookahead_gain", float),
+        dt=_get(cp, "sim", "dt", float),
+        steps=_get(cp, "sim", "steps", int),
+        controller=controller,
+        noise=noise,
+        ut=ut,
+        steering_limit=DEFAULT_STEERING_LIMIT if limit_deg is None else math.radians(limit_deg),
+        paper_literal=_get(cp, "sim", "paper_literal", _boolean, False),
+    )

@@ -8,7 +8,6 @@ angle follows delta = arctan(2 y_e L / d_l^2).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,6 @@ from .errors import (
     PathOutOfReach,
 )
 from .geometry import Circle, StraightLine
-
-logger = logging.getLogger(__name__)
 
 # Below this slope magnitude the local road is treated as axis-parallel.
 FLAT_SLOPE_EPS = 1e-12
@@ -104,7 +101,7 @@ def cross_track_circle(circle: Circle, d_l: float) -> CrossTrack:
     (2 d_l rho)) and the center bearing is alpha_2 = atan2(cy, cx).  Of the
     two candidate bearings alpha_2 +/- alpha_1 the one with the smaller
     magnitude is kept, sign intact, so right-hand roads steer right.  An
-    exact magnitude tie picks the positive (left) candidate and logs it.
+    exact magnitude tie picks the positive (left) candidate.
 
     Raises DegenerateCenter when the center sits on the rear axle,
     NoIntersection when the circles do not meet, and NoForwardIntersection
@@ -123,14 +120,9 @@ def cross_track_circle(circle: Circle, d_l: float) -> CrossTrack:
     # cy + 0.0 turns -0.0 into 0.0: a centre straight behind the axle is the
     # exact tie below, whichever zero its frame transform produced.
     alpha_2 = math.atan2(cy + 0.0, cx)
+    # alpha_1 >= 0, so plus >= minus: a magnitude tie keeps plus, the left candidate.
     plus, minus = alpha_2 + alpha_1, alpha_2 - alpha_1
-    if abs(plus) < abs(minus):
-        alpha = plus
-    elif abs(minus) < abs(plus):
-        alpha = minus
-    else:
-        alpha = max(plus, minus)
-        logger.debug("bearing tie at |alpha|=%.9f, keeping the positive candidate", abs(alpha))
+    alpha = plus if abs(plus) <= abs(minus) else minus
     x_e = d_l * math.cos(alpha)
     if x_e < 0.0:
         raise NoForwardIntersection(

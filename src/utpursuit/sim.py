@@ -14,6 +14,8 @@ import math
 import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Real
+from operator import attrgetter
 from typing import Callable
 
 from .errors import ConfigInvalid, RoadGeometryFault
@@ -48,15 +50,24 @@ class Controller(Enum):
     UTPP = "utpp"
 
 
-# The Scenario fields that hold objects, and the types they must have; nothing is coerced.
+# Every Scenario field, and noise's seed, with the types it must have.  Nothing
+# is coerced, and a bool, which is an int, passes only where bool is named.
 _FIELD_TYPES = (
     ("road", (StraightLine, Circle, WaypointPath)),
     ("start_pose", (Pose,)),
+    ("speed", (Real,)),
+    ("wheelbase", (Real,)),
+    ("lookahead_gain", (Real,)),
+    ("dt", (Real,)),
+    ("steps", (int,)),
     ("controller", (Controller,)),
     ("noise", (NoiseModel,)),
+    ("noise.rng_seed", (int,)),
     ("ut", (UtParams,)),
+    ("steering_limit", (Real,)),
     ("paper_literal", (bool,)),
 )
+_TYPE_NAMES = {Real: "real number", int: "whole number"}
 
 
 @dataclass(frozen=True)
@@ -83,9 +94,9 @@ class Scenario:
     def __post_init__(self) -> None:
         # Checked first, so a wrong type fails here, named, rather than mid-run.
         for name, kinds in _FIELD_TYPES:
-            value = getattr(self, name)
-            if not isinstance(value, kinds):
-                expected = " or ".join(kind.__name__ for kind in kinds)
+            value = attrgetter(name)(self)
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                expected = " or ".join(_TYPE_NAMES.get(kind, kind.__name__) for kind in kinds)
                 raise ConfigInvalid(f"{name} must be a {expected}, got {type(value).__name__}")
         if not (math.isfinite(self.speed) and self.speed > 0.0):
             raise ConfigInvalid(f"speed must be positive, got {self.speed}")
@@ -96,14 +107,12 @@ class Scenario:
         object.__setattr__(self, "pursuit", pursuit)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigInvalid(f"dt must be positive, got {self.dt}")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if self.steps < 1:
             raise ConfigInvalid(f"steps must be an integer >= 1, got {self.steps!r}")
         if isinstance(self.road, StraightLine) and abs(self.road.slope) >= MAX_ROAD_SLOPE:
             raise ConfigInvalid(
                 f"road slope {self.road.slope} too steep; |slope| must stay below {MAX_ROAD_SLOPE:.1f}"
             )
-        if not isinstance(self.noise.rng_seed, int):
-            raise ConfigInvalid(f"seed must be an integer, got {self.noise.rng_seed!r}")
         if self.noise.rng_seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.noise.rng_seed}")
 

@@ -157,7 +157,8 @@ class WaypointPath:
     """Ordered waypoints in the global frame, consecutive points distinct."""
 
     points: list[Point2]
-    _index: WaypointIndex | None = field(default=None, repr=False, compare=False)
+    # Built from points on first use; never passed in, so it is always this path's.
+    _index: WaypointIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.points) < 3:
@@ -270,8 +271,9 @@ def local_road(path: WaypointPath, w: int) -> LocalRoad:
 def load_waypoints(path: str) -> WaypointPath:
     """Read a waypoint file: one "x,y" pair per line, '#' starts a comment.
 
-    Values must be finite; fewer than three rows raises TooFewWaypoints and
-    malformed rows raise ValueError naming the line.
+    Malformed or non-finite rows raise ValueError naming the line; the
+    WaypointPath built from the rows raises TooFewWaypoints for fewer than
+    three.
     """
     points: list[Point2] = []
     with open(path, encoding="utf-8") as fh:
@@ -289,6 +291,4 @@ def load_waypoints(path: str) -> WaypointPath:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{path}:{lineno}: non-finite waypoint {text!r}")
             points.append((x, y))
-    if len(points) < 3:
-        raise TooFewWaypoints(f"{path}: need at least 3 waypoints, got {len(points)}")
     return WaypointPath(points)

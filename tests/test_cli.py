@@ -117,6 +117,17 @@ def test_malformed_values_are_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, text))
 
 
+def test_boolean_keys_take_the_eight_configparser_words(tmp_path):
+    for word, value in (("Yes", True), ("on", True), ("1", True), ("TRUE", True)):
+        scen = parse_config(write_cfg(tmp_path, MINIMAL_CFG + f"paper_literal = {word}\n"))
+        assert scen.paper_literal is value
+    for word in ("no", "Off", "0", "false"):
+        text = MINIMAL_CFG + f"\n[noise]\nenabled = {word}\nsigma_y = 0.1\n"
+        assert parse_config(write_cfg(tmp_path, text)).noise.cov.is_zero()
+    with pytest.raises(ConfigInvalid, match=r"^'sim\.paper_literal': expected a boolean, got 'maybe'$"):
+        parse_config(write_cfg(tmp_path, MINIMAL_CFG + "paper_literal = maybe\n"))
+
+
 def test_unreadable_config_reports_the_path(tmp_path):
     with pytest.raises(ConfigInvalid, match="cannot read config"):
         parse_config(str(tmp_path / "nope.cfg"))

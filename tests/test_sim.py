@@ -90,6 +90,20 @@ def test_scenario_validation():
     ):
         with pytest.raises(ConfigInvalid, match=f"^{name} must be a "):
             make_scenario(**{"road": STRAIGHT_ROAD, name: value})
+    # Numbers given as strings, and a bool where a number is asked for.
+    for name, value in (
+        ("speed", "1.0"),
+        ("dt", "0.1"),
+        ("wheelbase", "1"),
+        ("lookahead_gain", "1"),
+        ("steering_limit", "0.5"),
+        ("speed", True),
+        ("steps", True),
+    ):
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be a "):
+            make_scenario(**{"road": STRAIGHT_ROAD, name: value})
+    with pytest.raises(ConfigInvalid, match="^noise.rng_seed must be a "):
+        make_scenario(STRAIGHT_ROAD, noise=reference_noise(seed=True))
 
 
 def test_first_straight_road_command_is_quarter_lock():

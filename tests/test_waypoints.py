@@ -58,6 +58,20 @@ def test_waypoint_path_validation():
         WaypointPath([(0.0, 0.0), (math.nan, 0.0), (1.0, 0.0)])
 
 
+def test_waypoint_path_builds_its_own_index_once():
+    path = arc_path()
+    other = WaypointPath([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    # Another path's index cannot be handed in, so queries always scan this path.
+    with pytest.raises(TypeError):
+        WaypointPath(path.points, other.spatial_index())
+    with pytest.raises(TypeError):
+        WaypointPath(path.points, _index=other.spatial_index())
+    index = path.spatial_index()
+    assert path.spatial_index() is index
+    assert index is not other.spatial_index()
+    assert index.xs.tolist() == [x for x, _ in path.points]
+
+
 @pytest.mark.parametrize(
     "points, bad",
     [
