@@ -1,6 +1,7 @@
+import hashlib
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -512,3 +513,41 @@ def test_a_zero_variance_axis_is_not_steered_even_across_a_zero_sign(monkeypatch
     # whichever sign the zero has.
     mean, *others = generate_sigma_points(scen.start_pose, scen.noise.cov, scen.ut)
     assert step_pp(mean, scen)[0] == step_pp(others[4], scen)[0] > 0.0
+
+
+# SHA-256 of every record field (and the summary) of sim.run, floats written
+# with float.hex so that every bit, and the sign of a zero, counts.  These
+# change only in a change that states and measures its output drift.
+RUN_DIGESTS = {
+    ("straight", "pp", 0): "db13f30ee03e677231f1c35c53b6e1aa6b2504896a55c6cb79914582ba5fe5df",
+    ("straight", "pp", 1): "d0b5df7267760ac15f7ba610ec06534270f2029807e63a55ba15579a5f87d334",
+    ("straight", "utpp", 0): "84bc6ac308423066ca96d3b5fe92603ea0444e50f407265796018913c02d8202",
+    ("straight", "utpp", 1): "ad7b6687a6802c0e536660bdb4803b376ef26df5b6df47b38a64fe8afe4d1442",
+    ("circle", "pp", 0): "8a04b253ce0e0780efe64a6f2bd6bdeaaf4d5bb65db0102ebe693f3eb34eb010",
+    ("circle", "pp", 1): "9c0496cc2fea2e5d008518dac1a6f2ee3a18400c28fbd9ffb345f9b9b600133a",
+    ("circle", "utpp", 0): "c2d1e03a0c4fe8789d8ffaeb338786d4a0cc842dbdaea586d5538321da806dfd",
+    ("circle", "utpp", 1): "ebd5bdc9473dbd0411f0b78e987b6f4d53e2d4bcc96571a459bfe641dac9a974",
+    ("waypoint_arc", "pp", 0): "15a5251286ca1b4383b8ac892b83547893e81c7525e6a50826f9be9f63748d0d",
+    ("waypoint_arc", "pp", 1): "ffb67cfeeac8831c00923cfd2193b4eec7ba750c86dabe0df5c5737fe1260e55",
+    ("waypoint_arc", "utpp", 0): "82f9b5c5b07d75c4916064ce4b7f26f53cf5e41671209dab177623bb85eef831",
+    ("waypoint_arc", "utpp", 1): "ba71b669125f74cac2ceeee688a15b782ae69154303e2baedec9654549e1b924",
+}
+
+
+def _digest_text(value) -> str:
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Pose):
+        return " ".join(_digest_text(v) for v in (value.x, value.y, value.yaw))
+    return repr(value)
+
+
+@pytest.mark.parametrize("stem, controller, seed", sorted(RUN_DIGESTS))
+def test_run_records_are_bit_identical_to_the_pinned_digests(stem, controller, seed):
+    base = parse_config(str(CONFIG_DIR / f"{stem}.cfg"))
+    scen = replace(base, controller=Controller(controller), noise=replace(base.noise, rng_seed=seed))
+    records, summary = run(scen)
+    digest = hashlib.sha256()
+    for row in (*records, summary):
+        digest.update((",".join(_digest_text(getattr(row, f.name)) for f in fields(row)) + "\n").encode())
+    assert digest.hexdigest() == RUN_DIGESTS[stem, controller, seed]
