@@ -31,7 +31,6 @@ from .geometry import (
     normalize_angle,
 )
 from .pursuit import (
-    CrossTrack,
     PursuitConfig,
     cross_track_circle,
     cross_track_line,
@@ -79,7 +78,6 @@ __all__ = [
     "ConfigInvalid",
     "Controller",
     "Covariance3",
-    "CrossTrack",
     "DegenerateCenter",
     "DegenerateScaling",
     "NoForwardIntersection",

@@ -54,8 +54,7 @@ class StraightLine:
     intercept: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
-            raise ValueError(f"line coefficients must be finite, got {(self.slope, self.intercept)}")
+        _check_line(self.slope, self.intercept)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,46 +66,60 @@ class Circle:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.radius)):
-            raise ValueError("circle fields must be finite")
-        if self.radius <= 0.0:
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+        _check_circle(self.cx, self.cy, self.radius)
 
     @property
     def center(self) -> Point2:
         return (self.cx, self.cy)
 
 
-def global_to_vehicle(point: Point2, frame: Pose) -> Point2:
-    """Map a global-frame point into the vehicle frame."""
-    c, s = math.cos(frame.yaw), math.sin(frame.yaw)
-    dx, dy = point[0] - frame.x, point[1] - frame.y
+def _check_line(slope: float, intercept: float) -> None:
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError(f"line coefficients must be finite, got {(slope, intercept)}")
+
+
+def _check_circle(cx: float, cy: float, radius: float) -> None:
+    if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(radius)):
+        raise ValueError("circle fields must be finite")
+    if radius <= 0.0:
+        raise ValueError(f"circle radius must be positive, got {radius}")
+
+
+def global_to_vehicle(point: Point2, x: float, y: float, yaw: float) -> Point2:
+    """Map a global-frame point into the vehicle frame of the pose (x, y, yaw)."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    dx, dy = point[0] - x, point[1] - y
     return (c * dx + s * dy, -s * dx + c * dy)
 
 
-def line_to_vehicle(line: StraightLine, frame: Pose) -> StraightLine:
-    """Express a global slope-intercept line in the vehicle frame.
+def line_to_vehicle(line: StraightLine, x: float, y: float, yaw: float) -> tuple[float, float]:
+    """Express a global slope-intercept line in the vehicle frame of (x, y, yaw).
 
-    The slope maps through the heading difference, tan(psi_m - psi) with
-    psi_m = arctan(slope).  Raises PerpendicularLine when the line runs
-    within ~1e-9 of perpendicular to the vehicle x-axis, where the slope
-    form has no finite representation.
+    Returns the vehicle-frame (slope, intercept).  The slope maps through
+    the heading difference, tan(psi_m - yaw) with psi_m = arctan(slope).
+    Raises PerpendicularLine when the line runs within ~1e-9 of
+    perpendicular to the vehicle x-axis, where the slope form has no finite
+    representation, and ValueError when a coefficient overflows.
     """
     psi_m = math.atan(line.slope)
-    gap = psi_m - frame.yaw
+    gap = psi_m - yaw
     cos_gap = math.cos(gap)
     if abs(cos_gap) < PERPENDICULAR_COS_EPS:
         raise PerpendicularLine(
-            f"line at heading {psi_m:.6f} rad is perpendicular to vehicle yaw {frame.yaw:.6f} rad"
+            f"line at heading {psi_m:.6f} rad is perpendicular to vehicle yaw {yaw:.6f} rad"
         )
     slope_v = math.tan(gap)
-    intercept_v = (
-        frame.x * math.sin(psi_m) + (line.intercept - frame.y) * math.cos(psi_m)
-    ) / cos_gap
-    return StraightLine(slope_v, intercept_v)
+    intercept_v = (x * math.sin(psi_m) + (line.intercept - y) * math.cos(psi_m)) / cos_gap
+    _check_line(slope_v, intercept_v)
+    return slope_v, intercept_v
 
 
-def circle_to_vehicle(circle: Circle, frame: Pose) -> Circle:
-    """Express a global circle in the vehicle frame; the radius is invariant."""
-    cx, cy = global_to_vehicle(circle.center, frame)
-    return Circle(cx, cy, circle.radius)
+def circle_to_vehicle(circle: Circle, x: float, y: float, yaw: float) -> Point2:
+    """Express a global circle's center in the vehicle frame of (x, y, yaw).
+
+    Returns the vehicle-frame (cx, cy); the radius is invariant.  Raises
+    ValueError when the center overflows.
+    """
+    cx, cy = global_to_vehicle(circle.center, x, y, yaw)
+    _check_circle(cx, cy, circle.radius)
+    return cx, cy

@@ -18,7 +18,6 @@ from .errors import (
     NonPositiveSpeed,
     PathOutOfReach,
 )
-from .geometry import Circle, StraightLine
 
 # Below this slope magnitude the local road is treated as axis-parallel.
 FLAT_SLOPE_EPS = 1e-12
@@ -50,14 +49,6 @@ class PursuitConfig:
             raise ValueError(f"steering_limit must lie in (0, pi/2), got {self.steering_limit}")
 
 
-@dataclass(frozen=True, slots=True)
-class CrossTrack:
-    """Vehicle-frame goal point on the look-ahead circle: x_e >= 0 forward, y_e lateral."""
-
-    y_e: float
-    x_e: float
-
-
 def lookahead_distance(speed: float, cfg: PursuitConfig) -> float:
     """d_l = lookahead_gain * speed; speed must be positive."""
     if not (math.isfinite(speed) and speed > 0.0):
@@ -65,22 +56,23 @@ def lookahead_distance(speed: float, cfg: PursuitConfig) -> float:
     return cfg.lookahead_gain * speed
 
 
-def cross_track_line(line: StraightLine, d_l: float) -> CrossTrack:
-    """Intersect the look-ahead circle with a vehicle-frame line.
+def cross_track_line(slope: float, intercept: float, d_l: float) -> tuple[float, float]:
+    """Intersect the look-ahead circle with the vehicle-frame line y = slope x + intercept.
 
-    For |slope| < 1e-12 the lateral error is the intercept itself.  Otherwise
+    Returns the goal point (y_e, x_e): y_e lateral, x_e >= 0 forward.  For
+    |slope| < 1e-12 the lateral error is the intercept itself.  Otherwise
     the forward root of the circle/line system is taken:
     y_e = (c2 + m sqrt((1 + m^2) d_l^2 - c2^2)) / (1 + m^2).
 
     Raises PathOutOfReach when the circle misses the line entirely and
     NoForwardIntersection when both intersections lie behind the rear axle.
     """
-    m, c2 = line.slope, line.intercept
+    m, c2 = slope, intercept
     if abs(m) < FLAT_SLOPE_EPS:
         forward_sq = d_l * d_l - c2 * c2
         if forward_sq < 0.0:
             raise PathOutOfReach(f"flat line at offset {c2} beyond look-ahead {d_l}")
-        return CrossTrack(y_e=c2, x_e=math.sqrt(forward_sq))
+        return c2, math.sqrt(forward_sq)
     one_m2 = 1.0 + m * m
     disc = one_m2 * d_l * d_l - c2 * c2
     if disc < 0.0:
@@ -90,14 +82,15 @@ def cross_track_line(line: StraightLine, d_l: float) -> CrossTrack:
     x_e = (root - m * c2) / one_m2
     if x_e < 0.0:
         raise NoForwardIntersection(f"line (m={m}, c={c2}) crosses look-ahead only behind the axle")
-    return CrossTrack(y_e=y_e, x_e=x_e)
+    return y_e, x_e
 
 
-def cross_track_circle(circle: Circle, d_l: float) -> CrossTrack:
-    """Intersect the look-ahead circle with a vehicle-frame road circle.
+def cross_track_circle(cx: float, cy: float, radius: float, d_l: float) -> tuple[float, float]:
+    """Intersect the look-ahead circle with a road circle of vehicle-frame center (cx, cy).
 
-    With rho the distance to the road center, the half-angle subtended by
-    the intersection chord is alpha_1 = arccos((rho^2 + d_l^2 - R^2) /
+    Returns the goal point (y_e, x_e), as cross_track_line does.  With rho
+    the distance to the road center, the half-angle subtended by the
+    intersection chord is alpha_1 = arccos((rho^2 + d_l^2 - R^2) /
     (2 d_l rho)) and the center bearing is alpha_2 = atan2(cy, cx).  Of the
     two candidate bearings alpha_2 +/- alpha_1 the one with the smaller
     magnitude is kept, sign intact, so right-hand roads steer right.  An
@@ -107,14 +100,13 @@ def cross_track_circle(circle: Circle, d_l: float) -> CrossTrack:
     NoIntersection when the circles do not meet, and NoForwardIntersection
     when both meeting points lie behind the axle.
     """
-    cx, cy = circle.cx, circle.cy
     rho = math.hypot(cx, cy)
     if rho < 1e-12:
         raise DegenerateCenter("road circle centered on the rear axle")
-    cos_arg = (rho * rho + d_l * d_l - circle.radius * circle.radius) / (2.0 * d_l * rho)
+    cos_arg = (rho * rho + d_l * d_l - radius * radius) / (2.0 * d_l * rho)
     if abs(cos_arg) > 1.0 + COS_ARG_SLACK:
         raise NoIntersection(
-            f"road circle (center ({cx}, {cy}), R={circle.radius}) misses look-ahead {d_l}"
+            f"road circle (center ({cx}, {cy}), R={radius}) misses look-ahead {d_l}"
         )
     alpha_1 = math.acos(max(-1.0, min(1.0, cos_arg)))
     # cy + 0.0 turns -0.0 into 0.0: a centre straight behind the axle is the
@@ -126,9 +118,9 @@ def cross_track_circle(circle: Circle, d_l: float) -> CrossTrack:
     x_e = d_l * math.cos(alpha)
     if x_e < 0.0:
         raise NoForwardIntersection(
-            f"road circle (center ({cx}, {cy}), R={circle.radius}) meets look-ahead only behind the axle"
+            f"road circle (center ({cx}, {cy}), R={radius}) meets look-ahead only behind the axle"
         )
-    return CrossTrack(y_e=d_l * math.sin(alpha), x_e=x_e)
+    return d_l * math.sin(alpha), x_e
 
 
 def steering_angle(y_e: float, d_l: float, cfg: PursuitConfig) -> float:

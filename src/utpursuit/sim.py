@@ -158,12 +158,12 @@ class BatchStats:
     mean_fault_count: float
 
 
-def _steer(road: LocalRoad, pose: Pose, d_l: float, cfg: PursuitConfig) -> tuple[float, float]:
-    """The pure-pursuit command of one pose against a global line or circle: (delta, y_e)."""
+def _steer(road: LocalRoad, x: float, y: float, yaw: float, d_l: float, cfg: PursuitConfig) -> tuple[float, float]:
+    """The pure-pursuit command of the pose (x, y, yaw) against a global line or circle: (delta, y_e)."""
     if isinstance(road, StraightLine):
-        y_e = cross_track_line(line_to_vehicle(road, pose), d_l).y_e
+        y_e = cross_track_line(*line_to_vehicle(road, x, y, yaw), d_l)[0]
     else:
-        y_e = cross_track_circle(circle_to_vehicle(road, pose), d_l).y_e
+        y_e = cross_track_circle(*circle_to_vehicle(road, x, y, yaw), road.radius, d_l)[0]
     return steering_angle(y_e, d_l, cfg), y_e
 
 
@@ -174,19 +174,23 @@ def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     road = scenario.road
     if isinstance(road, WaypointPath):
         road = reduce_to_local_road(road, pose, d_l)
-    return _steer(road, pose, d_l, cfg)
+    return _steer(road, pose.x, pose.y, pose.yaw, d_l, cfg)
 
 
-def _local_roads(scenario: Scenario, poses: dict[int, Pose], d_l: float) -> Callable[[int], LocalRoad]:
-    """The local road of poses[i], as a function of i, built when first asked for.
+def _local_roads(
+    scenario: Scenario, sigma: tuple[tuple[float, float, float], ...], pairs: list[tuple[str, int]], d_l: float
+) -> Callable[[int], LocalRoad]:
+    """The local road of the sigma pose sigma[i], as a function of i, built when first asked for.
 
-    On a waypoint road the poses share one nearest-waypoint scan, and poses
-    that select the same waypoint share one line or circle.
+    On a waypoint road the mean and the poses of the steered pairs share one
+    nearest-waypoint scan, and poses that select the same waypoint share one
+    line or circle.
     """
     road = scenario.road
     if not isinstance(road, WaypointPath):
         return lambda i: road
-    selected = dict(zip(poses, select_lookahead_waypoints(road, list(poses.values()), d_l)))
+    steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
+    selected = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], d_l)))
     built: dict[int, LocalRoad] = {}
 
     def road_of(i: int) -> LocalRoad:
@@ -214,13 +218,13 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     # Poses i and i + 1 perturb the axis by + and - its spread.
     axes = (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw))
     pairs = [(axis, i) for axis, i, var in axes if var > 0.0]
-    road_of = _local_roads(scenario, {0: sigma[0], **{j: sigma[j] for _, i in pairs for j in (i, i + 1)}}, d_l)
-    delta0, y_e = _steer(road_of(0), sigma[0], d_l, cfg)
+    road_of = _local_roads(scenario, sigma, pairs, d_l)
+    delta0, y_e = _steer(road_of(0), *sigma[0], d_l, cfg)
     deltas = [delta0] * len(sigma)
     for axis, i in pairs:
         try:
-            delta_plus = _steer(road_of(i), sigma[i], d_l, cfg)[0]
-            deltas[i + 1] = _steer(road_of(i + 1), sigma[i + 1], d_l, cfg)[0]
+            delta_plus = _steer(road_of(i), *sigma[i], d_l, cfg)[0]
+            deltas[i + 1] = _steer(road_of(i + 1), *sigma[i + 1], d_l, cfg)[0]
             deltas[i] = delta_plus
         except RoadGeometryFault as exc:
             logger.debug("sigma axis %s fell back to the mean steering: %s", axis, exc)

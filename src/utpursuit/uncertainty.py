@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DegenerateScaling
-from .geometry import Pose
+from .geometry import Pose, normalize_angle
 
 WEIGHT_SUM_TOL = 1e-9
 POSE_DIM = 3  # x, y and yaw
@@ -91,27 +91,38 @@ def derive_ut_params(dim: int, alpha: float, kappa: float) -> UtParams:
 DEFAULT_UT = UtParams(0.001, 0.0)
 
 
-def generate_sigma_points(mean: Pose, cov: Covariance3, params: UtParams) -> tuple[Pose, ...]:
+def generate_sigma_points(
+    mean: Pose, cov: Covariance3, params: UtParams
+) -> tuple[tuple[float, float, float], ...]:
     """Place seven sigma points around a mean pose for a diagonal covariance.
 
-    Returns the seven poses as a tuple.  Point 0 is the mean itself.
-    Points (1, 2), (3, 4), (5, 6) perturb x, y and yaw by
-    +/- sqrt(3 + lambda) * sigma along each axis.  Yaw values wrap into
-    (-pi, pi] like every Pose.
+    Returns the seven points as (x, y, yaw) triples.  Point 0 is the mean
+    itself.  Points (1, 2), (3, 4), (5, 6) perturb x, y and yaw by
+    +/- sqrt(3 + lambda) * sigma along each axis.  Each triple holds what a
+    Pose of the unwrapped values would: a perturbation that overflows raises
+    Pose's ValueError, and the perturbed yaws wrap into (-pi, pi] (the mean's
+    yaw is already wrapped, and wrapping leaves it as it is).
     """
     scale = math.sqrt(POSE_DIM + params.lam)
     sx = scale * math.sqrt(cov.var_x)
     sy = scale * math.sqrt(cov.var_y)
     syaw = scale * math.sqrt(cov.var_yaw)
-    return (
-        mean,
-        Pose(mean.x + sx, mean.y, mean.yaw),
-        Pose(mean.x - sx, mean.y, mean.yaw),
-        Pose(mean.x, mean.y + sy, mean.yaw),
-        Pose(mean.x, mean.y - sy, mean.yaw),
-        Pose(mean.x, mean.y, mean.yaw + syaw),
-        Pose(mean.x, mean.y, mean.yaw - syaw),
+    x, y, yaw = mean.x, mean.y, mean.yaw
+    points = (
+        (x, y, yaw),
+        (x + sx, y, yaw),
+        (x - sx, y, yaw),
+        (x, y + sy, yaw),
+        (x, y - sy, yaw),
+        (x, y, yaw + syaw),
+        (x, y, yaw - syaw),
     )
+    # The mean is a finite, wrapped Pose, so only the perturbed field of a
+    # point can overflow, and only the perturbed yaws need wrapping.
+    for axis, point in zip((0, 0, 1, 1, 2, 2), points[1:]):
+        if not math.isfinite(point[axis]):
+            raise ValueError(f"pose fields must be finite, got {point}")
+    return (*points[:5], (x, y, normalize_angle(points[5][2])), (x, y, normalize_angle(points[6][2])))
 
 
 def weighted_steering(
@@ -126,10 +137,10 @@ def weighted_steering(
     """
     if len(deltas) != 2 * POSE_DIM + 1:
         raise ValueError(f"expected {2 * POSE_DIM + 1} steering angles, got {len(deltas)}")
-    if not all(math.isfinite(d) for d in deltas):
+    if not all(map(math.isfinite, deltas)):
         raise ValueError("steering angles must be finite")
     first = deltas[0]
-    if all(d == first for d in deltas):
+    if deltas.count(first) == len(deltas):
         combined = first
     else:
         combined = params.w0 * first + params.wi * math.fsum(deltas[1:])

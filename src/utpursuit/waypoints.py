@@ -67,7 +67,7 @@ class WaypointIndex:
     finite, with squared distances that do not overflow.
     """
 
-    def __init__(self, points: list[Point2]):
+    def __init__(self, points: tuple[Point2, ...]):
         self.xs = np.array([p[0] for p in points], dtype=np.float64)
         self.ys = np.array([p[1] for p in points], dtype=np.float64)
         # Row k is segment k, from waypoint k to k + 1: x0, y0, dx, dy, |d|^2.
@@ -152,15 +152,20 @@ class WaypointIndex:
         return best
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaypointPath:
-    """Ordered waypoints in the global frame, consecutive points distinct."""
+    """Ordered waypoints in the global frame, consecutive points distinct.
 
-    points: list[Point2]
+    Frozen, with the points held as a tuple, so the checks below and the
+    index built from the points hold for the path's whole life.
+    """
+
+    points: tuple[Point2, ...]
     # Built from points on first use; never passed in, so it is always this path's.
     _index: WaypointIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) < 3:
             raise TooFewWaypoints(f"need at least 3 waypoints, got {len(self.points)}")
         for i, (x, y) in enumerate(self.points):
@@ -173,7 +178,7 @@ class WaypointPath:
 
     def spatial_index(self) -> WaypointIndex:
         if self._index is None:
-            self._index = build_index(self)
+            object.__setattr__(self, "_index", build_index(self))
         return self._index
 
     def __len__(self) -> int:
@@ -191,12 +196,14 @@ def select_lookahead_waypoint(path: WaypointPath, pose: Pose, d_l: float) -> int
     The probe sits at pose + d_l (cos yaw, sin yaw); the returned index is
     clamped into [1, len - 2] so it always has both neighbors.
     """
-    return select_lookahead_waypoints(path, [pose], d_l)[0]
+    return select_lookahead_waypoints(path, [(pose.x, pose.y, pose.yaw)], d_l)[0]
 
 
-def select_lookahead_waypoints(path: WaypointPath, poses: list[Pose], d_l: float) -> list[int]:
-    """select_lookahead_waypoint for each pose, with one shared nearest-waypoint scan."""
-    probes = [(p.x + d_l * math.cos(p.yaw), p.y + d_l * math.sin(p.yaw)) for p in poses]
+def select_lookahead_waypoints(
+    path: WaypointPath, poses: list[tuple[float, float, float]], d_l: float
+) -> list[int]:
+    """select_lookahead_waypoint for each (x, y, yaw) pose, with one shared nearest-waypoint scan."""
+    probes = [(x + d_l * math.cos(yaw), y + d_l * math.sin(yaw)) for x, y, yaw in poses]
     last = len(path) - 2
     return [min(max(i, 1), last) for i in path.spatial_index().nearest_group(probes)]
 

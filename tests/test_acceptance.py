@@ -57,7 +57,7 @@ def test_criterion_01_pose_round_trips():
     for _ in range(1000):
         frame = Pose(*rng.uniform(-50.0, 50.0, size=2), rng.uniform(-math.pi, math.pi))
         point = tuple(rng.uniform(-50.0, 50.0, size=2))
-        back = global_to_vehicle(vehicle_to_global(point, frame), frame)
+        back = global_to_vehicle(vehicle_to_global(point, frame), frame.x, frame.y, frame.yaw)
         worst = max(worst, abs(back[0] - point[0]), abs(back[1] - point[1]))
     elapsed = time.perf_counter() - t0
     if worst > 1e-12:
@@ -78,10 +78,10 @@ def test_criterion_02_road_transforms():
         frame = Pose(*rng.uniform(-10.0, 10.0, size=2), rng.uniform(-math.pi, math.pi))
         if abs(math.cos(math.atan(m) - frame.yaw)) < 0.1:
             continue
-        local = line_to_vehicle(StraightLine(m, c), frame)
+        slope, intercept = line_to_vehicle(StraightLine(m, c), frame.x, frame.y, frame.yaw)
         for x in rng.uniform(-10.0, 10.0, size=5):
-            vx, vy = global_to_vehicle((x, m * x + c), frame)
-            worst_line = max(worst_line, abs(vy - (local.slope * vx + local.intercept)))
+            vx, vy = global_to_vehicle((x, m * x + c), frame.x, frame.y, frame.yaw)
+            worst_line = max(worst_line, abs(vy - (slope * vx + intercept)))
         checked += 1
     if worst_line > 1e-9:
         failures.append(f"line-equation residual {worst_line:.3e} > 1e-9")
@@ -90,14 +90,14 @@ def test_criterion_02_road_transforms():
     for _ in range(1000):
         circle = Circle(*rng.uniform(-20.0, 20.0, size=2), rng.uniform(0.1, 10.0))
         frame = Pose(*rng.uniform(-20.0, 20.0, size=2), rng.uniform(-math.pi, math.pi))
-        local = circle_to_vehicle(circle, frame)
+        cx, cy = circle_to_vehicle(circle, frame.x, frame.y, frame.yaw)
         theta = rng.uniform(0.0, 2.0 * math.pi)
         gp = (
             circle.cx + circle.radius * math.cos(theta),
             circle.cy + circle.radius * math.sin(theta),
         )
-        vx, vy = global_to_vehicle(gp, frame)
-        worst_circle = max(worst_circle, abs(math.hypot(vx - local.cx, vy - local.cy) - local.radius))
+        vx, vy = global_to_vehicle(gp, frame.x, frame.y, frame.yaw)
+        worst_circle = max(worst_circle, abs(math.hypot(vx - cx, vy - cy) - circle.radius))
     if worst_circle > 1e-9:
         failures.append(f"circle-distance residual {worst_circle:.3e} > 1e-9")
     _report("criterion 2: line/circle road transforms verified on 1000 sampled points each (1e-9)", failures)
@@ -118,8 +118,8 @@ def test_criterion_03_cross_track_against_independent_oracles():
         fx, fy = max(points, key=lambda p: p[0])
         if fx < 1e-6 * d:
             continue
-        ct = cross_track_line(StraightLine(m, c), d)
-        worst = max(worst, abs(ct.x_e - fx), abs(ct.y_e - fy))
+        y_e, x_e = cross_track_line(m, c, d)
+        worst = max(worst, abs(x_e - fx), abs(y_e - fy))
         checked += 1
     if worst > 1e-6:
         failures.append(f"line cross-track vs bisection oracle off by {worst:.3e} > 1e-6")
@@ -137,18 +137,18 @@ def test_criterion_03_cross_track_against_independent_oracles():
         best = sorted((math.atan2(y, x) for x, y in points), key=abs)[0]
         if math.cos(best) < 1e-6:
             continue
-        ct = cross_track_circle(Circle(a, b, R), d)
-        worst = max(worst, abs(ct.x_e - d * math.cos(best)), abs(ct.y_e - d * math.sin(best)))
+        y_e, x_e = cross_track_circle(a, b, R, d)
+        worst = max(worst, abs(x_e - d * math.cos(best)), abs(y_e - d * math.sin(best)))
         checked += 1
     if worst > 1e-6:
         failures.append(f"circle cross-track vs radical-line oracle off by {worst:.3e} > 1e-6")
 
     # Rear axle on the road circle, tangent heading: y_e = d^2 / (2R).
-    ct = cross_track_circle(Circle(0.0, 5.0, 5.0), 1.0)
-    if abs(ct.y_e - 0.1) > 1e-9:
-        failures.append(f"on-circle y_e {ct.y_e!r} != 0.1 within 1e-9")
+    y_e, _ = cross_track_circle(0.0, 5.0, 5.0, 1.0)
+    if abs(y_e - 0.1) > 1e-9:
+        failures.append(f"on-circle y_e {y_e!r} != 0.1 within 1e-9")
     cfg = PursuitConfig(wheelbase=1.0, lookahead_gain=1.0, steering_limit=math.radians(80.0))
-    delta = steering_angle(ct.y_e, 1.0, cfg)
+    delta = steering_angle(y_e, 1.0, cfg)
     if abs(delta - math.atan(0.2)) > 1e-9:
         failures.append(f"on-circle delta {delta!r} != atan(0.2) within 1e-9")
     _report("criterion 3: cross-track matches independent oracles (1e-6) and the on-circle fixed point (1e-9)", failures)
@@ -167,10 +167,8 @@ def test_criterion_04_ut_weights_and_mean_recovery():
     mean = Pose(1.0, 0.5, 0.1)
     cov = Covariance3(0.01**2, 0.1**2, math.radians(10.0) ** 2)
     pts = generate_sigma_points(mean, cov, ut)
-    for axis in ("x", "y", "yaw"):
-        recovered = math.fsum(
-            [ut.w0 * getattr(pts[0], axis)] + [ut.wi * getattr(p, axis) for p in pts[1:]]
-        )
+    for k, axis in enumerate(("x", "y", "yaw")):
+        recovered = math.fsum([ut.w0 * pts[0][k]] + [ut.wi * p[k] for p in pts[1:]])
         if abs(recovered - getattr(mean, axis)) > 1e-9:
             failures.append(f"{axis} recovered as {recovered!r}, off by > 1e-9")
     _report("criterion 4: UT weights sum to 1 and the weighted sigma mean recovers the pose (1e-9)", failures)

@@ -41,7 +41,7 @@ def test_pose_normalizes_yaw_and_rejects_non_finite():
 def test_identity_frame_is_a_no_op():
     frame = Pose(0.0, 0.0, 0.0)
     assert vehicle_to_global((2.5, -1.0), frame) == (2.5, -1.0)
-    assert global_to_vehicle((2.5, -1.0), frame) == (2.5, -1.0)
+    assert global_to_vehicle((2.5, -1.0), frame.x, frame.y, frame.yaw) == (2.5, -1.0)
 
 
 def test_vehicle_to_global_quarter_turn():
@@ -56,30 +56,30 @@ def test_round_trip_random_pairs():
     for _ in range(1000):
         frame = Pose(*rng.uniform(-100.0, 100.0, size=2), rng.uniform(-math.pi, math.pi))
         p = tuple(rng.uniform(-100.0, 100.0, size=2))
-        q = global_to_vehicle(vehicle_to_global(p, frame), frame)
+        q = global_to_vehicle(vehicle_to_global(p, frame), frame.x, frame.y, frame.yaw)
         assert abs(q[0] - p[0]) <= 1e-12
         assert abs(q[1] - p[1]) <= 1e-12
-        q2 = vehicle_to_global(global_to_vehicle(p, frame), frame)
+        q2 = vehicle_to_global(global_to_vehicle(p, frame.x, frame.y, frame.yaw), frame)
         assert abs(q2[0] - p[0]) <= 1e-12
         assert abs(q2[1] - p[1]) <= 1e-12
 
 
 def test_line_to_vehicle_flat_line_offset_start():
-    line = line_to_vehicle(StraightLine(0.0, 0.0), Pose(0.0, 0.5, 0.0))
-    assert line.slope == 0.0
-    assert line.intercept == -0.5
+    slope, intercept = line_to_vehicle(StraightLine(0.0, 0.0), 0.0, 0.5, 0.0)
+    assert slope == 0.0
+    assert intercept == -0.5
 
 
 def test_line_to_vehicle_diagonal_seen_along_itself():
     # A 45-degree line through the origin, viewed from a frame yawed 45 degrees.
-    line = line_to_vehicle(StraightLine(1.0, 0.0), Pose(0.0, 0.0, math.pi / 4))
-    assert line.slope == pytest.approx(0.0, abs=1e-15)
-    assert line.intercept == pytest.approx(0.0, abs=1e-15)
+    slope, intercept = line_to_vehicle(StraightLine(1.0, 0.0), 0.0, 0.0, math.pi / 4)
+    assert slope == pytest.approx(0.0, abs=1e-15)
+    assert intercept == pytest.approx(0.0, abs=1e-15)
 
 
 def test_line_to_vehicle_perpendicular_raises():
     with pytest.raises(PerpendicularLine):
-        line_to_vehicle(StraightLine(0.0, 0.0), Pose(0.0, 0.0, math.pi / 2))
+        line_to_vehicle(StraightLine(0.0, 0.0), 0.0, 0.0, math.pi / 2)
 
 
 def test_line_to_vehicle_sampled_points_satisfy_vehicle_equation():
@@ -92,20 +92,19 @@ def test_line_to_vehicle_sampled_points_satisfy_vehicle_equation():
         frame = Pose(*rng.uniform(-10.0, 10.0, size=2), rng.uniform(-math.pi, math.pi))
         if abs(math.cos(math.atan(m) - frame.yaw)) < 0.1:
             continue
-        local = line_to_vehicle(StraightLine(m, c), frame)
+        slope, intercept = line_to_vehicle(StraightLine(m, c), frame.x, frame.y, frame.yaw)
         for x in rng.uniform(-10.0, 10.0, size=10):
-            vx, vy = global_to_vehicle((x, m * x + c), frame)
-            assert abs(vy - (local.slope * vx + local.intercept)) <= 1e-9
+            vx, vy = global_to_vehicle((x, m * x + c), frame.x, frame.y, frame.yaw)
+            assert abs(vy - (slope * vx + intercept)) <= 1e-9
         checked += 1
 
 
 def test_circle_to_vehicle_translation_and_rotation():
-    c1 = circle_to_vehicle(Circle(0.0, 5.0, 5.0), Pose(0.0, 0.5, 0.0))
-    assert (c1.cx, c1.cy, c1.radius) == (0.0, 4.5, 5.0)
-    c2 = circle_to_vehicle(Circle(0.0, 5.0, 5.0), Pose(0.0, 0.0, math.pi / 2))
-    assert c2.cx == pytest.approx(5.0, abs=1e-15)
-    assert c2.cy == pytest.approx(0.0, abs=1e-15)
-    assert c2.radius == 5.0
+    # The result is the center alone: the radius is the global circle's.
+    assert circle_to_vehicle(Circle(0.0, 5.0, 5.0), 0.0, 0.5, 0.0) == (0.0, 4.5)
+    cx, cy = circle_to_vehicle(Circle(0.0, 5.0, 5.0), 0.0, 0.0, math.pi / 2)
+    assert cx == pytest.approx(5.0, abs=1e-15)
+    assert cy == pytest.approx(0.0, abs=1e-15)
 
 
 def test_circle_to_vehicle_points_keep_their_distance():
@@ -113,11 +112,19 @@ def test_circle_to_vehicle_points_keep_their_distance():
     for _ in range(1000):
         circle = Circle(*rng.uniform(-20.0, 20.0, size=2), rng.uniform(0.1, 10.0))
         frame = Pose(*rng.uniform(-20.0, 20.0, size=2), rng.uniform(-math.pi, math.pi))
-        local = circle_to_vehicle(circle, frame)
+        cx, cy = circle_to_vehicle(circle, frame.x, frame.y, frame.yaw)
         theta = rng.uniform(0.0, 2 * math.pi)
         gp = (circle.cx + circle.radius * math.cos(theta), circle.cy + circle.radius * math.sin(theta))
-        vx, vy = global_to_vehicle(gp, frame)
-        assert math.hypot(vx - local.cx, vy - local.cy) == pytest.approx(local.radius, abs=1e-9)
+        vx, vy = global_to_vehicle(gp, frame.x, frame.y, frame.yaw)
+        assert math.hypot(vx - cx, vy - cy) == pytest.approx(circle.radius, abs=1e-9)
+
+
+def test_frame_transforms_reject_an_overflowing_result():
+    # The vehicle-frame line and center are checked as StraightLine and Circle check theirs.
+    with pytest.raises(ValueError, match="line coefficients must be finite"):
+        line_to_vehicle(StraightLine(0.0, 1.5e308), 0.0, -1.5e308, 0.0)
+    with pytest.raises(ValueError, match="circle fields must be finite"):
+        circle_to_vehicle(Circle(1.5e308, 0.0, 1.0), -1.5e308, 0.0, 0.0)
 
 
 def test_circle_requires_positive_radius():

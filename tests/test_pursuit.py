@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from utpursuit import (
-    Circle,
-    CrossTrack,
     DegenerateCenter,
     NoForwardIntersection,
     NoIntersection,
     NonPositiveSpeed,
     PathOutOfReach,
     PursuitConfig,
-    StraightLine,
     cross_track_circle,
     cross_track_line,
     lookahead_distance,
@@ -85,28 +82,28 @@ def test_pursuit_config_validation():
 
 
 def test_cross_track_flat_line_below_vehicle():
-    ct = cross_track_line(StraightLine(0.0, -0.5), 1.0)
-    assert ct.y_e == -0.5
-    assert ct.x_e == pytest.approx(math.sqrt(0.75), rel=1e-15)
+    y_e, x_e = cross_track_line(0.0, -0.5, 1.0)
+    assert y_e == -0.5
+    assert x_e == pytest.approx(math.sqrt(0.75), rel=1e-15)
 
 
 def test_cross_track_diagonal_line_through_origin():
-    ct = cross_track_line(StraightLine(1.0, 0.0), 1.0)
-    assert ct.y_e == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    assert ct.x_e == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    y_e, x_e = cross_track_line(1.0, 0.0, 1.0)
+    assert y_e == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert x_e == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
 def test_cross_track_line_out_of_reach():
     with pytest.raises(PathOutOfReach):
-        cross_track_line(StraightLine(0.0, 2.0), 1.0)
+        cross_track_line(0.0, 2.0, 1.0)
     with pytest.raises(PathOutOfReach):
-        cross_track_line(StraightLine(1.0, 2.0), 1.0)
+        cross_track_line(1.0, 2.0, 1.0)
 
 
 def test_cross_track_line_behind_vehicle():
     # m c > 0 with |c| > d: both intersections sit behind the rear axle.
     with pytest.raises(NoForwardIntersection):
-        cross_track_line(StraightLine(1.0, 1.2), 1.0)
+        cross_track_line(1.0, 1.2, 1.0)
 
 
 def test_cross_track_line_against_bisection_oracle():
@@ -122,40 +119,40 @@ def test_cross_track_line_against_bisection_oracle():
         forward_most = max(points, key=lambda p: p[0])
         if forward_most[0] < 1e-6 * d:
             continue
-        ct = cross_track_line(StraightLine(m, c), d)
-        assert ct.x_e == pytest.approx(forward_most[0], abs=1e-6)
-        assert ct.y_e == pytest.approx(forward_most[1], abs=1e-6)
-        assert ct.x_e * ct.x_e + ct.y_e * ct.y_e == pytest.approx(d * d, abs=1e-9)
+        y_e, x_e = cross_track_line(m, c, d)
+        assert x_e == pytest.approx(forward_most[0], abs=1e-6)
+        assert y_e == pytest.approx(forward_most[1], abs=1e-6)
+        assert x_e * x_e + y_e * y_e == pytest.approx(d * d, abs=1e-9)
         checked += 1
 
 
 def test_cross_track_circle_on_circle_fixed_point():
     # Rear axle on the circle, heading tangent: y_e = d^2 / (2 R) exactly.
     for cy in (5.0, -5.0):
-        ct = cross_track_circle(Circle(0.0, cy, 5.0), 1.0)
-        assert ct.y_e == pytest.approx(math.copysign(0.1, cy), abs=1e-12)
-        assert ct.x_e == pytest.approx(math.sqrt(1.0 - 0.01), rel=1e-12)
+        y_e, x_e = cross_track_circle(0.0, cy, 5.0, 1.0)
+        assert y_e == pytest.approx(math.copysign(0.1, cy), abs=1e-12)
+        assert x_e == pytest.approx(math.sqrt(1.0 - 0.01), rel=1e-12)
 
 
 def test_cross_track_circle_errors():
     with pytest.raises(NoIntersection):
-        cross_track_circle(Circle(0.0, 10.0, 5.0), 1.0)
+        cross_track_circle(0.0, 10.0, 5.0, 1.0)
     with pytest.raises(DegenerateCenter):
-        cross_track_circle(Circle(0.0, 0.0, 5.0), 1.0)
+        cross_track_circle(0.0, 0.0, 5.0, 1.0)
     # Both crossings behind: a circle hugging the region behind the axle.
     with pytest.raises(NoForwardIntersection):
-        cross_track_circle(Circle(-10.0, 0.0, 9.5), 1.0)
+        cross_track_circle(-10.0, 0.0, 9.5, 1.0)
 
 
 def test_cross_track_circle_bearing_tie_turns_left():
     # Heading straight at the center both crossings are mirror images; the
     # positive (left) one wins.
-    ct = cross_track_circle(Circle(2.0, 0.0, 1.5), 1.0)
-    assert ct.y_e > 0.0
+    y_e, _ = cross_track_circle(2.0, 0.0, 1.5, 1.0)
+    assert y_e > 0.0
     # So are they with the center straight behind the axle, whichever sign
     # its zero offset has.
-    behind = [cross_track_circle(Circle(-1.5, cy, 2.0), 1.0) for cy in (0.0, -0.0)]
-    assert behind[0] == behind[1] and behind[0].y_e > 0.0
+    behind = [cross_track_circle(-1.5, cy, 2.0, 1.0) for cy in (0.0, -0.0)]
+    assert behind[0] == behind[1] and behind[0][0] > 0.0
 
 
 def test_cross_track_circle_against_radical_line_oracle():
@@ -174,11 +171,11 @@ def test_cross_track_circle_against_radical_line_oracle():
         best = bearings[0]
         if math.cos(best) < 1e-6:
             continue
-        ct = cross_track_circle(Circle(a, b, R), d)
-        assert ct.x_e == pytest.approx(d * math.cos(best), abs=1e-6)
-        assert ct.y_e == pytest.approx(d * math.sin(best), abs=1e-6)
+        y_e, x_e = cross_track_circle(a, b, R, d)
+        assert x_e == pytest.approx(d * math.cos(best), abs=1e-6)
+        assert y_e == pytest.approx(d * math.sin(best), abs=1e-6)
         # The goal point lies on both circles.
-        assert math.hypot(ct.x_e - a, ct.y_e - b) == pytest.approx(R, abs=1e-6)
+        assert math.hypot(x_e - a, y_e - b) == pytest.approx(R, abs=1e-6)
         checked += 1
 
 
@@ -193,12 +190,12 @@ def test_cross_track_circle_mirror_symmetry():
         if not (abs(rho - R) + 1e-3 < d < rho + R - 1e-3):
             continue
         try:
-            up = cross_track_circle(Circle(a, b, R), d)
-            down = cross_track_circle(Circle(a, -b, R), d)
+            up_y, up_x = cross_track_circle(a, b, R, d)
+            down_y, down_x = cross_track_circle(a, -b, R, d)
         except NoForwardIntersection:
             continue
-        assert up.y_e == pytest.approx(-down.y_e, abs=1e-12)
-        assert up.x_e == pytest.approx(down.x_e, abs=1e-12)
+        assert up_y == pytest.approx(-down_y, abs=1e-12)
+        assert up_x == pytest.approx(down_x, abs=1e-12)
 
 
 def test_steering_angle_values_and_clamp():
@@ -216,6 +213,8 @@ def test_steering_angle_odd_in_lateral_error():
         assert steering_angle(y_e, d, CFG) == pytest.approx(-steering_angle(-y_e, d, CFG), abs=1e-15)
 
 
-def test_cross_track_is_plain_data():
-    ct = CrossTrack(y_e=0.25, x_e=0.5)
-    assert (ct.y_e, ct.x_e) == (0.25, 0.5)
+def test_cross_tracks_return_y_e_then_x_e():
+    # A flat line 0.6 m to the left, and a circle of radius 0.5 m centred at
+    # (0.8, 1.1), both meet the unit look-ahead circle at (x_e, y_e) = (0.8, 0.6).
+    assert cross_track_line(0.0, 0.6, 1.0) == (0.6, 0.8)
+    assert cross_track_circle(0.8, 1.1, 0.5, 1.0) == pytest.approx((0.6, 0.8), abs=1e-12)

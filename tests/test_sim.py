@@ -214,9 +214,9 @@ def test_utpp_sigma_point_fallback_is_not_a_step_fault():
         )
         d_l = lookahead_distance(scen.speed, scen.pursuit)
         sigma = generate_sigma_points(scen.start_pose, noise.cov, scen.ut)
-        cross_track_circle(circle_to_vehicle(scen.road, sigma[3]), d_l)
+        cross_track_circle(*circle_to_vehicle(scen.road, *sigma[3]), scen.road.radius, d_l)
         with pytest.raises(NoIntersection):
-            cross_track_circle(circle_to_vehicle(scen.road, sigma[4]), d_l)
+            cross_track_circle(*circle_to_vehicle(scen.road, *sigma[4]), scen.road.radius, d_l)
         delta, y_e = step_utpp(scen.start_pose, scen)
         assert (delta, y_e) == step_pp(scen.start_pose, scen)
         assert (delta, y_e) == step_utpp(scen.start_pose, without_variance(scen, "var_y"))
@@ -311,16 +311,16 @@ def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     def cross(p):
         road = scenario.road
         if isinstance(road, WaypointPath):
-            road = reduce_to_local_road(road, p, d_l)
+            road = reduce_to_local_road(road, Pose(*p), d_l)
         if isinstance(road, StraightLine):
-            return cross_track_line(line_to_vehicle(road, p), d_l)
-        return cross_track_circle(circle_to_vehicle(road, p), d_l)
+            return cross_track_line(*line_to_vehicle(road, *p), d_l)
+        return cross_track_circle(*circle_to_vehicle(road, *p), road.radius, d_l)
 
     def steer(p):
-        return steering_angle(cross(p).y_e, d_l, cfg)
+        return steering_angle(cross(p)[0], d_l, cfg)
 
     mean, *others = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
-    y_e = cross(mean).y_e
+    y_e = cross(mean)[0]
     delta0 = steering_angle(y_e, d_l, cfg)
     deltas = [delta0]
     for plus, minus in zip(others[::2], others[1::2]):
@@ -420,14 +420,14 @@ def _check_sigma_fallback(path, start, var_x, fault, alpha):
     d_l = lookahead_distance(scen.speed, scen.pursuit)
     sigma = generate_sigma_points(scen.start_pose, noise.cov, ut)
     with pytest.raises(fault):
-        local_road(path, select_lookahead_waypoint(path, sigma[1], d_l))
+        local_road(path, select_lookahead_waypoint(path, Pose(*sigma[1]), d_l))
     deltas = []
     for i, pose in enumerate(sigma):
         if i in (1, 2):
             deltas.append(deltas[0])
         else:
-            road = local_road(path, select_lookahead_waypoint(path, pose, d_l))
-            deltas.append(steering_angle(cross_track_line(line_to_vehicle(road, pose), d_l).y_e, d_l, scen.pursuit))
+            road = local_road(path, select_lookahead_waypoint(path, Pose(*pose), d_l))
+            deltas.append(steering_angle(cross_track_line(*line_to_vehicle(road, *pose), d_l)[0], d_l, scen.pursuit))
     assert len(set(deltas)) > 1
     delta, y_e = step_utpp(scen.start_pose, scen)
     assert (delta, y_e) == (weighted_steering(deltas, ut, scen.steering_limit), -start.y)
@@ -436,7 +436,7 @@ def _check_sigma_fallback(path, start, var_x, fault, alpha):
     assert records[0].fault is None and summary.fault_count == 0
     # The same triple under the mean pose faults the step.
     with pytest.raises(fault):
-        step_utpp(sigma[1], scen)
+        step_utpp(Pose(*sigma[1]), scen)
 
 
 def test_vertical_triple_on_a_sigma_pose_falls_back_to_the_mean():
@@ -512,7 +512,7 @@ def test_a_zero_variance_axis_is_not_steered_even_across_a_zero_sign(monkeypatch
     # The centre sits straight behind the axle: an exact tie, which goes left
     # whichever sign the zero has.
     mean, *others = generate_sigma_points(scen.start_pose, scen.noise.cov, scen.ut)
-    assert step_pp(mean, scen)[0] == step_pp(others[4], scen)[0] > 0.0
+    assert step_pp(Pose(*mean), scen)[0] == step_pp(Pose(*others[4]), scen)[0] > 0.0
 
 
 # SHA-256 of every record field (and the summary) of sim.run, floats written

@@ -74,9 +74,9 @@ def test_sigma_points_lateral_only_covariance():
     assert len(points) == 7
     step = math.sqrt(3.0 + REF.lam) * 0.1
     assert step == pytest.approx(1.7320508e-4, rel=1e-7)
-    assert points[0] == Pose(0.0, 0.0, 0.0)
-    assert points[3].y == pytest.approx(step, rel=1e-12)
-    assert points[4].y == pytest.approx(-step, rel=1e-12)
+    assert points[0] == (0.0, 0.0, 0.0)
+    assert points[3][1] == pytest.approx(step, rel=1e-12)
+    assert points[4][1] == pytest.approx(-step, rel=1e-12)
     for i in (1, 2, 5, 6):
         assert points[i] == points[0]
 
@@ -84,7 +84,7 @@ def test_sigma_points_lateral_only_covariance():
 def test_sigma_points_zero_covariance_all_coincide():
     mean = Pose(3.0, -2.0, 0.7)
     points = generate_sigma_points(mean, Covariance3(0.0, 0.0, 0.0), REF)
-    assert all(p == mean for p in points)
+    assert all(p == (mean.x, mean.y, mean.yaw) for p in points)
 
 
 def test_sigma_points_symmetric_pairs_and_mean_recovery():
@@ -93,16 +93,12 @@ def test_sigma_points_symmetric_pairs_and_mean_recovery():
         mean = Pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-3.0, 3.0))
         cov = Covariance3(*rng.uniform(0.0, 0.05, size=3))
         pts = generate_sigma_points(mean, cov, REF)
-        assert pts[0] == mean
-        for lo, hi, axis in ((1, 2, "x"), (3, 4, "y"), (5, 6, "yaw")):
+        assert pts[0] == (mean.x, mean.y, mean.yaw)
+        for lo, hi, k, axis in ((1, 2, 0, "x"), (3, 4, 1, "y"), (5, 6, 2, "yaw")):
             a, b = pts[lo], pts[hi]
-            assert getattr(a, axis) - getattr(mean, axis) == pytest.approx(
-                getattr(mean, axis) - getattr(b, axis), abs=1e-15
-            )
-        for axis in ("x", "y", "yaw"):
-            recovered = math.fsum(
-                [REF.w0 * getattr(pts[0], axis)] + [REF.wi * getattr(p, axis) for p in pts[1:]]
-            )
+            assert a[k] - getattr(mean, axis) == pytest.approx(getattr(mean, axis) - b[k], abs=1e-15)
+        for k, axis in enumerate(("x", "y", "yaw")):
+            recovered = math.fsum([REF.w0 * pts[0][k]] + [REF.wi * p[k] for p in pts[1:]])
             # Each product w*coord rounds at ~|w0*coord|*eps before the
             # cancellation, so the achievable bound scales with the mean.
             tol = 1e-9 * max(1.0, 4.0 * abs(getattr(mean, axis)))
@@ -120,6 +116,58 @@ def test_weighted_steering_identical_inputs_pass_through_exactly():
 
 angles = st.floats(-1.5, 1.5, allow_nan=False)
 ut_params = st.sampled_from([REF, derive_ut_params(3, 1.0, 0.0), derive_ut_params(3, 0.5, 2.0)])
+
+
+def _bits(*values: float) -> tuple[str, ...]:
+    return tuple(v.hex() for v in values)
+
+
+spreads = st.floats(0.0, 10.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([math.pi, -math.pi]),
+    st.floats(-1e-12, 1e-12),
+    spreads,
+    spreads,
+    spreads,
+    ut_params,
+)
+def test_sigma_points_hold_the_fields_of_poses_built_from_their_unwrapped_values(
+    x, y, edge, offset, spread_x, spread_y, spread_yaw, params
+):
+    # Mean yaws at the wrap seam, and spreads sqrt(3 + lambda) sigma of up to
+    # 10 rad, which wrap the perturbed yaws by up to 1.6 turns.
+    mean = Pose(x, y, edge + offset)
+    scale = math.sqrt(3.0 + params.lam)
+    cov = Covariance3((spread_x / scale) ** 2, (spread_y / scale) ** 2, (spread_yaw / scale) ** 2)
+    sx, sy, syaw = (scale * math.sqrt(v) for v in (cov.var_x, cov.var_y, cov.var_yaw))
+    unwrapped = [
+        (mean.x, mean.y, mean.yaw),
+        (mean.x + sx, mean.y, mean.yaw),
+        (mean.x - sx, mean.y, mean.yaw),
+        (mean.x, mean.y + sy, mean.yaw),
+        (mean.x, mean.y - sy, mean.yaw),
+        (mean.x, mean.y, mean.yaw + syaw),
+        (mean.x, mean.y, mean.yaw - syaw),
+    ]
+    expected = [_bits(p.x, p.y, p.yaw) for p in (Pose(*u) for u in unwrapped)]
+    assert [_bits(*point) for point in generate_sigma_points(mean, cov, params)] == expected
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(["x", "y"]), st.sampled_from([1.0, -1.0]), st.floats(1.7e308, 1.7976931348623157e308))
+def test_sigma_points_raise_on_a_perturbation_that_overflows(axis, sign, big):
+    # With alpha 1e153 the spread is at least 1.7e307 here, so the point that
+    # moves the mean's field away from zero overflows to inf, as a Pose of it
+    # would.  A yaw spread cannot overflow: it stays below the largest float.
+    mean = Pose(sign * big if axis == "x" else 0.0, sign * big if axis == "y" else 0.0, 0.0)
+    cov = Covariance3(big if axis == "x" else 0.0, big if axis == "y" else 0.0, 0.0)
+    with pytest.raises(ValueError, match="pose fields must be finite"):
+        generate_sigma_points(mean, cov, UtParams(1e153, 0.0))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

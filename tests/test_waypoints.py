@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,20 @@ def test_waypoint_path_validation():
         WaypointPath([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(ValueError):
         WaypointPath([(0.0, 0.0), (math.nan, 0.0), (1.0, 0.0)])
+
+
+def test_waypoint_path_is_frozen_with_a_tuple_of_points():
+    points = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.5)]
+    path = WaypointPath(points)
+    assert path.points == tuple(points) and isinstance(path.points, tuple)
+    index = path.spatial_index()
+    # Neither a new list nor a too-short one can replace the checked points
+    # under the index built from them.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.points = [(0.0, 0.0), (0.0, 0.0)]
+    points.append((3.0, 1.0))
+    assert len(path) == 3
+    assert path.spatial_index() is index and index.xs.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_waypoint_path_builds_its_own_index_once():
@@ -326,7 +341,7 @@ def test_load_waypoints(tmp_path):
     p = tmp_path / "wp.txt"
     p.write_text("# header comment\n0.0,0.0\n1.0,0.5  # inline\n\n2.0,1.0\n")
     path = load_waypoints(str(p))
-    assert path.points == [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)]
+    assert path.points == ((0.0, 0.0), (1.0, 0.5), (2.0, 1.0))
 
     bad = tmp_path / "bad.txt"
     bad.write_text("0.0,0.0\n1.0\n2.0,1.0\n")
