@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -419,6 +420,48 @@ def test_cli_batch_without_noise_section(tmp_path):
         rows = [line.split(",") for line in (out / name).read_text(encoding="utf-8").splitlines()[1:]]
         assert [r[0] for r in rows] == ["pp"] * n_runs + ["utpp"] * n_runs
         assert [r[1:] for r in rows[:n_runs]] == [r[1:] for r in rows[n_runs:]]
+
+
+# SHA-256 of the runs and aggregate CSVs of `batch --runs 3`.  These change
+# only in a change that states and measures its output drift.
+BATCH_DIGESTS = {
+    ("straight", 0): (
+        "a30eff89641aeebfa5e57a168cee91ec421d127b1227dc025c96f3fbfb9b075b",
+        "c37d1bd317090e5f5095f3c21d0791177a823afca08824a1d8b5adc1853c72fe",
+    ),
+    ("straight", 5): (
+        "582739916cf8357fe5a4311c04831481823c09d0857ff32482f197d8e0da938e",
+        "a34afd57559ac36ac704566bcb10c880cee9dc7120d4096a8514e50a40a86818",
+    ),
+    ("circle", 0): (
+        "e4c1bc6a8d4dc79cace5bb9048a0306cc0b4b15b506a50782723478129d088e0",
+        "5811e8553049ff2f0287ef4c9ec7cc75831cda5321fcb33abee86fe8b18136d7",
+    ),
+    ("circle", 5): (
+        "a5fedc45a34e76c1ad2a3cbe43cd807f20763502acac80dbe4ab284137fa03ea",
+        "ddc00f486c9687eb846d64086ae3c1acc072131824cdb78ea8c2362869ac7fdc",
+    ),
+    ("waypoint_arc", 0): (
+        "c4e0e4fcbd2dc2774e1d63fd31e3e0367b74a14c5e4f38bb3ee588972e069444",
+        "53d2a8040a2d1ef262d0e81c6afc8e6d9bef1f4bbcc83004200be545139b1cd6",
+    ),
+    ("waypoint_arc", 5): (
+        "7ce36817ea68d5eab8d68ae4716519474c73175aeb421cad2900cd59e3fff4aa",
+        "8af72b69581054275fd67d467d279f7f4a43a803a554378360f6be2f0eb4128d",
+    ),
+}
+
+
+@pytest.mark.parametrize("stem, base_seed", sorted(BATCH_DIGESTS))
+def test_cli_batch_files_match_the_pinned_digests(tmp_path, stem, base_seed):
+    out = tmp_path / "out"
+    argv = ["batch", "--config", str(CONFIG_DIR / f"{stem}.cfg"), "--out-dir", str(out)]
+    assert main(argv + ["--runs", "3", "--base-seed", str(base_seed)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / f"{stem}_batch_{kind}.csv").read_bytes()).hexdigest()
+        for kind in ("runs", "aggregate")
+    )
+    assert digests == BATCH_DIGESTS[stem, base_seed]
 
 
 @pytest.mark.parametrize("alpha", ["1e-7", "1e-9", "1e-160"])
