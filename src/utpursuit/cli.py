@@ -18,17 +18,11 @@ from pathlib import Path
 from .config import parse_config
 from .errors import ConfigInvalid, TooFewWaypoints, UtPursuitError
 from .geometry import Circle, StraightLine
-from .output import emit_csv, emit_summary_json, emit_svg, format_float
+from .output import emit_batch_csvs, emit_csv, emit_summary_json, emit_svg, format_float
 from .roads import RoadModel
-from .sim import BatchStats, Controller, RunSummary, Scenario, run, run_batch
+from .sim import Controller, Scenario, run, run_batch
 from .uncertainty import Covariance3
 from .waypoints import load_waypoints
-
-_BATCH_RUNS_HEADER = "controller,run_index,seed,convergence_time,mean_abs_lateral_error,max_abs_delta,fault_count"
-_BATCH_AGG_HEADER = (
-    "controller,n_runs,n_converged,median_convergence_time,mean_convergence_time,"
-    "mean_abs_lateral_error,mean_fault_count"
-)
 
 
 def _parse_road_spec(spec: str) -> RoadModel:
@@ -69,15 +63,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records, summary = run(scenario)
     stem = f"{Path(args.config).stem}_{scenario.controller.value}_{summary.seed}"
-    csv_path = out_dir / f"{stem}_trajectory.csv"
-    emit_csv(records, str(csv_path))
-    json_path = out_dir / f"{stem}_summary.json"
-    emit_summary_json(summary, scenario, str(json_path))
-    written = [csv_path, json_path]
+    written = [out_dir / f"{stem}_trajectory.csv", out_dir / f"{stem}_summary.json"]
+    emit_csv(records, str(written[0]))
+    emit_summary_json(summary, scenario, str(written[1]))
     if args.svg:
-        svg_path = out_dir / f"{stem}.svg"
-        emit_svg(records, scenario.road, str(svg_path))
-        written.append(svg_path)
+        written.append(out_dir / f"{stem}.svg")
+        emit_svg(records, scenario.road, str(written[2]))
     conv = "none" if summary.convergence_time is None else f"{format_float(summary.convergence_time)} s"
     print(
         f"{scenario.controller.value}: {len(records)} steps, convergence {conv}, "
@@ -89,46 +80,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _runs_rows(controller: Controller, summaries: list[RunSummary]) -> list[str]:
-    rows = []
-    for i, s in enumerate(summaries):
-        conv = "" if s.convergence_time is None else format_float(s.convergence_time)
-        rows.append(
-            f"{controller.value},{i},{s.seed},{conv},"
-            f"{format_float(s.mean_abs_lateral_error)},{format_float(s.max_abs_delta)},{s.fault_count}"
-        )
-    return rows
-
-
-def _agg_row(stats: BatchStats) -> str:
-    mean_conv = "" if stats.mean_convergence_time is None else format_float(stats.mean_convergence_time)
-    return (
-        f"{stats.controller},{stats.n_runs},{stats.n_converged},"
-        f"{format_float(stats.median_convergence_time)},{mean_conv},"
-        f"{format_float(stats.mean_abs_lateral_error)},{format_float(stats.mean_fault_count)}"
-    )
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(parse_config(args.config), args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs_rows = [_BATCH_RUNS_HEADER]
-    agg_rows = [_BATCH_AGG_HEADER]
+    batches = []
     for controller in (Controller.PP, Controller.UTPP):
-        scen = replace(scenario, controller=controller)
-        summaries, stats = run_batch(scen, args.runs, args.base_seed)
-        runs_rows.extend(_runs_rows(controller, summaries))
-        agg_rows.append(_agg_row(stats))
+        summaries, stats = run_batch(replace(scenario, controller=controller), args.runs, args.base_seed)
+        batches.append((summaries, stats))
         print(
             f"{controller.value}: {stats.n_converged}/{stats.n_runs} converged, "
             f"median convergence {format_float(stats.median_convergence_time)} s"
         )
     stem = Path(args.config).stem
-    for name, rows in ((f"{stem}_batch_runs.csv", runs_rows), (f"{stem}_batch_aggregate.csv", agg_rows)):
-        path = out_dir / name
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+    paths = [out_dir / f"{stem}_batch_runs.csv", out_dir / f"{stem}_batch_aggregate.csv"]
+    emit_batch_csvs(batches, *map(str, paths))
+    for path in paths:
         print(f"wrote {path}")
     return 0
 

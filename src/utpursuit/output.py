@@ -1,10 +1,12 @@
-"""Trajectory serialization: CSV logs, a summary JSON and a static SVG plot.
+"""Every file the program writes: a run's CSV log, summary JSON and static
+SVG plot, and a batch's per-run and aggregate CSVs.
 
 Everything written here is byte-deterministic: floats are formatted with 9
-significant digits, newlines are always "\\n", and the SVG contains no
-timestamps, random ids or external assets.  Plot geometry is emitted in data
-coordinates under a fixed affine transform so readers (and tests) can match
-polyline points against the records directly.
+significant digits, every file is UTF-8 with "\\n" newlines, the last one
+included, and the SVG contains no timestamps, random ids or external
+assets.  Plot geometry is emitted in data coordinates under a fixed affine
+transform so readers (and tests) can match polyline points against the
+records directly.
 """
 
 from __future__ import annotations
@@ -14,11 +16,16 @@ from dataclasses import asdict
 
 from .geometry import Circle, StraightLine
 from .roads import RoadModel
-from .sim import RunSummary, Scenario, TrajectoryRecord
+from .sim import BatchStats, RunSummary, Scenario, TrajectoryRecord
 from .vehicle import RNG_NAME
 from .waypoints import WaypointPath
 
 CSV_HEADER = "step,time,x_true,y_true,psi_true,x_meas,y_meas,psi_meas,y_e,delta,lat_err,fault"
+BATCH_RUNS_HEADER = "controller,run_index,seed,convergence_time,mean_abs_lateral_error,max_abs_delta,fault_count"
+BATCH_AGG_HEADER = (
+    "controller,n_runs,n_converged,median_convergence_time,mean_convergence_time,"
+    "mean_abs_lateral_error,mean_fault_count"
+)
 
 _SVG_W, _SVG_H = 960, 480
 _PANELS = ((50.0, 50.0, 450.0, 430.0), (540.0, 50.0, 940.0, 430.0))
@@ -31,6 +38,15 @@ MEAS_COLOR = "#ff7f0e"
 def format_float(value: float) -> str:
     """The 9-significant-digit float format used by every emitter ("inf" and "-inf" included)."""
     return format(value, ".9g")
+
+
+def _optional(value: float | None) -> str:
+    return "" if value is None else format_float(value)
+
+
+def _write_lines(lines: list[str], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_csv(records: list[TrajectoryRecord], path: str) -> None:
@@ -48,15 +64,32 @@ def emit_csv(records: list[TrajectoryRecord], path: str) -> None:
                     format_float(r.measured_pose.x),
                     format_float(r.measured_pose.y),
                     format_float(r.measured_pose.yaw),
-                    "" if r.y_e is None else format_float(r.y_e),
+                    _optional(r.y_e),
                     format_float(r.delta),
                     format_float(r.lateral_error),
                     r.fault or "",
                 )
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
+
+
+def emit_batch_csvs(batches: list[tuple[list[RunSummary], BatchStats]], runs_path: str, agg_path: str) -> None:
+    """Write run_batch results: one row per run, and one aggregate row per batch."""
+    runs, agg = [BATCH_RUNS_HEADER], [BATCH_AGG_HEADER]
+    for summaries, stats in batches:
+        for i, s in enumerate(summaries):
+            runs.append(
+                f"{stats.controller},{i},{s.seed},{_optional(s.convergence_time)},"
+                f"{format_float(s.mean_abs_lateral_error)},{format_float(s.max_abs_delta)},{s.fault_count}"
+            )
+        agg.append(
+            f"{stats.controller},{stats.n_runs},{stats.n_converged},"
+            f"{format_float(stats.median_convergence_time)},{_optional(stats.mean_convergence_time)},"
+            f"{format_float(stats.mean_abs_lateral_error)},{format_float(stats.mean_fault_count)}"
+        )
+    _write_lines(runs, runs_path)
+    _write_lines(agg, agg_path)
 
 
 def emit_summary_json(summary: RunSummary, scenario: Scenario, path: str) -> None:
@@ -67,8 +100,7 @@ def emit_summary_json(summary: RunSummary, scenario: Scenario, path: str) -> Non
         dt=scenario.dt,
         rng=RNG_NAME,
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_lines([json.dumps(payload, sort_keys=True, indent=2)], path)
 
 
 def _bounds(values: list[float], pad_frac: float = 0.08) -> tuple[float, float]:
@@ -170,5 +202,4 @@ def emit_svg(records: list[TrajectoryRecord], road: RoadModel, path: str) -> Non
         _text(right[0] - 6.0, 0.5 * (right[1] + right[3]), f"{d0:.4g} to {d1:.4g} rad", anchor="end")
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(parts, path)

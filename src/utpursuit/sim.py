@@ -50,11 +50,15 @@ class Controller(Enum):
     UTPP = "utpp"
 
 
-# Every Scenario field, and noise's seed, with the types it must have.  Nothing
-# is coerced, and a bool, which is an int, passes only where bool is named.
+# Every Scenario field, and the fields of its pose, noise and UT parameters,
+# with the types they must have, each object before its fields.  Nothing is
+# coerced, and a bool, which is an int, passes only where bool is named.
 _FIELD_TYPES = (
     ("road", (StraightLine, Circle, WaypointPath)),
     ("start_pose", (Pose,)),
+    ("start_pose.x", (Real,)),
+    ("start_pose.y", (Real,)),
+    ("start_pose.yaw", (Real,)),
     ("speed", (Real,)),
     ("wheelbase", (Real,)),
     ("lookahead_gain", (Real,)),
@@ -62,8 +66,15 @@ _FIELD_TYPES = (
     ("steps", (int,)),
     ("controller", (Controller,)),
     ("noise", (NoiseModel,)),
+    ("noise.cov", (Covariance3,)),
+    ("noise.cov.var_x", (Real,)),
+    ("noise.cov.var_y", (Real,)),
+    ("noise.cov.var_yaw", (Real,)),
+    ("noise.max_lateral_dev", (Real,)),
     ("noise.rng_seed", (int,)),
     ("ut", (UtParams,)),
+    ("ut.alpha", (Real,)),
+    ("ut.kappa", (Real,)),
     ("steering_limit", (Real,)),
     ("paper_literal", (bool,)),
 )

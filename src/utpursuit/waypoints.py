@@ -156,8 +156,8 @@ class WaypointIndex:
 class WaypointPath:
     """Ordered waypoints in the global frame, consecutive points distinct.
 
-    Frozen, with the points held as a tuple, so the checks below and the
-    index built from the points hold for the path's whole life.
+    Frozen, with the points held as a tuple of (x, y) tuples, so the checks
+    below and the index built from the points hold for the path's whole life.
     """
 
     points: tuple[Point2, ...]
@@ -168,6 +168,9 @@ class WaypointPath:
         object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) < 3:
             raise TooFewWaypoints(f"need at least 3 waypoints, got {len(self.points)}")
+        # Each row copied into a tuple, so no row the caller keeps, a list say, can
+        # move a waypoint; the loop below rejects a row that is not a pair.
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
         for i, (x, y) in enumerate(self.points):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"waypoint {i} is not finite")

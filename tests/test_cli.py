@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,9 +16,11 @@ from utpursuit import (
     derive_ut_params,
     run,
 )
-from utpursuit.cli import _BATCH_AGG_HEADER, _BATCH_RUNS_HEADER, main
+from utpursuit.cli import main
 from utpursuit.config import parse_config
 from utpursuit.output import (
+    BATCH_AGG_HEADER,
+    BATCH_RUNS_HEADER,
     CSV_HEADER,
     emit_csv,
     emit_summary_json,
@@ -396,14 +399,14 @@ def test_cli_batch_outputs(tmp_path, capsys):
     )
     assert rc == 0
     runs_lines = (out / "straight_batch_runs.csv").read_text(encoding="utf-8").splitlines()
-    assert runs_lines[0] == _BATCH_RUNS_HEADER
+    assert runs_lines[0] == BATCH_RUNS_HEADER
     assert len(runs_lines) == 1 + 8
     rows = [line.split(",") for line in runs_lines[1:]]
     assert [r[0] for r in rows] == ["pp"] * 4 + ["utpp"] * 4
     assert [int(r[2]) for r in rows[:4]] == [10, 11, 12, 13]
     assert [int(r[1]) for r in rows[:4]] == [0, 1, 2, 3]
     agg_lines = (out / "straight_batch_aggregate.csv").read_text(encoding="utf-8").splitlines()
-    assert agg_lines[0] == _BATCH_AGG_HEADER
+    assert agg_lines[0] == BATCH_AGG_HEADER
     assert len(agg_lines) == 3
     assert agg_lines[1].startswith("pp,4,")
     assert agg_lines[2].startswith("utpp,4,")
@@ -494,3 +497,23 @@ def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):
     ):
         assert main(argv) == 2
         assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # A byte that is not UTF-8, even in a comment.
+        (b"[road]\n", b"# caf\xe9\n[road]\n", "cannot read config .*scen.cfg.*can't decode byte 0xe9"),
+        # A "%" is read as written, not as configparser's interpolation.
+        (b"speed = 1.0", b"speed = 1%", r"'vehicle\.speed': expected a number, got '1%'"),
+        (b"start_x = 0.0", b"start_x = %(start_y)s", r"'vehicle\.start_x': expected a number, got '%\(start_y\)s'"),
+        (b"type = line\nslope = 0.0\nintercept = 0.0", b"type = waypoints\nfile = 100%.txt", r"'road\.file': .*100%\.txt"),
+    ],
+    ids=["non_utf8_comment", "percent_in_number", "interpolation_syntax", "percent_in_file_name"],
+)
+def test_cli_reads_the_config_as_written(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_bytes(MINIMAL_CFG.encode().replace(old, new, 1))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(message, err), err

@@ -19,6 +19,7 @@ from utpursuit import (
     Scenario,
     StraightLine,
     TrajectoryRecord,
+    UtParams,
     WaypointPath,
     circle_to_vehicle,
     cross_track_circle,
@@ -105,6 +106,23 @@ def test_scenario_validation():
             make_scenario(**{"road": STRAIGHT_ROAD, name: value})
     with pytest.raises(ConfigInvalid, match="^noise.rng_seed must be a "):
         make_scenario(STRAIGHT_ROAD, noise=reference_noise(seed=True))
+    # The fields of the pose, noise and UT parameters are checked as the scenario's own are.
+    with pytest.raises(ConfigInvalid, match="^noise.cov must be a Covariance3, got tuple$"):
+        make_scenario(STRAIGHT_ROAD, noise=NoiseModel((0.0, 0.01, 0.03)))
+    cov = Covariance3(0.0, 0.01, 0.03)
+    for name, value in (
+        ("noise.cov.var_x", NoiseModel(Covariance3(True, 0.01, 0.03))),
+        ("noise.cov.var_y", NoiseModel(Covariance3(0.0, True, 0.03))),
+        ("noise.cov.var_yaw", NoiseModel(Covariance3(0.0, 0.01, True))),
+        ("noise.max_lateral_dev", NoiseModel(cov, max_lateral_dev=True)),
+        ("start_pose.x", Pose(True, 0.5, 0.0)),
+        ("start_pose.y", Pose(0.0, True, 0.0)),
+        ("ut.alpha", UtParams(True, 0.0)),
+        ("ut.kappa", UtParams(1.0, True)),
+    ):
+        field_name = name.split(".")[0]
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be a real number, got bool$"):
+            make_scenario(**{"road": STRAIGHT_ROAD, field_name: value})
 
 
 def test_first_straight_road_command_is_quarter_lock():

@@ -73,6 +73,20 @@ def test_waypoint_path_is_frozen_with_a_tuple_of_points():
     assert path.spatial_index() is index and index.xs.tolist() == [0.0, 1.0, 2.0]
 
 
+def test_waypoint_path_copies_each_point():
+    rows = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]]
+    path = WaypointPath(rows)
+    index = path.spatial_index()
+    # Moving a row the caller kept moves no waypoint: not the path's, not its index's.
+    rows[1][0] = 0.0
+    assert path.points == ((0.0, 0.0), (1.0, 0.0), (2.0, 0.5))
+    assert path.spatial_index() is index and index.xs.tolist() == [0.0, 1.0, 2.0]
+    # A row that is not a pair is still rejected.
+    for bad in ([0.0, 0.0, 0.0], [0.0]):
+        with pytest.raises(ValueError):
+            WaypointPath([[0.0, 0.0], bad, [2.0, 0.5]])
+
+
 def test_waypoint_path_builds_its_own_index_once():
     path = arc_path()
     other = WaypointPath([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
