@@ -13,7 +13,6 @@ from .errors import (
     DegenerateScaling,
     NoForwardIntersection,
     NoIntersection,
-    NonPositiveSpeed,
     PathOutOfReach,
     PerpendicularLine,
     RoadGeometryFault,
@@ -30,13 +29,7 @@ from .geometry import (
     line_to_vehicle,
     normalize_angle,
 )
-from .pursuit import (
-    PursuitConfig,
-    cross_track_circle,
-    cross_track_line,
-    lookahead_distance,
-    steering_angle,
-)
+from .pursuit import cross_track_circle, cross_track_line, steering_angle
 from .roads import RoadModel, clamp_to_road, lateral_deviation
 from .sim import (
     BatchStats,
@@ -83,11 +76,9 @@ __all__ = [
     "NoForwardIntersection",
     "NoIntersection",
     "NoiseModel",
-    "NonPositiveSpeed",
     "PathOutOfReach",
     "PerpendicularLine",
     "Pose",
-    "PursuitConfig",
     "RoadGeometryFault",
     "RoadModel",
     "RunSummary",
@@ -113,7 +104,6 @@ __all__ = [
     "line_to_vehicle",
     "load_waypoints",
     "local_road",
-    "lookahead_distance",
     "menger_curvature",
     "normalize_angle",
     "reduce_to_local_road",

@@ -127,12 +127,12 @@ def _parse_noise(cp: configparser.ConfigParser, seed: int) -> NoiseModel:
 
 
 def parse_config(path: str) -> Scenario:
-    """Read and fully validate a scenario file; raises ConfigInvalid on any problem."""
+    """Read and fully validate a UTF-8 scenario file (BOM or not); raises ConfigInvalid on any problem."""
     cfg_path = Path(path)
     # Values are read as written: a "%" is a character, not an interpolation.
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True, interpolation=None)
     try:
-        with open(cfg_path, encoding="utf-8") as fh:
+        with open(cfg_path, encoding="utf-8-sig") as fh:
             cp.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path!r}: {exc}") from None

@@ -20,10 +20,6 @@ class DegenerateScaling(UtPursuitError):
     that do not sum to 1 in floating point."""
 
 
-class NonPositiveSpeed(UtPursuitError):
-    """Look-ahead distance requested for speed <= 0."""
-
-
 class TooFewWaypoints(UtPursuitError):
     """A waypoint path needs at least three points."""
 

@@ -43,7 +43,10 @@ class Pose:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.yaw)):
             raise ValueError(f"pose fields must be finite, got {(self.x, self.y, self.yaw)}")
-        object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+        # normalize_angle returns an in-range float unchanged, so only a yaw
+        # outside (-pi, pi] is wrapped; a bool yaw stays a bool for Scenario to reject.
+        if not -math.pi < self.yaw <= math.pi:
+            object.__setattr__(self, "yaw", normalize_angle(self.yaw))
 
 
 @dataclass(frozen=True, slots=True)

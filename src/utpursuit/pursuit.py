@@ -9,15 +9,8 @@ angle follows delta = arctan(2 y_e L / d_l^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import (
-    DegenerateCenter,
-    NoForwardIntersection,
-    NoIntersection,
-    NonPositiveSpeed,
-    PathOutOfReach,
-)
+from .errors import DegenerateCenter, NoForwardIntersection, NoIntersection, PathOutOfReach
 
 # Below this slope magnitude the local road is treated as axis-parallel.
 FLAT_SLOPE_EPS = 1e-12
@@ -25,35 +18,6 @@ FLAT_SLOPE_EPS = 1e-12
 COS_ARG_SLACK = 1e-12
 
 DEFAULT_STEERING_LIMIT = math.radians(35.0)
-
-
-@dataclass(frozen=True, slots=True)
-class PursuitConfig:
-    """Static controller parameters.
-
-    wheelbase:       distance between axles, m (> 0)
-    lookahead_gain:  seconds of travel ahead, d_l = gain * speed (> 0)
-    steering_limit:  symmetric clamp on the commanded angle, rad, in (0, pi/2)
-    """
-
-    wheelbase: float
-    lookahead_gain: float
-    steering_limit: float = DEFAULT_STEERING_LIMIT
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.wheelbase) and self.wheelbase > 0.0):
-            raise ValueError(f"wheelbase must be positive, got {self.wheelbase}")
-        if not (math.isfinite(self.lookahead_gain) and self.lookahead_gain > 0.0):
-            raise ValueError(f"lookahead_gain must be positive, got {self.lookahead_gain}")
-        if not (0.0 < self.steering_limit < math.pi / 2.0):
-            raise ValueError(f"steering_limit must lie in (0, pi/2), got {self.steering_limit}")
-
-
-def lookahead_distance(speed: float, cfg: PursuitConfig) -> float:
-    """d_l = lookahead_gain * speed; speed must be positive."""
-    if not (math.isfinite(speed) and speed > 0.0):
-        raise NonPositiveSpeed(f"speed must be positive, got {speed}")
-    return cfg.lookahead_gain * speed
 
 
 def cross_track_line(slope: float, intercept: float, d_l: float) -> tuple[float, float]:
@@ -123,7 +87,7 @@ def cross_track_circle(cx: float, cy: float, radius: float, d_l: float) -> tuple
     return d_l * math.sin(alpha), x_e
 
 
-def steering_angle(y_e: float, d_l: float, cfg: PursuitConfig) -> float:
-    """delta = arctan(2 y_e wheelbase / d_l^2), clamped to the steering limit."""
-    delta = math.atan(2.0 * y_e * cfg.wheelbase / (d_l * d_l))
-    return max(-cfg.steering_limit, min(cfg.steering_limit, delta))
+def steering_angle(y_e: float, d_l: float, wheelbase: float, steering_limit: float) -> float:
+    """delta = arctan(2 y_e wheelbase / d_l^2), clamped to +/- steering_limit."""
+    delta = math.atan(2.0 * y_e * wheelbase / (d_l * d_l))
+    return max(-steering_limit, min(steering_limit, delta))

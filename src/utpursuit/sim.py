@@ -20,14 +20,7 @@ from typing import Callable
 
 from .errors import ConfigInvalid, RoadGeometryFault
 from .geometry import Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
-from .pursuit import (
-    DEFAULT_STEERING_LIMIT,
-    PursuitConfig,
-    cross_track_circle,
-    cross_track_line,
-    lookahead_distance,
-    steering_angle,
-)
+from .pursuit import DEFAULT_STEERING_LIMIT, cross_track_circle, cross_track_line, steering_angle
 from .roads import RoadModel, lateral_deviation
 from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
@@ -83,7 +76,12 @@ _TYPE_NAMES = {Real: "real number", int: "whole number"}
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one simulation run depends on."""
+    """Everything one simulation run depends on.
+
+    The pure-pursuit law steers with wheelbase (m, > 0), lookahead_gain
+    (seconds of travel ahead, > 0) and steering_limit (a symmetric clamp on
+    the commanded angle, rad, in (0, pi/2)).
+    """
 
     road: RoadModel
     start_pose: Pose
@@ -99,8 +97,8 @@ class Scenario:
     steering_limit: float = DEFAULT_STEERING_LIMIT
     paper_literal: bool = False
 
-    # The steering law's parameters, built and checked once per scenario.
-    pursuit: PursuitConfig = field(init=False, compare=False, repr=False)
+    # The look-ahead distance d_l = lookahead_gain * speed, derived once per scenario.
+    lookahead: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Checked first, so a wrong type fails here, named, rather than mid-run.
@@ -109,13 +107,13 @@ class Scenario:
             if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
                 expected = " or ".join(_TYPE_NAMES.get(kind, kind.__name__) for kind in kinds)
                 raise ConfigInvalid(f"{name} must be a {expected}, got {type(value).__name__}")
-        if not (math.isfinite(self.speed) and self.speed > 0.0):
-            raise ConfigInvalid(f"speed must be positive, got {self.speed}")
-        try:
-            pursuit = PursuitConfig(self.wheelbase, self.lookahead_gain, self.steering_limit)
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from None
-        object.__setattr__(self, "pursuit", pursuit)
+        for name in ("speed", "wheelbase", "lookahead_gain"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigInvalid(f"{name} must be positive, got {value}")
+        if not (0.0 < self.steering_limit < math.pi / 2.0):
+            raise ConfigInvalid(f"steering_limit must lie in (0, pi/2), got {self.steering_limit}")
+        object.__setattr__(self, "lookahead", self.lookahead_gain * self.speed)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigInvalid(f"dt must be positive, got {self.dt}")
         if self.steps < 1:
@@ -169,27 +167,26 @@ class BatchStats:
     mean_fault_count: float
 
 
-def _steer(road: LocalRoad, x: float, y: float, yaw: float, d_l: float, cfg: PursuitConfig) -> tuple[float, float]:
+def _steer(road: LocalRoad, x: float, y: float, yaw: float, scenario: Scenario) -> tuple[float, float]:
     """The pure-pursuit command of the pose (x, y, yaw) against a global line or circle: (delta, y_e)."""
+    d_l = scenario.lookahead
     if isinstance(road, StraightLine):
         y_e = cross_track_line(*line_to_vehicle(road, x, y, yaw), d_l)[0]
     else:
         y_e = cross_track_circle(*circle_to_vehicle(road, x, y, yaw), road.radius, d_l)[0]
-    return steering_angle(y_e, d_l, cfg), y_e
+    return steering_angle(y_e, d_l, scenario.wheelbase, scenario.steering_limit), y_e
 
 
 def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     """One conventional pure-pursuit decision from the measured pose: (delta, y_e)."""
-    cfg = scenario.pursuit
-    d_l = lookahead_distance(scenario.speed, cfg)
     road = scenario.road
     if isinstance(road, WaypointPath):
-        road = reduce_to_local_road(road, pose, d_l)
-    return _steer(road, pose.x, pose.y, pose.yaw, d_l, cfg)
+        road = reduce_to_local_road(road, pose, scenario.lookahead)
+    return _steer(road, pose.x, pose.y, pose.yaw, scenario)
 
 
 def _local_roads(
-    scenario: Scenario, sigma: tuple[tuple[float, float, float], ...], pairs: list[tuple[str, int]], d_l: float
+    scenario: Scenario, sigma: tuple[tuple[float, float, float], ...], pairs: list[tuple[str, int]]
 ) -> Callable[[int], LocalRoad]:
     """The local road of the sigma pose sigma[i], as a function of i, built when first asked for.
 
@@ -201,7 +198,7 @@ def _local_roads(
     if not isinstance(road, WaypointPath):
         return lambda i: road
     steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
-    selected = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], d_l)))
+    selected = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], scenario.lookahead)))
     built: dict[int, LocalRoad] = {}
 
     def road_of(i: int) -> LocalRoad:
@@ -222,24 +219,22 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     sigma poses, or, when its variance is zero or either pose faults, the
     mean's command in both slots, so the axis adds no curvature term.
     """
-    cfg = scenario.pursuit
-    d_l = lookahead_distance(scenario.speed, cfg)
     cov = scenario.noise.cov
     sigma = generate_sigma_points(pose, cov, scenario.ut)
     # Poses i and i + 1 perturb the axis by + and - its spread.
     axes = (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw))
     pairs = [(axis, i) for axis, i, var in axes if var > 0.0]
-    road_of = _local_roads(scenario, sigma, pairs, d_l)
-    delta0, y_e = _steer(road_of(0), *sigma[0], d_l, cfg)
+    road_of = _local_roads(scenario, sigma, pairs)
+    delta0, y_e = _steer(road_of(0), *sigma[0], scenario)
     deltas = [delta0] * len(sigma)
     for axis, i in pairs:
         try:
-            delta_plus = _steer(road_of(i), *sigma[i], d_l, cfg)[0]
-            deltas[i + 1] = _steer(road_of(i + 1), *sigma[i + 1], d_l, cfg)[0]
+            delta_plus = _steer(road_of(i), *sigma[i], scenario)[0]
+            deltas[i + 1] = _steer(road_of(i + 1), *sigma[i + 1], scenario)[0]
             deltas[i] = delta_plus
         except RoadGeometryFault as exc:
             logger.debug("sigma axis %s fell back to the mean steering: %s", axis, exc)
-    return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
+    return weighted_steering(deltas, scenario.ut, scenario.steering_limit), y_e
 
 
 def convergence_time(records: list[TrajectoryRecord], dt: float) -> float | None:
@@ -275,7 +270,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
     if isinstance(scenario.road, WaypointPath):
         logger.info(
             "waypoint road: selecting the look-ahead waypoint by probing %.3f m ahead of the rear axle",
-            lookahead_distance(scenario.speed, scenario.pursuit),
+            scenario.lookahead,
         )
     step = step_utpp if scenario.controller is Controller.UTPP else step_pp
     noise = scenario.noise

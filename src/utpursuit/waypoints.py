@@ -279,14 +279,14 @@ def local_road(path: WaypointPath, w: int) -> LocalRoad:
 
 
 def load_waypoints(path: str) -> WaypointPath:
-    """Read a waypoint file: one "x,y" pair per line, '#' starts a comment.
+    """Read a UTF-8 waypoint file (BOM or not): one "x,y" pair per line, '#' starts a comment.
 
     Malformed or non-finite rows raise ValueError naming the line; the
     WaypointPath built from the rows raises TooFewWaypoints for fewer than
     three.
     """
     points: list[Point2] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:

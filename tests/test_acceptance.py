@@ -18,7 +18,6 @@ from utpursuit import (
     Controller,
     Covariance3,
     Pose,
-    PursuitConfig,
     StraightLine,
     circle_to_vehicle,
     cross_track_circle,
@@ -147,8 +146,7 @@ def test_criterion_03_cross_track_against_independent_oracles():
     y_e, _ = cross_track_circle(0.0, 5.0, 5.0, 1.0)
     if abs(y_e - 0.1) > 1e-9:
         failures.append(f"on-circle y_e {y_e!r} != 0.1 within 1e-9")
-    cfg = PursuitConfig(wheelbase=1.0, lookahead_gain=1.0, steering_limit=math.radians(80.0))
-    delta = steering_angle(y_e, 1.0, cfg)
+    delta = steering_angle(y_e, 1.0, 1.0, math.radians(80.0))
     if abs(delta - math.atan(0.2)) > 1e-9:
         failures.append(f"on-circle delta {delta!r} != atan(0.2) within 1e-9")
     _report("criterion 3: cross-track matches independent oracles (1e-6) and the on-circle fixed point (1e-9)", failures)

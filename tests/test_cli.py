@@ -517,3 +517,34 @@ def test_cli_reads_the_config_as_written(tmp_path, capsys, old, new, message):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(message, err), err
+
+
+def _copy_configs(stem, dest, prefix=b""):
+    """Copy the shipped config `stem` and its waypoint file, if any, with `prefix` before each file's bytes."""
+    for src in CONFIG_DIR.glob(f"{stem}.*"):
+        (dest / src.name).write_bytes(prefix + src.read_bytes())
+    return dest / f"{stem}.cfg"
+
+
+@pytest.mark.parametrize("stem", ["straight", "waypoint_arc"])
+def test_cli_reads_files_that_start_with_a_utf8_byte_order_mark(tmp_path, stem):
+    bom_dir = tmp_path / "bom"
+    bom_dir.mkdir()
+    cfg = _copy_configs(stem, bom_dir, prefix=b"\xef\xbb\xbf")
+    shipped = CONFIG_DIR / f"{stem}.cfg"
+    assert parse_config(str(cfg)) == parse_config(str(shipped))
+    for config, out in ((cfg, bom_dir / "out"), (shipped, tmp_path / "out")):
+        assert main(["run", "--config", str(config), "--svg", "--out-dir", str(out)]) == 0
+    written = sorted(p.name for p in (bom_dir / "out").iterdir())
+    assert len(written) == 3 and written == sorted(p.name for p in (tmp_path / "out").iterdir())
+    for name in written:
+        assert (bom_dir / "out" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+
+def test_cli_rejects_a_waypoint_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = _copy_configs("waypoint_arc", tmp_path)
+    txt = tmp_path / "waypoint_arc.txt"
+    txt.write_bytes(b"# caf\xe9\n" + txt.read_bytes())
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'road.file': ") and "can't decode byte 0xe9" in err, err

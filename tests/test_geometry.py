@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from utpursuit import (
     Circle,
@@ -36,6 +38,17 @@ def test_pose_normalizes_yaw_and_rejects_non_finite():
         Pose(math.nan, 0.0, 0.0)
     with pytest.raises(ValueError):
         Pose(0.0, math.inf, 0.0)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(math.pi)
+@example(-math.pi)
+@example(-0.0)
+@example(math.nextafter(math.pi, math.inf))
+@example(math.nextafter(-math.pi, math.inf))
+def test_pose_yaw_is_normalize_angle_bit_for_bit(yaw):
+    # Pose wraps only a yaw outside (-pi, pi]; that must not move a single bit.
+    assert Pose(0.0, 0.0, yaw).yaw.hex() == normalize_angle(yaw).hex()
 
 
 def test_identity_frame_is_a_no_op():

@@ -7,16 +7,14 @@ from utpursuit import (
     DegenerateCenter,
     NoForwardIntersection,
     NoIntersection,
-    NonPositiveSpeed,
     PathOutOfReach,
-    PursuitConfig,
     cross_track_circle,
     cross_track_line,
-    lookahead_distance,
     steering_angle,
 )
 
-CFG = PursuitConfig(wheelbase=1.0, lookahead_gain=1.0, steering_limit=math.radians(80.0))
+# The steering law's wheelbase and steering limit.
+LAW = (1.0, math.radians(80.0))
 
 
 # --- independent intersection oracles -------------------------------------
@@ -61,24 +59,6 @@ def two_circle_intersections(a, b, R, d):
     rho = math.sqrt(rho2)
     ux, uy = -b / rho, a / rho
     return [(fx + h * ux, fy + h * uy), (fx - h * ux, fy - h * uy)]
-
-
-def test_lookahead_distance_scales_with_speed():
-    assert lookahead_distance(1.0, CFG) == 1.0
-    assert lookahead_distance(2.5, CFG) == 2.5
-    with pytest.raises(NonPositiveSpeed):
-        lookahead_distance(0.0, CFG)
-    with pytest.raises(NonPositiveSpeed):
-        lookahead_distance(-1.0, CFG)
-
-
-def test_pursuit_config_validation():
-    with pytest.raises(ValueError):
-        PursuitConfig(wheelbase=0.0, lookahead_gain=1.0)
-    with pytest.raises(ValueError):
-        PursuitConfig(wheelbase=1.0, lookahead_gain=-1.0)
-    with pytest.raises(ValueError):
-        PursuitConfig(wheelbase=1.0, lookahead_gain=1.0, steering_limit=math.pi / 2)
 
 
 def test_cross_track_flat_line_below_vehicle():
@@ -199,10 +179,10 @@ def test_cross_track_circle_mirror_symmetry():
 
 
 def test_steering_angle_values_and_clamp():
-    assert steering_angle(-0.5, 1.0, CFG) == -math.pi / 4
-    assert steering_angle(0.1, 1.0, CFG) == pytest.approx(math.atan(0.2), rel=1e-15)
-    tight = PursuitConfig(wheelbase=1.0, lookahead_gain=1.0, steering_limit=math.radians(35.0))
-    assert steering_angle(-0.5, 1.0, tight) == -math.radians(35.0)
+    assert steering_angle(-0.5, 1.0, *LAW) == -math.pi / 4
+    assert steering_angle(0.1, 1.0, *LAW) == pytest.approx(math.atan(0.2), rel=1e-15)
+    tight = (1.0, math.radians(35.0))
+    assert steering_angle(-0.5, 1.0, *tight) == -math.radians(35.0)
 
 
 def test_steering_angle_odd_in_lateral_error():
@@ -210,7 +190,7 @@ def test_steering_angle_odd_in_lateral_error():
     for _ in range(200):
         y_e = rng.uniform(-1.0, 1.0)
         d = rng.uniform(0.5, 3.0)
-        assert steering_angle(y_e, d, CFG) == pytest.approx(-steering_angle(-y_e, d, CFG), abs=1e-15)
+        assert steering_angle(y_e, d, *LAW) == pytest.approx(-steering_angle(-y_e, d, *LAW), abs=1e-15)
 
 
 def test_cross_tracks_return_y_e_then_x_e():

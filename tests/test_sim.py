@@ -28,7 +28,6 @@ from utpursuit import (
     generate_sigma_points,
     line_to_vehicle,
     local_road,
-    lookahead_distance,
     reduce_to_local_road,
     run,
     run_batch,
@@ -65,7 +64,7 @@ def test_scenario_validation():
         make_scenario(STRAIGHT_ROAD, dt=-0.1)
     with pytest.raises(ConfigInvalid):
         make_scenario(StraightLine(1e4, 0.0))  # steeper than the 89.9 deg bound
-    # The steering-law fields are checked by the PursuitConfig the scenario builds.
+    # The steering-law fields are checked by the scenario itself.
     for name, value in (
         ("wheelbase", 0.0),
         ("wheelbase", math.nan),
@@ -117,12 +116,27 @@ def test_scenario_validation():
         ("noise.max_lateral_dev", NoiseModel(cov, max_lateral_dev=True)),
         ("start_pose.x", Pose(True, 0.5, 0.0)),
         ("start_pose.y", Pose(0.0, True, 0.0)),
+        ("start_pose.yaw", Pose(0.0, 0.5, True)),
         ("ut.alpha", UtParams(True, 0.0)),
         ("ut.kappa", UtParams(1.0, True)),
     ):
         field_name = name.split(".")[0]
         with pytest.raises(ConfigInvalid, match=f"^{name} must be a real number, got bool$"):
             make_scenario(**{"road": STRAIGHT_ROAD, field_name: value})
+
+
+def test_lookahead_is_derived_from_gain_and_speed():
+    scen = make_scenario(STRAIGHT_ROAD, speed=1.5, lookahead_gain=0.8)
+    assert scen.lookahead == 0.8 * 1.5
+    assert replace(scen, speed=2.5).lookahead == 0.8 * 2.5
+    (lookahead,) = [f for f in fields(Scenario) if f.name == "lookahead"]
+    assert not (lookahead.init or lookahead.compare or lookahead.repr)
+    with pytest.raises(TypeError):
+        Scenario(STRAIGHT_ROAD, scen.start_pose, 1.5, scen.wheelbase, 0.8, lookahead=9.0)
+    assert "lookahead=" not in repr(scen)
+    twin = replace(scen)
+    object.__setattr__(twin, "lookahead", 9.0)
+    assert twin == scen
 
 
 def test_first_straight_road_command_is_quarter_lock():
@@ -230,7 +244,7 @@ def test_utpp_sigma_point_fallback_is_not_a_step_fault():
             ut=derive_ut_params(3, alpha, 0.0),
             steps=1,
         )
-        d_l = lookahead_distance(scen.speed, scen.pursuit)
+        d_l = scen.lookahead
         sigma = generate_sigma_points(scen.start_pose, noise.cov, scen.ut)
         cross_track_circle(*circle_to_vehicle(scen.road, *sigma[3]), scen.road.radius, d_l)
         with pytest.raises(NoIntersection):
@@ -323,8 +337,8 @@ def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
 
     A fault on either pose of a +/- pair puts the mean's command in both of its slots.
     """
-    cfg = scenario.pursuit
-    d_l = lookahead_distance(scenario.speed, cfg)
+    d_l = scenario.lookahead
+    law = (scenario.wheelbase, scenario.steering_limit)
 
     def cross(p):
         road = scenario.road
@@ -335,18 +349,18 @@ def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
         return cross_track_circle(*circle_to_vehicle(road, *p), road.radius, d_l)
 
     def steer(p):
-        return steering_angle(cross(p)[0], d_l, cfg)
+        return steering_angle(cross(p)[0], d_l, *law)
 
     mean, *others = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
     y_e = cross(mean)[0]
-    delta0 = steering_angle(y_e, d_l, cfg)
+    delta0 = steering_angle(y_e, d_l, *law)
     deltas = [delta0]
     for plus, minus in zip(others[::2], others[1::2]):
         try:
             deltas += [steer(plus), steer(minus)]
         except RoadGeometryFault:
             deltas += [delta0, delta0]
-    return weighted_steering(deltas, scenario.ut, cfg.steering_limit), y_e
+    return weighted_steering(deltas, scenario.ut, scenario.steering_limit), y_e
 
 
 def _outcome(step, pose, scen):
@@ -435,7 +449,7 @@ def _check_sigma_fallback(path, start, var_x, fault, alpha):
     noise = NoiseModel(Covariance3(var_x / alpha**2, 0.0, math.radians(10.0) ** 2 / alpha**2))
     ut = derive_ut_params(3, alpha, 0.0)
     scen = make_scenario(path, start_pose=start, controller=Controller.UTPP, noise=noise, ut=ut, steps=1)
-    d_l = lookahead_distance(scen.speed, scen.pursuit)
+    d_l = scen.lookahead
     sigma = generate_sigma_points(scen.start_pose, noise.cov, ut)
     with pytest.raises(fault):
         local_road(path, select_lookahead_waypoint(path, Pose(*sigma[1]), d_l))
@@ -445,7 +459,8 @@ def _check_sigma_fallback(path, start, var_x, fault, alpha):
             deltas.append(deltas[0])
         else:
             road = local_road(path, select_lookahead_waypoint(path, Pose(*pose), d_l))
-            deltas.append(steering_angle(cross_track_line(*line_to_vehicle(road, *pose), d_l)[0], d_l, scen.pursuit))
+            y_e = cross_track_line(*line_to_vehicle(road, *pose), d_l)[0]
+            deltas.append(steering_angle(y_e, d_l, scen.wheelbase, scen.steering_limit))
     assert len(set(deltas)) > 1
     delta, y_e = step_utpp(scen.start_pose, scen)
     assert (delta, y_e) == (weighted_steering(deltas, ut, scen.steering_limit), -start.y)
