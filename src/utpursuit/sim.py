@@ -114,8 +114,13 @@ class Scenario:
         if not (0.0 < self.steering_limit < math.pi / 2.0):
             raise ConfigInvalid(f"steering_limit must lie in (0, pi/2), got {self.steering_limit}")
         object.__setattr__(self, "lookahead", self.lookahead_gain * self.speed)
+        if not math.isfinite(self.lookahead):
+            raise ConfigInvalid(f"lookahead_gain * speed must be finite, got {self.lookahead_gain} * {self.speed}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigInvalid(f"dt must be positive, got {self.dt}")
+        # The distance of one step, which advance_pose turns into a pose.
+        if not math.isfinite(self.speed * self.dt):
+            raise ConfigInvalid(f"speed * dt must be finite, got {self.speed} * {self.dt}")
         if self.steps < 1:
             raise ConfigInvalid(f"steps must be an integer >= 1, got {self.steps!r}")
         if isinstance(self.road, StraightLine) and abs(self.road.slope) >= MAX_ROAD_SLOPE:

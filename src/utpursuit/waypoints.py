@@ -7,10 +7,26 @@ a straight line, any other its circumcircle; the curvature's sign
 (counter-clockwise positive) is kept for diagnostics.  Every query takes
 the WaypointPath, which builds and keeps its own WaypointIndex.
 
-Both path queries follow one rule: numpy shortlists, the scalar loop of the
-tests' oracle decides.  One vectorised scan gives the nearest waypoint's
-distance d0 and a shortlist, widened for rounding, of every waypoint that
-could hold the answer; the loop runs over that shortlist only.
+Both path queries follow one rule: a scan shortlists, the scalar loop of
+the tests' oracle decides.  The scan gives the nearest waypoint's distance
+d0 and a shortlist, widened for rounding, of every waypoint that could hold
+the answer; the loop runs over that shortlist only, in index order.
+
+The scan is a ring scan of a grid of square cells, each _CELL_SEGMENTS
+median segments wide.  It visits the query's cell, then the rings of cells
+around it, one ring further out at a time, and stops after ring R once the
+shortlist radius r, worked out from the nearest waypoint seen so far, is
+under (R - _RING_SLACK) cell widths.  That is exact: a waypoint outside
+rings 0..R lies in a cell whose column or row index differs from the
+query's by more than R.  Each index is the floor of the rounded
+(x - x_min) / width, which the two roundings move by at most 2**-52 of its
+magnitude, under _MAX_CELLS + _RING_CAP cells, so by under 2**-21 cells;
+such a waypoint is therefore more than R - 2**-20 cell widths from the
+query, farther than r, and it is neither the nearest nor on the shortlist.
+The nearest waypoint seen cannot get nearer after the stop, so r is final.
+A query that needs more than _RING_CAP rings, such as the centre of a
+circular loop, or one whose path's extent is more than _MAX_CELLS widths,
+is scanned instead by numpy, against every waypoint.
 
 nearest_group serves nearby probes, such as one step's sigma poses.  Each
 lies within delta of the first probe, so the first probe's nearest waypoint
@@ -23,13 +39,14 @@ within d0 has its nearer endpoint within d0 + L/2, where L is its length.  So
 waypoint i is shortlisted within d0 + reach_i, where reach_i is half the
 longer segment at waypoint i, which keeps one long segment from putting every
 other segment on the list; segments with a shortlisted endpoint go through
-the loop.
+the loop.  The ring scan runs out to d0 + the longest reach.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,40 +64,122 @@ LocalRoad = StraightLine | Circle
 
 
 # The shortlist radii, d0 + 2 delta and d0 + reach, are widened by a relative
-# margin for rounded distances and squares.  numpy squares by an exact-rounded
-# multiply, but the scalar loop's ** calls libm pow, which rounds about one
-# square in a thousand the other way; sums of two squares then differ by under
-# 2**-50 relative, far inside the margin.  The group radius also gets an
-# absolute one for squares rounded in the subnormal range, whose error of a few
-# 2**-1075 is up to about 2**-536 in distance; the projection radius needs
+# margin for rounded distances and squares.  The scans square by an
+# exact-rounded multiply, but the scalar loop's ** calls libm pow, which rounds
+# about one square in a thousand the other way; sums of two squares then differ
+# by under 2**-50 relative, far inside the margin.  The group radius also gets
+# an absolute one for squares rounded in the subnormal range, whose error of a
+# few 2**-1075 is up to about 2**-536 in distance; the projection radius needs
 # none, since every segment of a WaypointPath is longer than
 # MIN_WAYPOINT_SPACING, which makes its relative margin at least 5e-16 m.
 _SHORTLIST_REL = 1.0 + 1e-6
 _SHORTLIST_ABS = 2.0**-530
 
+# The grid (see the module docstring): cell width in median segments, the
+# most rings a query scans, and the most cells along either axis.
+_CELL_SEGMENTS = 4.0
+_RING_CAP = 8
+_MAX_CELLS = 2**30
+# In cell widths: well over the 2**-20 that the cell indices' rounding can
+# take off a waypoint's distance outside the scanned rings.
+_RING_SLACK = 2.0**-16
+# Ring r of the grid: the (column, row) offsets at Chebyshev distance r.
+_RINGS = [
+    [(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1) if max(abs(dx), abs(dy)) == r]
+    for r in range(_RING_CAP + 1)
+]
+
 
 class WaypointIndex:
-    """A path's waypoints and segments as float64 arrays, scanned exactly.
+    """A path's waypoints in a grid of square cells, and as float64 arrays.
 
     Every query returns what a scalar loop over all waypoints or segments
-    with a strict < would: ties resolve to the lowest index.  Inputs must be
-    finite, with squared distances that do not overflow.
+    with a strict < would: ties resolve to the lowest index.  The points are
+    (x, y) pairs of floats, which the scalar loops read as they are; they
+    must be finite, with squared distances that do not overflow.
+
+    The grid is compact: a dict from each occupied cell's key to its
+    ordinal, and the waypoint indices ordered by cell, index order within
+    one, with each cell's bounds in that order, both numpy arrays.
     """
 
     def __init__(self, points: tuple[Point2, ...]):
-        self.xs = np.array([p[0] for p in points], dtype=np.float64)
-        self.ys = np.array([p[1] for p in points], dtype=np.float64)
-        # Row k is segment k, from waypoint k to k + 1: x0, y0, dx, dy, |d|^2.
+        self.points = points
+        xy = np.fromiter(chain.from_iterable(points), np.float64, 2 * len(points))
+        self.xs, self.ys = xy[0::2].copy(), xy[1::2].copy()
         dx, dy = np.diff(self.xs), np.diff(self.ys)
-        len2 = dx * dx + dy * dy
-        self.segments = np.stack([self.xs[:-1], self.ys[:-1], dx, dy, len2], axis=1)
+        length = np.sqrt(dx * dx + dy * dy)
         # Half the longer of the segments at waypoint i, widened: waypoint i
         # is marked when it lies within (d0 + reach_i) * _SHORTLIST_REL.
-        half = 0.5 * np.sqrt(len2)
+        half = 0.5 * length
         self.reach = np.zeros_like(self.xs)
         self.reach[:-1] = half
         np.maximum(self.reach[1:], half, out=self.reach[1:])
         self.reach *= _SHORTLIST_REL
+        self._reach = memoryview(self.reach)
+        self._max_reach = float(self.reach.max(initial=0.0))
+        self._cells: dict[int, int] | None = None
+        if len(length):
+            # The median segment, the upper one of an even count.
+            self._build_grid(_CELL_SEGMENTS * float(np.partition(length, len(length) // 2)[len(length) // 2]))
+
+    def _build_grid(self, width: float) -> None:
+        # No grid for a zero or overflowing width, or one that would need an
+        # index past _MAX_CELLS: every query then takes the numpy scan.
+        x0, y0 = float(self.xs.min()), float(self.ys.min())
+        extent = max(float(self.xs.max()) - x0, float(self.ys.max()) - y0)
+        if not (0.0 < width < math.inf and extent / width < _MAX_CELLS):
+            return
+        ix = np.floor((self.xs - x0) / width).astype(np.int64)
+        iy = np.floor((self.ys - y0) / width).astype(np.int64)
+        self._columns, self._rows = int(ix.max()) + 1, int(iy.max()) + 1
+        # Keys run down each column, with room for every row a query's rings
+        # reach: a key that named a cell of another column would only cost
+        # time, since a scan measures every waypoint it finds.
+        stride = self._rows + 2 * _RING_CAP
+        keys = ix * stride + iy
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        self._cells = dict(zip(keys[np.r_[0, starts]].tolist(), range(len(starts) + 1)))
+        self._order = memoryview(order)
+        self._bounds = memoryview(np.r_[0, starts, len(keys)])
+        self._x0, self._y0, self._width, self._stride = x0, y0, width, stride
+        # Each ring's key offsets, and the distance within which it and the
+        # rings inside it hold every waypoint.
+        self._rings = [
+            ([dx * stride + dy for dx, dy in ring], (r - _RING_SLACK) * width) for r, ring in enumerate(_RINGS)
+        ]
+
+    def _grid_scan(self, qx: float, qy: float, extra: float) -> tuple[float, int, list[tuple[float, int]]] | None:
+        """Ring-scan the grid around (qx, qy): (d0^2, its waypoint, seen).
+
+        seen holds (squared distance, index) for every waypoint of the
+        scanned rings, which end once sqrt(d0^2) * _SHORTLIST_REL + extra
+        lies inside them.  None when the query needs the numpy scan.
+        """
+        cells = self._cells
+        if cells is None or not extra < self._rings[-1][1]:
+            return None
+        fx, fy = (qx - self._x0) / self._width, (qy - self._y0) / self._width
+        if not (-_RING_CAP <= fx < self._columns + _RING_CAP and -_RING_CAP <= fy < self._rows + _RING_CAP):
+            return None
+        key = math.floor(fx) * self._stride + math.floor(fy)
+        points, order, bounds = self.points, self._order, self._bounds
+        seen: list[tuple[float, int]] = []
+        for ring, reach in self._rings:
+            for offset in ring:
+                c = cells.get(key + offset)
+                if c is not None:
+                    for j in order[bounds[c] : bounds[c + 1]]:
+                        x, y = points[j]
+                        dx, dy = x - qx, y - qy
+                        seen.append((dx * dx + dy * dy, j))
+            if seen:
+                d0_2, k = min(seen)
+                if math.sqrt(d0_2) * _SHORTLIST_REL + extra < reach:
+                    return d0_2, k, seen
+        return None
 
     def _squared_distances(self, qx: float, qy: float) -> tuple[np.ndarray, np.ndarray]:
         # Each waypoint's squared distance to (qx, qy), in place: a call allocates
@@ -93,25 +192,35 @@ class WaypointIndex:
         return d2, scratch
 
     def nearest_group(self, probes: list[Point2]) -> list[int]:
-        """Index of the waypoint nearest to each probe, in one scan.
+        """Index of the waypoint nearest to each probe, from one scan.
 
-        Only probes[0] is scanned against every waypoint.  Each probe, the
-        first included, is then decided by the scalar loop, in index order
-        with a strict < and Python's **, over the shortlist of waypoints
-        within d0 + 2 delta of probes[0] (see the module docstring).
+        Only probes[0] is scanned, on the grid or, past its ring cap,
+        against every waypoint.  Each probe, the first included, is then
+        decided by the scalar loop, in index order with a strict < and
+        Python's **, over the shortlist of waypoints within d0 + 2 delta of
+        probes[0] (see the module docstring).
         """
         qx, qy = probes[0]
-        d2 = self._squared_distances(qx, qy)[0]
-        # The method skips np.argmin's dispatch, which costs more than a short scan.
-        k = int(d2.argmin())
         spread = 0.0
         for px, py in probes[1:]:
             spread = max(spread, math.hypot(px - qx, py - qy))
-        radius = (math.sqrt(float(d2[k])) + 2.0 * spread) * _SHORTLIST_REL + _SHORTLIST_ABS
-        shortlist = (d2 <= radius * radius).nonzero()[0]
+        scanned = self._grid_scan(qx, qy, 2.0 * spread * _SHORTLIST_REL + _SHORTLIST_ABS)
+        if scanned is None:
+            d2 = self._squared_distances(qx, qy)[0]
+            # The method skips np.argmin's dispatch, which costs more than a short scan.
+            k = int(d2.argmin())
+            d0_2 = float(d2[k])
+        else:
+            d0_2, k, seen = scanned
+        radius = (math.sqrt(d0_2) + 2.0 * spread) * _SHORTLIST_REL + _SHORTLIST_ABS
+        r2 = radius * radius
+        if scanned is None:
+            shortlist = (d2 <= r2).nonzero()[0].tolist()
+        else:
+            shortlist = sorted(j for q2, j in seen if q2 <= r2)
         if len(shortlist) == 1:
             return [k] * len(probes)
-        near = list(zip(shortlist.tolist(), self.xs[shortlist].tolist(), self.ys[shortlist].tolist()))
+        near = [(j, *self.points[j]) for j in shortlist]
         found = []
         for px, py in probes:
             best_d2, best = math.inf, k
@@ -130,21 +239,51 @@ class WaypointIndex:
         strict <: t = ((p - a) . d) / (d . d) clipped to [0, 1], the foot
         a + t d, and its squared distance with Python's **.  Every other
         segment's foot is farther, so the result is that loop's over all
-        segments.  Near the path the shortlist holds a few segments, but a
-        query about equally far from most waypoints, such as the centre of
-        a circular loop, puts every segment through the loop: about 12 ms on
-        a 10^4-point circle, against about 35 us for a query 0.3 m from a
-        10^4-point path (Python 3.11 on a shared 2-core Xeon).
+        segments.  Near the path the grid's rings and the shortlist hold a
+        few waypoints each, whatever the path's length: about 20 us for a
+        query 0.3 m from a 10^4-point circle.  The worst case is a query
+        that needs more rings than _RING_CAP, such as the centre of that
+        circle: it scans every cell of the rings, then every waypoint with
+        numpy, and every segment goes through the loop, about 5 ms (Python
+        3.11 on a shared 2-core Xeon).
         """
         px, py = point
-        d2, r2 = self._squared_distances(px, py)
-        np.add(self.reach, math.sqrt(float(d2.min())) * _SHORTLIST_REL, out=r2)
-        r2 *= r2
-        near = d2 <= r2
-        best_d2, best = math.inf, (float(self.xs[0]), float(self.ys[0]))
-        seg = (near[:-1] | near[1:]).nonzero()[0]
-        for x0, y0, dx, dy, l2 in self.segments.take(seg, axis=0).tolist():
-            t = min(1.0, max(0.0, ((px - x0) * dx + (py - y0) * dy) / l2))
+        scanned = self._grid_scan(px, py, self._max_reach)
+        if scanned is None:
+            d2, r2 = self._squared_distances(px, py)
+            np.add(self.reach, math.sqrt(float(d2.min())) * _SHORTLIST_REL, out=r2)
+            r2 *= r2
+            near = d2 <= r2
+            segments = (near[:-1] | near[1:]).nonzero()[0].tolist()
+        else:
+            d0_2, _, seen = scanned
+            d0 = math.sqrt(d0_2) * _SHORTLIST_REL
+            # No waypoint reaches farther than the longest reach: a cheap first test.
+            widest = d0 + self._max_reach
+            widest *= widest
+            reach, near = self._reach, set()
+            for q2, j in seen:
+                if q2 <= widest:
+                    r = reach[j] + d0
+                    if q2 <= r * r:
+                        near.add(j - 1)
+                        near.add(j)
+            # Waypoint j ends segment j - 1 and starts segment j, where those exist.
+            near.discard(-1)
+            near.discard(len(self.points) - 1)
+            segments = sorted(near)
+        points = self.points
+        best_d2, best = math.inf, points[0]
+        for k in segments:
+            x0, y0 = points[k]
+            x1, y1 = points[k + 1]
+            dx, dy = x1 - x0, y1 - y0
+            t = ((px - x0) * dx + (py - y0) * dy) / (dx * dx + dy * dy)
+            # min(1.0, max(0.0, t)) to the bit, NaN and -0.0 included, without two calls.
+            if not t > 0.0:
+                t = 0.0
+            elif not t < 1.0:
+                t = 1.0
             qx, qy = x0 + t * dx, y0 + t * dy
             q2 = (px - qx) ** 2 + (py - qy) ** 2
             if q2 < best_d2:

@@ -519,6 +519,36 @@ def test_cli_reads_the_config_as_written(tmp_path, capsys, old, new, message):
     assert err.startswith("error: ") and re.search(message, err), err
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # One step's distance, speed * dt, overflows, which advance_pose would
+        # turn into a pose of NaNs.
+        (
+            {b"speed = 1.0": b"speed = 1e308", b"dt = 0.1": b"dt = 10"},
+            r"^error: speed \* dt must be finite, got 1e\+308 \* 10",
+        ),
+        # The look-ahead, lookahead_gain * speed, overflows.
+        (
+            {b"speed = 1.0": b"speed = 1e200", b"lookahead_gain = 1.0": b"lookahead_gain = 1e200"},
+            r"^error: lookahead_gain \* speed must be finite, got 1e\+200 \* 1e\+200",
+        ),
+    ],
+    ids=["step_distance", "lookahead"],
+)
+def test_cli_rejects_products_that_overflow(tmp_path, capsys, edits, message):
+    text = (CONFIG_DIR / "straight.cfg").read_bytes()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    cfg = tmp_path / "straight.cfg"
+    cfg.write_bytes(text)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 def _copy_configs(stem, dest, prefix=b""):
     """Copy the shipped config `stem` and its waypoint file, if any, with `prefix` before each file's bytes."""
     for src in CONFIG_DIR.glob(f"{stem}.*"):

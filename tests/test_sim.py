@@ -75,6 +75,12 @@ def test_scenario_validation():
             make_scenario(STRAIGHT_ROAD, **{name: value})
     with pytest.raises(ConfigInvalid, match="seed must be >= 0, got -1"):
         make_scenario(STRAIGHT_ROAD, noise=reference_noise(seed=-1))
+    # Finite fields whose products overflow: the look-ahead and one step's distance.
+    with pytest.raises(ConfigInvalid, match=r"^lookahead_gain \* speed must be finite, got 1e\+200 \* 1e\+200$"):
+        make_scenario(STRAIGHT_ROAD, speed=1e200, lookahead_gain=1e200)
+    with pytest.raises(ConfigInvalid, match=r"^speed \* dt must be finite, got 1e\+308 \* 10$"):
+        make_scenario(STRAIGHT_ROAD, speed=1e308, dt=10, lookahead_gain=1e-308)
+    make_scenario(STRAIGHT_ROAD, speed=1e154, dt=1e154, lookahead_gain=1e154)
     # Fields of the wrong type are rejected, not coerced or run as something else.
     with pytest.raises(ConfigInvalid, match="controller"):
         make_scenario(STRAIGHT_ROAD, controller="utpp")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from utpursuit import (
     reduce_to_local_road,
     select_lookahead_waypoint,
 )
-from utpursuit.waypoints import circumcenter
+from utpursuit.waypoints import MIN_WAYPOINT_SPACING, circumcenter
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, stadium_path
+from test_roads import nearest_point_on_polyline_oracle
 
 
 def circumcenter_oracle(a, b, c):
@@ -226,6 +228,123 @@ def test_nearest_group_equals_nearest_per_probe(group):
     got = index.nearest_group(probes)
     assert got == [index.nearest_group([q])[0] for q in probes]
     assert got == [nearest_waypoint_oracle(q, points) for q in probes]
+
+
+def test_waypoint_spacing_threshold_is_decided_to_the_ulp():
+    above = math.nextafter(MIN_WAYPOINT_SPACING, 1.0)
+    # Exactly the minimum spacing apart is too close, one ulp more is not.
+    for x0 in (0.0, MIN_WAYPOINT_SPACING):
+        with pytest.raises(ValueError, match=r"^waypoints 1 and 2 are closer than 1e-09 m$"):
+            WaypointPath([(0.0, 5.0), (x0, 0.0), (x0 + MIN_WAYPOINT_SPACING, 0.0), (1.0, 0.0)])
+    WaypointPath([(0.0, 5.0), (0.0, 0.0), (above, 0.0), (1.0, 0.0)])
+    # The same pairs along y, and in coordinates that are not floats.
+    with pytest.raises(ValueError, match=r"^waypoints 0 and 1 are closer"):
+        WaypointPath([(2.0, 0.0), (2.0, MIN_WAYPOINT_SPACING), (1.0, 0.0)])
+    WaypointPath([(2.0, 0.0), (2.0, above), (1.0, 0.0)])
+    with pytest.raises(ValueError, match=r"^waypoints 0 and 1 are closer"):
+        WaypointPath([(np.float64(0.0), 0.0), (np.float64(MIN_WAYPOINT_SPACING), 0), (1, 0)])
+
+
+def test_waypoint_path_rejects_a_string_and_names_the_first_bad_row():
+    # A coordinate given as a string is a TypeError, not parsed as a number.
+    with pytest.raises(TypeError):
+        WaypointPath([(0.0, 0.0), ("1.0", 0.0), (2.0, 0.0)])
+    # The first bad row is named, whatever is wrong with a later one.
+    with pytest.raises(ValueError, match=r"^waypoint 1 is not finite$"):
+        WaypointPath([(0.0, 0.0), (math.inf, 0.0), (2.0, math.nan), (3.0, 0.0)])
+    with pytest.raises(ValueError, match=r"^waypoint 1 is not finite$"):
+        WaypointPath([(0.0, 0.0), (math.nan, 0.0), (2.0, 0.0, 1.0), (3.0, 0.0)])
+    with pytest.raises(ValueError, match="unpack"):
+        WaypointPath([(0.0, 0.0), (1.0,), (math.nan, 0.0)])
+
+
+@st.composite
+def grid_stress_paths(draw):
+    """Waypoints that stress the index's cell table, and queries around them: (kind, points, queries).
+
+    A unit-step walk with one segment 100 to 10^4 times longer; the same walk
+    on to a waypoint 3.7e19 m away, which no integer cell index reaches;
+    a zigzag between two spots, which puts every waypoint in one cell; or
+    one or two waypoints.  The queries sit around the waypoints at spreads
+    from 0 to 30 m, with one far off.
+    """
+    kind = draw(st.sampled_from(["long_segment", "wide", "one_cell", "few"]))
+    angle = st.floats(0.0, 2.0 * math.pi)
+    jitter = st.floats(-0.1, 0.1)
+    if kind == "few":
+        coord = st.floats(-10.0, 10.0)
+        points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=2, unique=True))
+    elif kind == "one_cell":
+        points = [(i % 2 + draw(jitter), draw(jitter)) for i in range(draw(st.integers(3, 30)))]
+    else:
+        # The wide path has more unit segments than long ones, so its median segment is 1 m.
+        points = [(0.0, 0.0)]
+        for _ in range(draw(st.integers(5 if kind == "wide" else 2, 30))):
+            a = draw(angle)
+            points.append((points[-1][0] + math.cos(a), points[-1][1] + math.sin(a)))
+        if kind == "wide":
+            # Last, so the long segment starts near the queries: a foot measured
+            # from a waypoint 3.7e19 m away is rounded to nothing like the point.
+            points.append((3.7e19, draw(st.sampled_from([0.0, 3.7e19]))))
+        else:
+            i, a, jump = draw(st.integers(0, len(points) - 1)), draw(angle), draw(st.sampled_from([1e2, 1e4]))
+            points[i + 1 :] = [(px + jump * math.cos(a), py + jump * math.sin(a)) for px, py in points[i + 1 :]]
+    spread = draw(st.sampled_from([0.0, 1e-3, 0.3, 3.0, 30.0]))
+    unit = st.floats(-1.0, 1.0)
+    queries = [(x + spread * draw(unit), y + spread * draw(unit)) for x, y in points]
+    queries.append((draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))))
+    return kind, points, queries
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(grid_stress_paths())
+def test_grid_queries_match_the_scalar_oracles(case):
+    kind, points, queries = case
+    index = WaypointIndex(points) if kind == "few" else WaypointPath(points).spatial_index()
+    # Each kind reaches the part of the cell table it is meant to stress.
+    if kind == "wide":
+        assert index._cells is None
+    elif kind == "one_cell":
+        assert len(index._cells) == 1
+    for q in queries:
+        assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, points)]
+        # The oracle reads only .points, so it takes the 1- and 2-point lists too.
+        assert index.project(q) == nearest_point_on_polyline_oracle(q, SimpleNamespace(points=points))
+    assert index.nearest_group(queries) == [nearest_waypoint_oracle(q, points) for q in queries]
+
+
+def _count_numpy_scans(monkeypatch, index):
+    calls = []
+    scan = index._squared_distances
+    monkeypatch.setattr(index, "_squared_distances", lambda qx, qy: calls.append((qx, qy)) or scan(qx, qy))
+    return calls
+
+
+def test_grid_queries_around_the_stadium_match_the_scalar_oracles(monkeypatch):
+    path = stadium_path()
+    index = path.spatial_index()
+    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    rng = np.random.default_rng(101)
+    for _ in range(200):
+        x, y = path.points[rng.integers(len(path))]
+        q = (float(x + rng.normal(0.0, 0.5)), float(y + rng.normal(0.0, 0.5)))
+        assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, path.points)]
+        assert index.project(q) == nearest_point_on_polyline_oracle(q, path)
+    # The grid answered almost all of them: a query 0.5 m off the path needs
+    # 3 of the 8 rings, and only one beyond about 1.6 m takes the numpy scan.
+    assert len(numpy_scans) <= 8
+
+
+def test_loop_centre_query_takes_the_numpy_scan(monkeypatch):
+    # The stadium's centre is 50 m from every point of its legs: past the
+    # grid's ring cap, so both queries scan every waypoint with numpy.
+    path = stadium_path()
+    index = path.spatial_index()
+    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    centre = (92.9 / 2, 50.0)
+    assert index.project(centre) == nearest_point_on_polyline_oracle(centre, path)
+    assert index.nearest_group([centre]) == [nearest_waypoint_oracle(centre, path.points)]
+    assert numpy_scans == [centre, centre]
 
 
 def test_select_lookahead_waypoint_probes_ahead_and_clamps():
