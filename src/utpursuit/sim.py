@@ -121,6 +121,12 @@ class Scenario:
         # The distance of one step, which advance_pose turns into a pose.
         if not math.isfinite(self.speed * self.dt):
             raise ConfigInvalid(f"speed * dt must be finite, got {self.speed} * {self.dt}")
+        # The largest heading change of one step, in advance_pose's operation order.
+        if not math.isfinite(self.speed * self.dt / self.wheelbase * math.tan(self.steering_limit)):
+            raise ConfigInvalid(
+                "speed * dt / wheelbase * tan(steering_limit) must be finite, got "
+                f"{self.speed} * {self.dt} / {self.wheelbase} * tan({self.steering_limit})"
+            )
         if self.steps < 1:
             raise ConfigInvalid(f"steps must be an integer >= 1, got {self.steps!r}")
         if isinstance(self.road, StraightLine) and abs(self.road.slope) >= MAX_ROAD_SLOPE:

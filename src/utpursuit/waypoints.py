@@ -8,38 +8,38 @@ a straight line, any other its circumcircle; the curvature's sign
 the WaypointPath, which builds and keeps its own WaypointIndex.
 
 Both path queries follow one rule: a scan shortlists, the scalar loop of
-the tests' oracle decides.  The scan gives the nearest waypoint's distance
-d0 and a shortlist, widened for rounding, of every waypoint that could hold
-the answer; the loop runs over that shortlist only, in index order.
+the tests' oracle decides, over that shortlist only, in index order.  The
+scan is WaypointIndex._near, the one place where the grid and numpy meet:
+for a query and a margin extra it returns d, the nearest waypoint's
+distance times _SHORTLIST_REL, and every waypoint within d + extra.
 
-The scan is a ring scan of a grid of square cells, each _CELL_SEGMENTS
-median segments wide.  It visits the query's cell, then the rings of cells
-around it, one ring further out at a time, and stops after ring R once the
-shortlist radius r, worked out from the nearest waypoint seen so far, is
-under (R - _RING_SLACK) cell widths.  That is exact: a waypoint outside
-rings 0..R lies in a cell whose column or row index differs from the
-query's by more than R.  Each index is the floor of the rounded
-(x - x_min) / width, which the two roundings move by at most 2**-52 of its
-magnitude, under _MAX_CELLS + _RING_CAP cells, so by under 2**-21 cells;
-such a waypoint is therefore more than R - 2**-20 cell widths from the
-query, farther than r, and it is neither the nearest nor on the shortlist.
-The nearest waypoint seen cannot get nearer after the stop, so r is final.
-A query that needs more than _RING_CAP rings, such as the centre of a
-circular loop, or one whose path's extent is more than _MAX_CELLS widths,
-is scanned instead by numpy, against every waypoint.
+The grid's square cells are _CELL_SEGMENTS median segments wide.  A scan
+visits the query's cell, then the rings of cells around it, one ring
+further out at a time, and stops after ring R once d + extra, with d from
+the nearest waypoint seen so far, is under (R - _RING_SLACK) cell widths.
+That is exact: a waypoint outside rings 0..R lies in a cell whose column or
+row index differs from the query's by more than R.  Each index is the floor
+of the rounded (x - x_min) / width, which the two roundings move by at most
+2**-52 of its magnitude, under _MAX_CELLS + _RING_CAP cells, so by under
+2**-21 cells; such a waypoint is therefore more than R - 2**-20 cell widths
+from the query, farther than d + extra, and it is neither the nearest nor
+on the shortlist.  The nearest waypoint seen cannot get nearer after the
+stop, so d is final.  A query that needs more than _RING_CAP rings, such as
+the centre of a circular loop, or one whose path's extent is more than
+_MAX_CELLS widths, is scanned instead by numpy, against every waypoint.
 
 nearest_group serves nearby probes, such as one step's sigma poses.  Each
 lies within delta of the first probe, so the first probe's nearest waypoint
 is within d0 + delta of it, and so is its own nearest waypoint, which thus
-lies within d0 + 2 delta of the first probe.  A one-waypoint shortlist
-answers every probe.
+lies within d0 + 2 delta of the first probe: extra is 2 delta, widened.  A
+one-waypoint shortlist answers every probe.
 
 project's closest point is at most d0 away, and a segment holding a point
 within d0 has its nearer endpoint within d0 + L/2, where L is its length.  So
 waypoint i is shortlisted within d0 + reach_i, where reach_i is half the
 longer segment at waypoint i, which keeps one long segment from putting every
 other segment on the list; segments with a shortlisted endpoint go through
-the loop.  The ring scan runs out to d0 + the longest reach.
+the loop.  extra is the longest reach.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ from .geometry import Circle, Point2, Pose, StraightLine
 
 # Anything closer than this is treated as the same physical point.
 MIN_WAYPOINT_SPACING = 1e-9
+# No waypoint coordinate is larger in magnitude: squared distances between waypoints stay finite.
+_MAX_COORDINATE = 1e150
 # |curvature| below this (1/m) means the local waypoint triple is a straight stretch.
 STRAIGHT_EPS = 1e-3
 # A fitted line direction this close to vertical has no usable slope form.
@@ -96,7 +98,8 @@ class WaypointIndex:
     Every query returns what a scalar loop over all waypoints or segments
     with a strict < would: ties resolve to the lowest index.  The points are
     (x, y) pairs of floats, which the scalar loops read as they are; they
-    must be finite, with squared distances that do not overflow.
+    must be finite, with squared distances that do not overflow; a
+    WaypointPath bounds its coordinates by 1e150 to that end.
 
     The grid is compact: a dict from each occupied cell's key to its
     ordinal, and the waypoint indices ordered by cell, index order within
@@ -151,79 +154,65 @@ class WaypointIndex:
             ([dx * stride + dy for dx, dy in ring], (r - _RING_SLACK) * width) for r, ring in enumerate(_RINGS)
         ]
 
-    def _grid_scan(self, qx: float, qy: float, extra: float) -> tuple[float, int, list[tuple[float, int]]] | None:
-        """Ring-scan the grid around (qx, qy): (d0^2, its waypoint, seen).
-
-        seen holds (squared distance, index) for every waypoint of the
-        scanned rings, which end once sqrt(d0^2) * _SHORTLIST_REL + extra
-        lies inside them.  None when the query needs the numpy scan.
+    def _near(self, qx: float, qy: float, extra: float) -> tuple[float, list[tuple[float, int]]]:
+        """The nearest waypoint's distance d, times _SHORTLIST_REL, and
+        (squared distance, index) for every waypoint within d + extra: from
+        the grid's rings, or past their cap or without a grid, _numpy_near.
         """
         cells = self._cells
-        if cells is None or not extra < self._rings[-1][1]:
-            return None
-        fx, fy = (qx - self._x0) / self._width, (qy - self._y0) / self._width
-        if not (-_RING_CAP <= fx < self._columns + _RING_CAP and -_RING_CAP <= fy < self._rows + _RING_CAP):
-            return None
-        key = math.floor(fx) * self._stride + math.floor(fy)
-        points, order, bounds = self.points, self._order, self._bounds
-        seen: list[tuple[float, int]] = []
-        for ring, reach in self._rings:
-            for offset in ring:
-                c = cells.get(key + offset)
-                if c is not None:
-                    for j in order[bounds[c] : bounds[c + 1]]:
-                        x, y = points[j]
-                        dx, dy = x - qx, y - qy
-                        seen.append((dx * dx + dy * dy, j))
-            if seen:
-                d0_2, k = min(seen)
-                if math.sqrt(d0_2) * _SHORTLIST_REL + extra < reach:
-                    return d0_2, k, seen
-        return None
+        if cells is not None and extra < self._rings[-1][1]:
+            fx, fy = (qx - self._x0) / self._width, (qy - self._y0) / self._width
+            if -_RING_CAP <= fx < self._columns + _RING_CAP and -_RING_CAP <= fy < self._rows + _RING_CAP:
+                key = math.floor(fx) * self._stride + math.floor(fy)
+                points, order, bounds = self.points, self._order, self._bounds
+                seen: list[tuple[float, int]] = []
+                for ring, reach in self._rings:
+                    for offset in ring:
+                        c = cells.get(key + offset)
+                        if c is not None:
+                            for j in order[bounds[c] : bounds[c + 1]]:
+                                x, y = points[j]
+                                dx, dy = x - qx, y - qy
+                                seen.append((dx * dx + dy * dy, j))
+                    if seen:
+                        d = math.sqrt(min(seen)[0]) * _SHORTLIST_REL
+                        r = d + extra
+                        if r < reach:
+                            r *= r
+                            return d, [hit for hit in seen if hit[0] <= r]
+        return self._numpy_near(qx, qy, extra)
 
-    def _squared_distances(self, qx: float, qy: float) -> tuple[np.ndarray, np.ndarray]:
-        # Each waypoint's squared distance to (qx, qy), in place: a call allocates
-        # two float arrays, and the second, the y terms, is the caller's scratch.
+    def _numpy_near(self, qx: float, qy: float, extra: float) -> tuple[float, list[tuple[float, int]]]:
+        # _near against every waypoint, with numpy, in place: two float arrays a call.
         d2 = self.xs - qx
         d2 *= d2
-        scratch = self.ys - qy
-        scratch *= scratch
-        d2 += scratch
-        return d2, scratch
+        dy2 = self.ys - qy
+        dy2 *= dy2
+        d2 += dy2
+        d = math.sqrt(float(d2.min())) * _SHORTLIST_REL
+        r = d + extra
+        near = (d2 <= r * r).nonzero()[0]
+        return d, list(zip(d2[near].tolist(), near.tolist()))
 
     def nearest_group(self, probes: list[Point2]) -> list[int]:
         """Index of the waypoint nearest to each probe, from one scan.
 
-        Only probes[0] is scanned, on the grid or, past its ring cap,
-        against every waypoint.  Each probe, the first included, is then
-        decided by the scalar loop, in index order with a strict < and
-        Python's **, over the shortlist of waypoints within d0 + 2 delta of
-        probes[0] (see the module docstring).
+        Only probes[0] is scanned, by _near.  Each probe, the first included,
+        is then decided by the scalar loop, in index order with a strict <
+        and Python's **, over the shortlist of waypoints within d0 + 2 delta
+        of probes[0] (see the module docstring).
         """
         qx, qy = probes[0]
         spread = 0.0
         for px, py in probes[1:]:
             spread = max(spread, math.hypot(px - qx, py - qy))
-        scanned = self._grid_scan(qx, qy, 2.0 * spread * _SHORTLIST_REL + _SHORTLIST_ABS)
-        if scanned is None:
-            d2 = self._squared_distances(qx, qy)[0]
-            # The method skips np.argmin's dispatch, which costs more than a short scan.
-            k = int(d2.argmin())
-            d0_2 = float(d2[k])
-        else:
-            d0_2, k, seen = scanned
-        radius = (math.sqrt(d0_2) + 2.0 * spread) * _SHORTLIST_REL + _SHORTLIST_ABS
-        r2 = radius * radius
-        if scanned is None:
-            shortlist = (d2 <= r2).nonzero()[0].tolist()
-        else:
-            shortlist = sorted(j for q2, j in seen if q2 <= r2)
+        shortlist = sorted(j for _, j in self._near(qx, qy, 2.0 * spread * _SHORTLIST_REL + _SHORTLIST_ABS)[1])
         if len(shortlist) == 1:
-            return [k] * len(probes)
+            return shortlist * len(probes)
         near = [(j, *self.points[j]) for j in shortlist]
         found = []
         for px, py in probes:
-            best_d2, best = math.inf, k
+            best_d2, best = math.inf, shortlist[0]
             for j, x, y in near:
                 q2 = (x - px) ** 2 + (y - py) ** 2
                 if q2 < best_d2:
@@ -244,37 +233,23 @@ class WaypointIndex:
         query 0.3 m from a 10^4-point circle.  The worst case is a query
         that needs more rings than _RING_CAP, such as the centre of that
         circle: it scans every cell of the rings, then every waypoint with
-        numpy, and every segment goes through the loop, about 5 ms (Python
-        3.11 on a shared 2-core Xeon).
+        numpy, and every waypoint and segment goes through the loops, about
+        7 ms (4-11 ms over 5 processes; Python 3.11 on a shared 2-core Xeon).
         """
         px, py = point
-        scanned = self._grid_scan(px, py, self._max_reach)
-        if scanned is None:
-            d2, r2 = self._squared_distances(px, py)
-            np.add(self.reach, math.sqrt(float(d2.min())) * _SHORTLIST_REL, out=r2)
-            r2 *= r2
-            near = d2 <= r2
-            segments = (near[:-1] | near[1:]).nonzero()[0].tolist()
-        else:
-            d0_2, _, seen = scanned
-            d0 = math.sqrt(d0_2) * _SHORTLIST_REL
-            # No waypoint reaches farther than the longest reach: a cheap first test.
-            widest = d0 + self._max_reach
-            widest *= widest
-            reach, near = self._reach, set()
-            for q2, j in seen:
-                if q2 <= widest:
-                    r = reach[j] + d0
-                    if q2 <= r * r:
-                        near.add(j - 1)
-                        near.add(j)
-            # Waypoint j ends segment j - 1 and starts segment j, where those exist.
-            near.discard(-1)
-            near.discard(len(self.points) - 1)
-            segments = sorted(near)
+        d, shortlist = self._near(px, py, self._max_reach)
+        reach, near = self._reach, set()
+        for q2, j in shortlist:
+            r = reach[j] + d
+            if q2 <= r * r:
+                near.add(j - 1)
+                near.add(j)
+        # Waypoint j ends segment j - 1 and starts segment j, where those exist.
+        near.discard(-1)
+        near.discard(len(self.points) - 1)
         points = self.points
         best_d2, best = math.inf, points[0]
-        for k in segments:
+        for k in sorted(near):
             x0, y0 = points[k]
             x1, y1 = points[k + 1]
             dx, dy = x1 - x0, y1 - y0
@@ -311,7 +286,9 @@ class WaypointPath:
         # move a waypoint; the loop below rejects a row that is not a pair.
         object.__setattr__(self, "points", tuple(map(tuple, self.points)))
         for i, (x, y) in enumerate(self.points):
-            if not (math.isfinite(x) and math.isfinite(y)):
+            if not (abs(x) <= _MAX_COORDINATE and abs(y) <= _MAX_COORDINATE):
+                if math.isfinite(x) and math.isfinite(y):
+                    raise ValueError(f"waypoint {i} has a coordinate over {_MAX_COORDINATE:g} in magnitude")
                 raise ValueError(f"waypoint {i} is not finite")
         for i in range(len(self.points) - 1):
             (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]

@@ -533,8 +533,18 @@ def test_cli_reads_the_config_as_written(tmp_path, capsys, old, new, message):
             {b"speed = 1.0": b"speed = 1e200", b"lookahead_gain = 1.0": b"lookahead_gain = 1e200"},
             r"^error: lookahead_gain \* speed must be finite, got 1e\+200 \* 1e\+200",
         ),
+        # One step's largest heading change overflows, which advance_pose
+        # would hand to math.cos as an infinite angle.
+        (
+            {
+                b"speed = 1.0": b"speed = 1e300",
+                b"wheelbase = 1.0": b"wheelbase = 1e-10",
+                b"lookahead_gain = 1.0": b"lookahead_gain = 1e-300",
+            },
+            r"^error: speed \* dt / wheelbase \* tan\(steering_limit\) must be finite, got 1e\+300 \* 0\.1 / 1e-10 \* tan\(",
+        ),
     ],
-    ids=["step_distance", "lookahead"],
+    ids=["step_distance", "lookahead", "heading_change"],
 )
 def test_cli_rejects_products_that_overflow(tmp_path, capsys, edits, message):
     text = (CONFIG_DIR / "straight.cfg").read_bytes()
@@ -578,3 +588,12 @@ def test_cli_rejects_a_waypoint_file_that_is_not_utf8(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: 'road.file': ") and "can't decode byte 0xe9" in err, err
+
+
+def test_cli_rejects_a_waypoint_coordinate_over_1e150(tmp_path, capsys):
+    # Its squared distances would overflow: numpy would warn, and the local road come out NaN.
+    cfg = _copy_configs("waypoint_arc", tmp_path)
+    (tmp_path / "waypoint_arc.txt").write_text("0,0\n1,0\n2,0\n3,0\n1e160,1e160\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'road.file': waypoint 4 has a coordinate over 1e+150 in magnitude"), err

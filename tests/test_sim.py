@@ -80,7 +80,13 @@ def test_scenario_validation():
         make_scenario(STRAIGHT_ROAD, speed=1e200, lookahead_gain=1e200)
     with pytest.raises(ConfigInvalid, match=r"^speed \* dt must be finite, got 1e\+308 \* 10$"):
         make_scenario(STRAIGHT_ROAD, speed=1e308, dt=10, lookahead_gain=1e-308)
-    make_scenario(STRAIGHT_ROAD, speed=1e154, dt=1e154, lookahead_gain=1e154)
+    make_scenario(STRAIGHT_ROAD, speed=1e154, dt=1e154, lookahead_gain=1e154, wheelbase=1e10)
+    # One step's largest heading change, speed * dt / wheelbase * tan(steering_limit), overflows.
+    with pytest.raises(
+        ConfigInvalid,
+        match=r"^speed \* dt / wheelbase \* tan\(steering_limit\) must be finite, got 1e\+300 \* 0\.1 / 1e-10 \* tan\(",
+    ):
+        make_scenario(STRAIGHT_ROAD, speed=1e300, wheelbase=1e-10, lookahead_gain=1e-300)
     # Fields of the wrong type are rejected, not coerced or run as something else.
     with pytest.raises(ConfigInvalid, match="controller"):
         make_scenario(STRAIGHT_ROAD, controller="utpp")

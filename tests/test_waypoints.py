@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from utpursuit import (
@@ -114,6 +114,22 @@ def test_waypoint_path_builds_its_own_index_once():
 def test_waypoint_path_names_the_non_finite_waypoint(points, bad):
     with pytest.raises(ValueError, match=rf"^waypoint {bad} is not finite$"):
         WaypointPath(points)
+
+
+def test_waypoint_coordinates_are_bounded_by_1e150():
+    # 1e150 keeps every squared distance between waypoints finite; it is allowed, one ulp more is not.
+    over = math.nextafter(1e150, math.inf)
+    WaypointPath([(0.0, 0.0), (1e150, -1e150), (-1e150, 1e150)])
+    for bad in ((over, 0.0), (0.0, -over), (-1e160, 1e160)):
+        with pytest.raises(ValueError, match=r"^waypoint 1 has a coordinate over 1e\+150 in magnitude$"):
+            WaypointPath([(0.0, 0.0), bad, (2.0, 0.0)])
+
+
+def test_load_waypoints_rejects_a_coordinate_over_1e150(tmp_path):
+    wp = tmp_path / "far.txt"
+    wp.write_text("0,0\n1,0\n2,0\n3,0\n1e160,1e160\n")
+    with pytest.raises(ValueError, match=r"^waypoint 4 has a coordinate over 1e\+150 in magnitude$"):
+        load_waypoints(str(wp))
 
 
 def test_index_matches_linear_scan():
@@ -315,8 +331,8 @@ def test_grid_queries_match_the_scalar_oracles(case):
 
 def _count_numpy_scans(monkeypatch, index):
     calls = []
-    scan = index._squared_distances
-    monkeypatch.setattr(index, "_squared_distances", lambda qx, qy: calls.append((qx, qy)) or scan(qx, qy))
+    scan = index._numpy_near
+    monkeypatch.setattr(index, "_numpy_near", lambda qx, qy, extra: calls.append((qx, qy)) or scan(qx, qy, extra))
     return calls
 
 
@@ -345,6 +361,36 @@ def test_loop_centre_query_takes_the_numpy_scan(monkeypatch):
     assert index.project(centre) == nearest_point_on_polyline_oracle(centre, path)
     assert index.nearest_group([centre]) == [nearest_waypoint_oracle(centre, path.points)]
     assert numpy_scans == [centre, centre]
+
+
+def _assert_grid_near_is_numpy_near(index, q):
+    # The margins the queries ask for: a lone probe's (about 0), a group's, project's.
+    for extra in (0.0, 0.6, index._max_reach):
+        d, near = index._near(*q, extra)
+        numpy_d, numpy_near = index._numpy_near(*q, extra)
+        assert (d, sorted(near)) == (numpy_d, sorted(numpy_near))
+
+
+def test_grid_near_returns_the_numpy_scans_radius_and_list_around_the_stadium(monkeypatch):
+    path = stadium_path()
+    index = path.spatial_index()
+    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    rng = np.random.default_rng(103)
+    for _ in range(200):
+        x, y = path.points[rng.integers(len(path))]
+        _assert_grid_near_is_numpy_near(index, (float(x + rng.normal(0.0, 0.5)), float(y + rng.normal(0.0, 0.5))))
+    # Past the 600 direct calls, the numpy scan answered only a few _near calls.
+    assert len(numpy_scans) - 200 * 3 <= 8
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(grid_stress_paths())
+def test_grid_near_returns_the_numpy_scans_radius_and_list(case):
+    kind, points, queries = case
+    index = WaypointIndex(points) if kind == "few" else WaypointPath(points).spatial_index()
+    assume(index._cells is not None)
+    for q in queries:
+        _assert_grid_near_is_numpy_near(index, q)
 
 
 def test_select_lookahead_waypoint_probes_ahead_and_clamps():
