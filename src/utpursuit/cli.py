@@ -46,8 +46,6 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         scenario = replace(scenario, road=_parse_road_spec(args.road))
     if args.steps is not None:
         scenario = replace(scenario, steps=args.steps)
-    if args.controller is not None:
-        scenario = replace(scenario, controller=Controller(args.controller))
     if args.noise == "off":
         scenario = replace(scenario, noise=replace(scenario.noise, cov=Covariance3(0.0, 0.0, 0.0)))
     elif args.noise == "on" and scenario.noise.cov.is_zero():
@@ -57,6 +55,8 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(parse_config(args.config), args)
+    if args.controller is not None:
+        scenario = replace(scenario, controller=Controller(args.controller))
     if args.seed is not None:
         scenario = replace(scenario, noise=replace(scenario.noise, rng_seed=args.seed))
     out_dir = Path(args.out_dir)
@@ -112,12 +112,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out-dir", required=True, help="directory for the output files")
         p.add_argument("--road", help="override the road: line:m,c | circle:cx,cy,r | waypoints:file")
-        p.add_argument("--controller", choices=["pp", "utpp"], help="override the controller")
         p.add_argument("--steps", type=int, help="override the number of steps")
         p.add_argument("--noise", choices=["on", "off"], help="on: require a nonzero covariance; off: zero it")
 
     p_run = sub.add_parser("run", help="simulate one scenario")
     common(p_run)
+    p_run.add_argument("--controller", choices=["pp", "utpp"], help="override the controller")
     p_run.add_argument("--seed", type=int, help="override the noise seed")
     p_run.add_argument("--svg", action="store_true", help="also write the SVG plot")
 

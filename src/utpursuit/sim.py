@@ -225,10 +225,12 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     """One unscented pure-pursuit decision from the measured pose: (delta, y_e).
 
     The seven sigma poses are steered and their commands combined with the
-    UT weights; y_e is the mean sigma pose's.  A fault on the mean pose
-    faults the whole step.  Each axis contributes the commands of its two
-    sigma poses, or, when its variance is zero or either pose faults, the
-    mean's command in both slots, so the axis adds no curvature term.
+    UT weights; the combined command is clamped to the steering limit, as
+    each pose's command is.  y_e is the mean sigma pose's.  A fault on the
+    mean pose faults the whole step.  Each axis contributes the commands of
+    its two sigma poses, or, when its variance is zero or either pose
+    faults, the mean's command in both slots, so the axis adds no
+    curvature term.
     """
     cov = scenario.noise.cov
     sigma = generate_sigma_points(pose, cov, scenario.ut)
@@ -245,7 +247,8 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
             deltas[i] = delta_plus
         except RoadGeometryFault as exc:
             logger.debug("sigma axis %s fell back to the mean steering: %s", axis, exc)
-    return weighted_steering(deltas, scenario.ut, scenario.steering_limit), y_e
+    limit = scenario.steering_limit
+    return max(-limit, min(limit, weighted_steering(deltas, scenario.ut))), y_e
 
 
 def convergence_time(records: list[TrajectoryRecord], dt: float) -> float | None:
@@ -319,8 +322,8 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
 def run_batch(scenario: Scenario, n_runs: int, base_seed: int) -> tuple[list[RunSummary], BatchStats]:
     """Run n_runs independent copies of a scenario, seeded base_seed + i.
 
-    Aggregates are computed from the summaries sorted by seed, so they do
-    not depend on execution order.
+    The summaries come back in seed order; the aggregates do not depend on
+    that order (see aggregate).
     """
     if n_runs < 1:
         raise ConfigInvalid(f"n_runs must be >= 1, got {n_runs}")
@@ -332,15 +335,15 @@ def run_batch(scenario: Scenario, n_runs: int, base_seed: int) -> tuple[list[Run
 
 
 def aggregate(summaries: list[RunSummary], controller: Controller) -> BatchStats:
-    ordered = sorted(summaries, key=lambda s: s.seed)
-    times = [s.convergence_time if s.convergence_time is not None else math.inf for s in ordered]
+    """One controller's BatchStats: counts, a median and math.fsum means, so any order of summaries."""
+    times = [s.convergence_time if s.convergence_time is not None else math.inf for s in summaries]
     converged = [t for t in times if math.isfinite(t)]
     return BatchStats(
         controller=controller.value,
-        n_runs=len(ordered),
+        n_runs=len(summaries),
         n_converged=len(converged),
         median_convergence_time=statistics.median(times),
         mean_convergence_time=(math.fsum(converged) / len(converged)) if converged else None,
-        mean_abs_lateral_error=math.fsum(s.mean_abs_lateral_error for s in ordered) / len(ordered),
-        mean_fault_count=math.fsum(s.fault_count for s in ordered) / len(ordered),
+        mean_abs_lateral_error=math.fsum(s.mean_abs_lateral_error for s in summaries) / len(summaries),
+        mean_fault_count=math.fsum(s.fault_count for s in summaries) / len(summaries),
     )

@@ -125,15 +125,14 @@ def generate_sigma_points(
     return (*points[:5], (x, y, normalize_angle(points[5][2])), (x, y, normalize_angle(points[6][2])))
 
 
-def weighted_steering(
-    deltas: Sequence[float], params: UtParams, steering_limit: float | None = None
-) -> float:
+def weighted_steering(deltas: Sequence[float], params: UtParams) -> float:
     """Combine per-sigma-point steering angles: w0 d0 + wi sum(d1..d2n).
 
     The weights sum to 1, so identical inputs must map to that same value;
     that case returns deltas[0] directly because the large cancelling
-    weights would otherwise inject rounding noise.  When steering_limit is
-    given the combined angle is clamped to [-limit, limit] silently.
+    weights would otherwise inject rounding noise.  The result is the UT
+    mean alone: it can lie far outside the range of the inputs, and the
+    caller applies the vehicle's steering limit (see sim.step_utpp).
     """
     if len(deltas) != 2 * POSE_DIM + 1:
         raise ValueError(f"expected {2 * POSE_DIM + 1} steering angles, got {len(deltas)}")
@@ -141,9 +140,5 @@ def weighted_steering(
         raise ValueError("steering angles must be finite")
     first = deltas[0]
     if deltas.count(first) == len(deltas):
-        combined = first
-    else:
-        combined = params.w0 * first + params.wi * math.fsum(deltas[1:])
-    if steering_limit is not None:
-        combined = max(-steering_limit, min(steering_limit, combined))
-    return combined
+        return first
+    return params.w0 * first + params.wi * math.fsum(deltas[1:])

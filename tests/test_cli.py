@@ -121,6 +121,34 @@ def test_malformed_values_are_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, text))
 
 
+ROAD_LINE = "[road]\ntype = line\nslope = 0.0\nintercept = 0.0\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (ROAD_LINE, "[road]\ntype = spiral\n", r"^'road\.type': expected line, circle or waypoints, got 'spiral'$"),
+        (
+            ROAD_LINE,
+            "[road]\ntype = circle\ncenter_x = 0\ncenter_y = 5\nradius = -1\n",
+            r"^\[road\]: circle radius must be positive, got -1\.0$",
+        ),
+        ("[road]\n", "speed = 1.0\n[road]\n", r"^malformed config '.*scen\.cfg': File contains no section headers\."),
+        (
+            "wheelbase = 1.0\n",
+            "wheelbase = 1.0\nspeed = 2.0\n",
+            r"^malformed config '.*scen\.cfg': .*option 'speed' in section 'vehicle' already exists$",
+        ),
+        (MINIMAL_CFG[MINIMAL_CFG.index("[sim]") :], "", r"^missing required section '\[sim\]'$"),
+    ],
+    ids=["unknown_road_type", "bad_circle", "key_before_section", "duplicate_key", "missing_section"],
+)
+def test_malformed_files_and_roads_are_rejected(tmp_path, old, new, message):
+    assert old in MINIMAL_CFG
+    with pytest.raises(ConfigInvalid, match=message):
+        parse_config(write_cfg(tmp_path, MINIMAL_CFG.replace(old, new, 1)))
+
+
 def test_boolean_keys_take_the_eight_configparser_words(tmp_path):
     for word, value in (("Yes", True), ("on", True), ("1", True), ("TRUE", True)):
         scen = parse_config(write_cfg(tmp_path, MINIMAL_CFG + f"paper_literal = {word}\n"))
@@ -265,6 +293,20 @@ def test_svg_circle_road_uses_a_circle_element(tmp_path):
     assert len(read_svg_polylines(path)) == 3  # measured, true, delta(t)
 
 
+def test_svg_of_a_constant_command_pads_its_zero_span(tmp_path):
+    # On the road and heading along it, every command is 0 and every y is 0:
+    # a zero span is widened to [-1, 1] before the 8% pad, so the delta(t)
+    # panel's 380 px cover [-1.16, 1.16] and its zero sits mid-panel, at 240.
+    scen = make_scenario(StraightLine(0.0, 0.0), start_pose=Pose(0.0, 0.0, 0.0), steps=20)
+    records, _ = run(scen)
+    assert {r.delta for r in records} == {0.0}
+    path = str(tmp_path / "z.svg")
+    emit_svg(records, scen.road, path)
+    text = open(path, encoding="utf-8").read()
+    assert re.search(r'<g transform="translate\([^,]+,240\) scale\([^,]+,-163\.793103\)">', text), text
+    assert [y for _, y in read_svg_polylines(path)[-1]] == [0.0] * 20
+
+
 def test_format_float_handles_infinities():
     assert format_float(math.inf) == "inf"
     assert format_float(-math.inf) == "-inf"
@@ -382,6 +424,26 @@ def test_cli_road_override(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "spec, road",
+    [
+        ("line:0.1,-0.2", StraightLine(0.1, -0.2)),
+        ("waypoints:{wp}", WaypointPath([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])),
+    ],
+    ids=["line", "waypoints"],
+)
+def test_cli_road_override_takes_a_line_or_a_waypoint_file(tmp_path, capsys, spec, road):
+    wp = tmp_path / "wp.txt"
+    wp.write_text("0,0\n1,0\n2,0\n3,0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--config", STRAIGHT_CFG, "--out-dir", str(out), "--steps", "5"]
+    assert main(argv + ["--road", spec.format(wp=wp)]) == 0
+    assert "pp: 5 steps, convergence none" in capsys.readouterr().out
+    records, _ = run(replace(parse_config(STRAIGHT_CFG), road=road, steps=5))
+    emit_csv(records, str(tmp_path / "expected.csv"))
+    assert (out / "straight_pp_0_trajectory.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_cli_error_exit_codes(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)]) == 2
     blocker = tmp_path / "file"
@@ -484,6 +546,22 @@ def test_cli_batch_rejects_seed(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_batch_rejects_controller(tmp_path, capsys):
+    # batch always runs pp and then utpp; a --controller would be ignored.
+    argv = ["batch", "--config", STRAIGHT_CFG, "--out-dir", str(tmp_path), "--runs", "2", "--controller", "utpp"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --controller utpp" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_batch_with_no_runs_is_a_config_error(tmp_path, capsys):
+    assert main(["batch", "--config", STRAIGHT_CFG, "--out-dir", str(tmp_path / "out"), "--runs", "0"]) == 2
+    assert capsys.readouterr().err == "error: n_runs must be >= 1, got 0\n"
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys):

@@ -37,7 +37,7 @@ from utpursuit import (
     step_utpp,
     weighted_steering,
 )
-from utpursuit import sim
+from utpursuit import sim, waypoints
 from utpursuit.config import parse_config
 from utpursuit.sim import aggregate, convergence_time
 
@@ -162,6 +162,22 @@ def test_default_steering_limit_clamps_first_command():
     scen = make_scenario(STRAIGHT_ROAD, steering_limit=math.radians(35.0), steps=1)
     records, _ = run(scen)
     assert records[0].delta == -math.radians(35.0)
+
+
+def test_step_utpp_clamps_the_combined_command_to_the_limit():
+    # The mean pose is 0.1 m off a straight road and its y sigma poses 0.4 m
+    # either side of it: the command of the pose 0.5 m off clamps, that of the
+    # pose 0.3 m off on the other side does not, and the huge UT weights carry
+    # that asymmetry far past the limit.
+    limit = math.radians(35.0)
+    noise = NoiseModel(Covariance3(0.0, (0.4 / math.sqrt(3e-6)) ** 2, 0.0))
+    for sign in (1.0, -1.0):
+        scen = make_scenario(STRAIGHT_ROAD, controller=Controller.UTPP, noise=noise, steering_limit=limit)
+        pose = Pose(0.0, 0.1 * sign, 0.0)
+        sigma = generate_sigma_points(pose, noise.cov, scen.ut)
+        deltas = [step_pp(Pose(*p), scen)[0] for p in sigma]
+        assert all(abs(d) <= limit for d in deltas) and sign * weighted_steering(deltas, scen.ut) > limit
+        assert step_utpp(pose, scen)[0] == sign * limit
 
 
 def test_single_step_run_yields_one_record():
@@ -372,7 +388,7 @@ def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
             deltas += [steer(plus), steer(minus)]
         except RoadGeometryFault:
             deltas += [delta0, delta0]
-    return weighted_steering(deltas, scenario.ut, scenario.steering_limit), y_e
+    return max(-scenario.steering_limit, min(scenario.steering_limit, weighted_steering(deltas, scenario.ut))), y_e
 
 
 def _outcome(step, pose, scen):
@@ -475,7 +491,8 @@ def _check_sigma_fallback(path, start, var_x, fault, alpha):
             deltas.append(steering_angle(y_e, d_l, scen.wheelbase, scen.steering_limit))
     assert len(set(deltas)) > 1
     delta, y_e = step_utpp(scen.start_pose, scen)
-    assert (delta, y_e) == (weighted_steering(deltas, ut, scen.steering_limit), -start.y)
+    limit = scen.steering_limit
+    assert (delta, y_e) == (max(-limit, min(limit, weighted_steering(deltas, ut))), -start.y)
     assert (delta, y_e) == step_utpp(scen.start_pose, without_variance(scen, "var_x"))
     records, summary = run(scen)
     assert records[0].fault is None and summary.fault_count == 0
@@ -596,3 +613,33 @@ def test_run_records_are_bit_identical_to_the_pinned_digests(stem, controller, s
     for row in (*records, summary):
         digest.update((",".join(_digest_text(getattr(row, f.name)) for f in fields(row)) + "\n").encode())
     assert digest.hexdigest() == RUN_DIGESTS[stem, controller, seed]
+
+
+# The same digests of 40 steps along the stadium from a metre before its
+# first leg bends into an arc, where a pose's local road is first a fitted line.
+STADIUM_DIGESTS = {
+    ("pp", 0): "c1367574879ed4e00f9e78d8b49c90c230567fcac7198c63ccf404afb112f60b",
+    ("pp", 1): "88ac3d5ca347e2855459e42ea7b962876df368410debdb373cb317bc58587da8",
+    ("utpp", 0): "ab17672b9a23c248a9e562d0a051a4f9b8f74c1d9e43480e16113a922ad39374",
+    ("utpp", 1): "217868c767dfc6412c471af558bd00a4bde8b645777edc6f44df9e822d337c87",
+}
+
+
+@pytest.mark.parametrize("controller, seed", sorted(STADIUM_DIGESTS))
+def test_stadium_records_are_bit_identical_to_the_pinned_digests(controller, seed, monkeypatch):
+    fits = []
+    fit_line = waypoints._fit_line
+    monkeypatch.setattr(waypoints, "_fit_line", lambda *abc: fits.append(abc) or fit_line(*abc))
+    scen = make_scenario(
+        stadium_path(),
+        start_pose=Pose(91.8, 0.1, 0.0),
+        controller=Controller(controller),
+        noise=reference_noise(seed),
+        steps=40,
+    )
+    records, summary = run(scen)
+    digest = hashlib.sha256()
+    for row in (*records, summary):
+        digest.update((",".join(_digest_text(getattr(row, f.name)) for f in fields(row)) + "\n").encode())
+    assert fits
+    assert digest.hexdigest() == STADIUM_DIGESTS[controller, seed]

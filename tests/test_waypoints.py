@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -391,6 +392,51 @@ def test_grid_near_returns_the_numpy_scans_radius_and_list(case):
     assume(index._cells is not None)
     for q in queries:
         _assert_grid_near_is_numpy_near(index, q)
+
+
+class _CountingPoints(tuple):
+    """A path's points that count their reads by index."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_project_loops_only_over_the_segments_near_the_query(monkeypatch):
+    # 100 unit segments, then one of 100 m: its reach of 50 m widens the
+    # scan to every waypoint within d0 + 50 m, with d0 = 0.36 m, the nearest
+    # waypoint's distance.  But a waypoint marks its segments only within
+    # d0 + its own reach, 0.86 m for one between unit segments.
+    points = [(float(i), 0.0) for i in range(101)] + [(200.0, 0.0)]
+    index = WaypointPath(points).spatial_index()
+    counted = _CountingPoints(index.points)
+    monkeypatch.setattr(index, "points", counted)
+    near = index._near
+
+    def near_then_reset(*args):
+        found = near(*args)
+        counted.reads = 0
+        return found
+
+    monkeypatch.setattr(index, "_near", near_then_reset)
+    q = (5.3, 0.2)
+    assert index.project(q) == nearest_point_on_polyline_oracle(q, SimpleNamespace(points=points))
+    # points[0], then both ends of segments 4, 5 and 6: waypoints 5 and 6
+    # are 0.36 and 0.73 m away, waypoint 4 is 1.31 m away.
+    assert counted.reads == 1 + 2 * 3
+
+
+def test_circumcenter_rejects_collinear_points():
+    message = r"^no circumcircle through collinear points \(0\.0, 0\.0\), \(1\.0, 1\.0\), \(2\.0, 2\.0\)$"
+    with pytest.raises(CoincidentPoints, match=message):
+        circumcenter((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))
+
+
+def test_load_waypoints_names_the_line_of_an_unparsable_row(tmp_path):
+    p = tmp_path / "wp.txt"
+    p.write_text("0,0\n# a comment\na,b\n2,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:3: could not convert string to float: 'a'$"):
+        load_waypoints(str(p))
 
 
 def test_select_lookahead_waypoint_probes_ahead_and_clamps():
