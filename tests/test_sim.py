@@ -643,3 +643,59 @@ def test_stadium_records_are_bit_identical_to_the_pinned_digests(controller, see
         digest.update((",".join(_digest_text(getattr(row, f.name)) for f in fields(row)) + "\n").encode())
     assert fits
     assert digest.hexdigest() == STADIUM_DIGESTS[controller, seed]
+
+
+def _records_digest(records, summary) -> str:
+    digest = hashlib.sha256()
+    for row in (*records, summary):
+        digest.update((",".join(_digest_text(getattr(row, f.name)) for f in fields(row)) + "\n").encode())
+    return digest.hexdigest()
+
+
+# Digests of the loop branches that the shipped configs leave out: paper-literal
+# mode, a perfect sensor that draws nothing, and leading steps that fault.
+PAPER_LITERAL_DIGESTS = {
+    0: "c1608fd63dabcc30f9a847c6b5f32d0cb9925565097acf3c039c01765bc64d1e",
+    1: "0db264dfa63c70fe4e49a470e56e74befcf60dbbb18b54c2780c2f69c229068e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAPER_LITERAL_DIGESTS))
+def test_paper_literal_records_are_bit_identical_to_the_pinned_digests(straight_scenario, seed):
+    scen = replace(
+        straight_scenario,
+        controller=Controller.UTPP,
+        noise=replace(straight_scenario.noise, rng_seed=seed),
+        paper_literal=True,
+    )
+    assert _records_digest(*run(scen)) == PAPER_LITERAL_DIGESTS[seed]
+
+
+def test_zero_covariance_records_are_bit_identical_to_the_pinned_digest(circle_scenario):
+    scen = replace(circle_scenario, noise=replace(circle_scenario.noise, cov=Covariance3(0.0, 0.0, 0.0)))
+    digest = "8876b71a8176972832c2fe4669fb9432da44f0829b0447cea965228d47d580a9"
+    assert _records_digest(*run(scen)) == digest
+
+
+# The start pose is 2 m outside the circle, heading for its centre, with a
+# 1 m look-ahead.  A 5 m clamp lets the measured pose stay out there too, so
+# the run's first 11 steps miss the road and hold the initial command.
+FAR_START_DIGESTS = {
+    "pp": "4e2bb9353784751092920606bd261aedfff1b0bc33e0e5a0863704e15f2e0f41",
+    "utpp": "ff34a057de78e3286f0fb2bcbbb01f4ab87001cb75fccb36ddc4ed2b68c31bdf",
+}
+
+
+@pytest.mark.parametrize("controller", sorted(FAR_START_DIGESTS))
+def test_far_start_records_are_bit_identical_to_the_pinned_digests(circle_scenario, controller):
+    scen = replace(
+        circle_scenario,
+        controller=Controller(controller),
+        start_pose=Pose(0.0, -2.0, math.pi / 2),
+        noise=replace(circle_scenario.noise, max_lateral_dev=5.0),
+    )
+    records, summary = run(scen)
+    assert [r.fault for r in records[:12]] == ["NoIntersection"] * 11 + [None]
+    assert all(r.delta == 0.0 and r.y_e is None for r in records[:11])
+    assert summary.fault_count == 11
+    assert _records_digest(records, summary) == FAR_START_DIGESTS[controller]
