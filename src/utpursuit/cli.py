@@ -82,8 +82,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(parse_config(args.config), args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     batches = []
     for controller in (Controller.PP, Controller.UTPP):
         summaries, stats = run_batch(replace(scenario, controller=controller), args.runs, args.base_seed)
@@ -92,6 +90,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"{controller.value}: {stats.n_converged}/{stats.n_runs} converged, "
             f"median convergence {format_float(stats.median_convergence_time)} s"
         )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem
     paths = [out_dir / f"{stem}_batch_runs.csv", out_dir / f"{stem}_batch_aggregate.csv"]
     emit_batch_csvs(batches, *map(str, paths))

@@ -14,6 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from numbers import Real
 from operator import attrgetter
 from typing import Callable
@@ -137,12 +138,15 @@ class Scenario:
             raise ConfigInvalid(f"seed must be >= 0, got {self.noise.rng_seed}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TrajectoryRecord:
     """One step of a run: the poses the controller saw and what it commanded.
 
     y_e is None on faulted steps.  lateral_error is the true pose's
-    deviation from the road (signed for lines and circles).
+    deviation from the road (signed for lines and circles).  Records are
+    not to be mutated.  They are left unfrozen, and so unhashable, because
+    run builds one per step and a frozen slots __init__ costs about 2.5 us
+    more; the poses inside are frozen and checked finite.
     """
 
     step: int
@@ -257,10 +261,14 @@ def convergence_time(records: list[TrajectoryRecord], dt: float) -> float | None
     The full hold window must fit inside the run; otherwise returns None.
     """
     window = math.ceil(CONVERGENCE_HOLD / dt - 1e-9)
-    ok = [abs(r.lateral_error) < CONVERGENCE_THRESHOLD for r in records]
-    for k in range(len(records) - window):
-        if all(ok[k : k + window + 1]):
-            return records[k].time
+    held = 0  # consecutive in-band records up to and including records[i]
+    for i, r in enumerate(records):
+        if abs(r.lateral_error) < CONVERGENCE_THRESHOLD:
+            held += 1
+            if held > window:
+                return records[i - window].time
+        else:
+            held = 0
     return None
 
 
@@ -279,7 +287,8 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
 
     Each record holds the poses the controller acted on at time step * dt
     together with the command it produced; the motion update happens after
-    the record is taken.
+    the record is taken.  The noise of the whole run is drawn before the
+    first step (NoiseModel.draws), and step k's measured pose takes triple k.
     """
     if isinstance(scenario.road, WaypointPath):
         logger.info(
@@ -288,11 +297,11 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
         )
     step = step_utpp if scenario.controller is Controller.UTPP else step_pp
     noise = scenario.noise
-    rng = noise.make_rng()
+    draws = noise.draws(scenario.steps)
     true_pose = measured_pose = scenario.start_pose
     records: list[TrajectoryRecord] = []
     delta = 0.0
-    for k in range(scenario.steps):
+    for k, draw in enumerate(repeat(None, scenario.steps) if draws is None else draws):
         fault: str | None = None
         try:
             delta, y_e = step(measured_pose, scenario)
@@ -313,7 +322,7 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
             )
         )
         true_pose = advance_pose(true_pose, delta, scenario.speed, scenario.dt, scenario.wheelbase)
-        measured_pose = sample_measured_pose(true_pose, noise, scenario.road, rng)
+        measured_pose = sample_measured_pose(true_pose, noise, scenario.road, draw)
         if scenario.paper_literal:
             true_pose = measured_pose
     return records, _summarize(records, scenario, noise.rng_seed)

@@ -5,13 +5,14 @@ filter raw fixes, which is modeled here by one knob only: the measured
 position may not deviate laterally from the road by more than
 max_lateral_dev (the shipped scenarios use 0.3 m, three sigma of the lateral
 noise).  Draws come from a seeded numpy PCG64 generator so runs replay
-bit-for-bit.
+bit-for-bit: each run takes its steps x 3 standard normals in one block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +40,17 @@ class NoiseModel:
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.rng_seed)
 
+    def draws(self, steps: int) -> list[list[float]] | None:
+        """A run's standard-normal draws, one (x, y, yaw) triple per step.
+
+        One steps x 3 block from the seeded generator: the same stream, in the
+        same order, as one scalar draw per axis per step.  A zero covariance is
+        a perfect sensor, which draws nothing: None, and no generator is built.
+        """
+        if self.cov.is_zero():
+            return None
+        return self.make_rng().standard_normal((steps, 3)).tolist()
+
 
 def advance_pose(pose: Pose, delta: float, speed: float, dt: float, wheelbase: float) -> Pose:
     """One bicycle-model step of duration dt under steering angle delta.
@@ -59,21 +71,24 @@ def advance_pose(pose: Pose, delta: float, speed: float, dt: float, wheelbase: f
 
 
 def sample_measured_pose(
-    true_pose: Pose, noise: NoiseModel, road: RoadModel, rng: np.random.Generator
+    true_pose: Pose, noise: NoiseModel, road: RoadModel, draw: Sequence[float] | None
 ) -> Pose:
-    """Draw a measured pose around the true one.
+    """The measured pose around the true one, from one step's triple of NoiseModel.draws.
 
-    Each axis gets an independent Gaussian perturbation; the position is then
+    Each axis adds its standard deviation times its standard normal, in
+    numpy's normal(0.0, sigma) operation order, 0.0 + sigma * g, so the value
+    and the sign of a zero equal a scalar draw's.  The position is then
     clamped so its lateral deviation from the road stays within
-    noise.max_lateral_dev, and the yaw wraps like any Pose.  A zero
-    covariance is a perfect sensor: the true pose comes back untouched, with
-    no corridor clamp (the clamp bounds what noise may do, so with none it
-    must not distort the measurement).
+    noise.max_lateral_dev, and the yaw wraps like any Pose.  No draw (None)
+    is a perfect sensor: the true pose comes back untouched, with no
+    corridor clamp (the clamp bounds what noise may do, so with none it must
+    not distort the measurement).
     """
-    if noise.cov.is_zero():
+    if draw is None:
         return true_pose
-    x = true_pose.x + rng.normal(0.0, math.sqrt(noise.cov.var_x))
-    y = true_pose.y + rng.normal(0.0, math.sqrt(noise.cov.var_y))
-    yaw = true_pose.yaw + rng.normal(0.0, math.sqrt(noise.cov.var_yaw))
+    cov = noise.cov
+    x = true_pose.x + (0.0 + math.sqrt(cov.var_x) * draw[0])
+    y = true_pose.y + (0.0 + math.sqrt(cov.var_y) * draw[1])
+    yaw = true_pose.yaw + (0.0 + math.sqrt(cov.var_yaw) * draw[2])
     x, y = clamp_to_road((x, y), road, noise.max_lateral_dev)
     return Pose(x, y, yaw)

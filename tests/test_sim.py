@@ -4,6 +4,8 @@ import random
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utpursuit import (
     Circle,
@@ -327,6 +329,33 @@ def test_convergence_time_definition():
     assert convergence_time(records, dt) is None
     records = [_rec(i, i * dt, v) for i, v in enumerate([0.1] * 5)]
     assert convergence_time(records, dt) is None
+
+
+def _sliced_convergence_time(records, dt):
+    """convergence_time's definition read literally: the first k whose window of records all lie in the band."""
+    window = math.ceil(sim.CONVERGENCE_HOLD / dt - 1e-9)
+    ok = [abs(r.lateral_error) < sim.CONVERGENCE_THRESHOLD for r in records]
+    for k in range(len(records) - window):
+        if all(ok[k : k + window + 1]):
+            return records[k].time
+    return None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(dt=st.sampled_from([0.1, 0.5, 1.0, 3.0]), data=st.data())
+def test_convergence_time_matches_the_sliced_definition(dt, data):
+    window = math.ceil(sim.CONVERGENCE_HOLD / dt - 1e-9)
+    # Lengths around the window, where a run just fits or just misses it.
+    n = data.draw(st.integers(max(0, window - 2), window + 3) | st.integers(0, 3 * window + 6), label="n")
+    shape = data.draw(st.sampled_from(["in", "out", "alternating", "any"]), label="shape")
+    if shape == "any":
+        band = (0.0, -0.0, 0.01, -0.0499, 0.05, -0.05, 0.2)
+        lat = data.draw(st.lists(st.sampled_from(band), min_size=n, max_size=n), label="lat")
+    else:
+        cycle = {"in": (0.01,), "out": (0.1,), "alternating": (0.01, 0.1)}[shape]
+        lat = [cycle[i % len(cycle)] for i in range(n)]
+    records = [_rec(i, i * dt, v) for i, v in enumerate(lat)]
+    assert convergence_time(records, dt) == _sliced_convergence_time(records, dt)
 
 
 def test_run_batch_seeds_and_order_invariance():

@@ -107,13 +107,11 @@ ROAD = StraightLine(0.0, 0.0)
 def test_sampling_is_reproducible_and_seed_sensitive():
     noise = NoiseModel(cov=Covariance3(0.01, 0.01, 0.01), rng_seed=7)
     true = Pose(1.0, 0.1, 0.05)
-    rng1 = noise.make_rng()
-    seq1 = [sample_measured_pose(true, noise, ROAD, rng1) for _ in range(50)]
-    rng2 = noise.make_rng()
-    seq2 = [sample_measured_pose(true, noise, ROAD, rng2) for _ in range(50)]
+    seq1 = [sample_measured_pose(true, noise, ROAD, draw) for draw in noise.draws(50)]
+    seq2 = [sample_measured_pose(true, noise, ROAD, draw) for draw in noise.draws(50)]
     assert seq1 == seq2
-    rng3 = NoiseModel(cov=noise.cov, rng_seed=8).make_rng()
-    seq3 = [sample_measured_pose(true, noise, ROAD, rng3) for _ in range(50)]
+    draws3 = NoiseModel(cov=noise.cov, rng_seed=8).draws(50)
+    seq3 = [sample_measured_pose(true, noise, ROAD, draw) for draw in draws3]
     assert seq1 != seq3
 
 
@@ -123,11 +121,10 @@ def test_sampling_statistics_match_the_covariance():
     noise = NoiseModel(
         cov=Covariance3(0.0, sigma_y**2, sigma_yaw**2), max_lateral_dev=1e9, rng_seed=12345
     )
-    rng = noise.make_rng()
     true = Pose(0.0, 0.0, 0.0)
     xs, ys, yaws = [], [], []
-    for _ in range(100_000):
-        p = sample_measured_pose(true, noise, ROAD, rng)
+    for draw in noise.draws(100_000):
+        p = sample_measured_pose(true, noise, ROAD, draw)
         xs.append(p.x)
         ys.append(p.y)
         yaws.append(p.yaw)
@@ -138,16 +135,68 @@ def test_sampling_statistics_match_the_covariance():
 
 def test_lateral_clamp_saturates_exactly():
     noise = NoiseModel(cov=Covariance3(0.0, 100.0, 0.0), max_lateral_dev=0.3, rng_seed=1)
-    rng = noise.make_rng()
     true = Pose(0.0, 0.0, 0.0)
     saturated = 0
-    for _ in range(100):
-        p = sample_measured_pose(true, noise, ROAD, rng)
+    for draw in noise.draws(100):
+        p = sample_measured_pose(true, noise, ROAD, draw)
         assert abs(p.y) <= 0.3
         if abs(p.y) == 0.3:
             saturated += 1
         assert p.x == 0.0
     assert saturated > 90  # sigma_y = 10 m, nearly every draw clamps
+
+
+# The shipped sigmas: none along the road, 0.1 m across it and 10 deg of heading.
+SHIPPED_COV = Covariance3(0.0, 0.1**2, math.radians(10.0) ** 2)
+
+
+def _sigmas(cov):
+    return [math.sqrt(cov.var_x), math.sqrt(cov.var_y), math.sqrt(cov.var_yaw)]
+
+
+def _scaled(draws, cov):
+    """A block of NoiseModel.draws scaled per axis as sample_measured_pose scales it."""
+    return [[0.0 + sigma * g for sigma, g in zip(_sigmas(cov), row)] for row in draws]
+
+
+def _scalar(rng, cov, steps):
+    """The reference stream: one rng.normal(0.0, sigma) per axis per step."""
+    return [[rng.normal(0.0, sigma) for sigma in _sigmas(cov)] for _ in range(steps)]
+
+
+@pytest.mark.parametrize("steps", [300, 1])
+def test_block_draws_equal_one_scalar_draw_per_axis_per_step(steps):
+    # float.hex tells every bit apart, and the sign of a zero: on the x axis,
+    # sigma 0, numpy's 0.0 + 0.0 * g is +0.0 whatever the sign of g.
+    for seed in range(50):
+        noise = NoiseModel(cov=SHIPPED_COV, rng_seed=seed)
+        block = _scaled(noise.draws(steps), noise.cov)
+        scalar = _scalar(noise.make_rng(), noise.cov, steps)
+        assert [[v.hex() for v in row] for row in block] == [[v.hex() for v in row] for row in scalar]
+
+
+def test_measured_pose_equals_the_scalar_draw_formula():
+    noise = NoiseModel(cov=SHIPPED_COV, max_lateral_dev=1e9, rng_seed=3)
+    rng = noise.make_rng()
+    sx, sy, syaw = _sigmas(noise.cov)
+    # At x = -0.0 only numpy's 0.0 + sigma * g, and not sigma * g alone, gives +0.0.
+    true = Pose(-0.0, -0.2, 3.1)
+    for draw in noise.draws(300):
+        expected = Pose(
+            true.x + rng.normal(0.0, sx), true.y + rng.normal(0.0, sy), true.yaw + rng.normal(0.0, syaw)
+        )
+        measured = sample_measured_pose(true, noise, ROAD, draw)
+        assert [v.hex() for v in (measured.x, measured.y, measured.yaw)] == [
+            v.hex() for v in (expected.x, expected.y, expected.yaw)
+        ]
+
+
+def test_a_perfect_sensor_draws_nothing(monkeypatch):
+    noise = NoiseModel(cov=Covariance3(0.0, 0.0, 0.0), rng_seed=4)
+    monkeypatch.setattr(NoiseModel, "make_rng", lambda self: pytest.fail("a zero covariance built a generator"))
+    assert noise.draws(300) is None
+    true = Pose(8.0, 3.0, 0.5)
+    assert sample_measured_pose(true, noise, ROAD, None) is true
 
 
 def test_clamp_to_road_circle_and_polyline():
