@@ -681,6 +681,34 @@ def _records_digest(records, summary) -> str:
     return digest.hexdigest()
 
 
+# The same digests along a straight waypoint stretch at slope 0.3, where every
+# local road is a fitted line whose cross term sxy is not 0: unlike the
+# stadium's axis-parallel legs, these pin how _fit_line sums its dot products.
+TILTED_DIGESTS = {
+    ("pp", 0): "c0106feefbb1d0e0ba42b85f047f9ed63c9421e0d05a2794ab610e612b3e381e",
+    ("pp", 1): "a282597bad3665358ca6e6aa91be36851aaa62156562eb65e9bb6534df1d3e7c",
+    ("utpp", 0): "bc6ca746102a8814fa5c56a424448bbc3b59107e103e2dd6ecabe1b03133f5bb",
+    ("utpp", 1): "e3403e16377eb30605e7bc492fc32173a89f0026c380911b5a4b8d12b62ee8c0",
+}
+
+
+@pytest.mark.parametrize("controller, seed", sorted(TILTED_DIGESTS))
+def test_tilted_stretch_records_are_bit_identical_to_the_pinned_digests(controller, seed, monkeypatch):
+    fits = []
+    fit_line = waypoints._fit_line
+    monkeypatch.setattr(waypoints, "_fit_line", lambda *abc: fits.append(abc) or fit_line(*abc))
+    path = WaypointPath([(0.5 * i, 0.15 * i) for i in range(60)])
+    scen = make_scenario(path, controller=Controller(controller), noise=reference_noise(seed), steps=80)
+    records, summary = run(scen)
+
+    def sxy(a, b, c):
+        mx, my = (a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0
+        return sum((x - mx) * (y - my) for x, y in (a, b, c))
+
+    assert fits and all(sxy(*abc) != 0.0 for abc in fits)
+    assert _records_digest(records, summary) == TILTED_DIGESTS[controller, seed]
+
+
 # Digests of the loop branches that the shipped configs leave out: paper-literal
 # mode, a perfect sensor that draws nothing, and leading steps that fault.
 PAPER_LITERAL_DIGESTS = {
