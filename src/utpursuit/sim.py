@@ -206,23 +206,14 @@ def _local_roads(
     """The local road of the sigma pose sigma[i], as a function of i, built when first asked for.
 
     On a waypoint road the mean and the poses of the steered pairs share one
-    nearest-waypoint scan, and poses that select the same waypoint share one
-    line or circle.
+    nearest-waypoint scan, and the path keeps each waypoint's line or circle.
     """
     road = scenario.road
     if not isinstance(road, WaypointPath):
         return lambda i: road
     steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
     selected = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], scenario.lookahead)))
-    built: dict[int, LocalRoad] = {}
-
-    def road_of(i: int) -> LocalRoad:
-        w = selected[i]
-        if w not in built:
-            built[w] = local_road(road, w)
-        return built[w]
-
-    return road_of
+    return lambda i: local_road(road, selected[i])
 
 
 def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:

@@ -11,7 +11,8 @@ Both path queries follow one rule: a scan shortlists, the scalar loop of
 the tests' oracle decides, over that shortlist only, in index order.  The
 scan is WaypointIndex._near, the one place where the grid and numpy meet:
 for a query and a margin extra it returns d, the nearest waypoint's
-distance times _SHORTLIST_REL, and every waypoint within d + extra.
+distance times _SHORTLIST_REL, and every waypoint within d + extra.  The
+margin is one float, or one per waypoint: project's reach (see below).
 
 The grid's square cells are _CELL_SEGMENTS median segments wide.  A scan
 visits the query's cell, then the rings of cells around it, one ring
@@ -26,7 +27,21 @@ from the query, farther than d + extra, and it is neither the nearest nor
 on the shortlist.  The nearest waypoint seen cannot get nearer after the
 stop, so d is final.  A query that needs more than _RING_CAP rings, such as
 the centre of a circular loop, or one whose path's extent is more than
-_MAX_CELLS widths, is scanned instead by numpy, against every waypoint.
+_MAX_CELLS widths, is scanned instead by numpy, against every waypoint; it
+applies the margin with numpy too, and lists only the waypoints within it.
+
+Rings 0 and 1 come from a table: each cell key's block, the waypoints of
+the 3 x 3 cells around it (the standard cell list of particle codes), kept
+as flat tuples of x, y and index in the order the ring scan visits them.
+Ring 0 can never stop a scan, since it holds every waypoint only within a
+negative distance, so rings 0 and 1 are the least any scan visits, and the
+block gives them with the same distances, the same minimum and the same
+shortlist as cell-by-cell lookups would.  A scan that ring 1 cannot stop
+goes on from ring 2 as before.  A block is built when a query first lands
+in its cell, not with the index, so a path pays only for the cells its
+queries visit, and is kept only when it holds a waypoint.  Each kept block
+then has an occupied cell among its 9, so at most 9 blocks per occupied
+cell are ever kept.
 
 nearest_group serves nearby probes, such as one step's sigma poses.  Each
 lies within delta of the first probe, so the first probe's nearest waypoint
@@ -39,7 +54,12 @@ within d0 has its nearer endpoint within d0 + L/2, where L is its length.  So
 waypoint i is shortlisted within d0 + reach_i, where reach_i is half the
 longer segment at waypoint i, which keeps one long segment from putting every
 other segment on the list; segments with a shortlisted endpoint go through
-the loop.  extra is the longest reach.
+the loop.  extra is reach, waypoint by waypoint.
+
+A WaypointPath also keeps local_road's line or circle of each waypoint it
+was asked for, so a waypoint's triple is fitted once per path.  Neither that
+nor the index's blocks changes any result: each holds exactly what would be
+derived again.
 """
 
 from __future__ import annotations
@@ -85,6 +105,8 @@ _MAX_CELLS = 2**30
 # In cell widths: well over the 2**-20 that the cell indices' rounding can
 # take off a waypoint's distance outside the scanned rings.
 _RING_SLACK = 2.0**-16
+# A cell's neighbourhood block: the x, y and index of each waypoint around it.
+_Block = tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]
 # Ring r of the grid: the (column, row) offsets at Chebyshev distance r.
 _RINGS = [
     [(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1) if max(abs(dx), abs(dy)) == r]
@@ -103,7 +125,8 @@ class WaypointIndex:
 
     The grid is compact: a dict from each occupied cell's key to its
     ordinal, and the waypoint indices ordered by cell, index order within
-    one, with each cell's bounds in that order, both numpy arrays.
+    one, with each cell's bounds in that order, both numpy arrays.  A dict
+    of neighbourhood blocks fills in as queries land in cells.
     """
 
     def __init__(self, points: tuple[Point2, ...]):
@@ -122,6 +145,8 @@ class WaypointIndex:
         self._reach = memoryview(self.reach)
         self._max_reach = float(self.reach.max(initial=0.0))
         self._cells: dict[int, int] | None = None
+        # Each cell key's neighbourhood block, built when a query first lands there.
+        self._blocks: dict[int, _Block] = {}
         if len(length):
             # The median segment, the upper one of an even count.
             self._build_grid(_CELL_SEGMENTS * float(np.partition(length, len(length) // 2)[len(length) // 2]))
@@ -148,42 +173,75 @@ class WaypointIndex:
         self._order = memoryview(order)
         self._bounds = memoryview(np.r_[0, starts, len(keys)])
         self._x0, self._y0, self._width, self._stride = x0, y0, width, stride
-        # Each ring's key offsets, and the distance within which it and the
-        # rings inside it hold every waypoint.
+        # The key offsets of a cell's block, rings 0 and 1 in scan order; then
+        # each ring from 1 out, with the key offsets it adds to the block's,
+        # none for ring 1, and the distance within which it and the rings
+        # inside it hold every waypoint.
+        self._block_offsets = [dx * stride + dy for dx, dy in _RINGS[0] + _RINGS[1]]
         self._rings = [
-            ([dx * stride + dy for dx, dy in ring], (r - _RING_SLACK) * width) for r, ring in enumerate(_RINGS)
+            ([dx * stride + dy for dx, dy in ring] if r > 1 else [], (r - _RING_SLACK) * width)
+            for r, ring in enumerate(_RINGS)
+            if r
         ]
 
-    def _near(self, qx: float, qy: float, extra: float) -> tuple[float, list[tuple[float, int]]]:
-        """The nearest waypoint's distance d, times _SHORTLIST_REL, and
-        (squared distance, index) for every waypoint within d + extra: from
-        the grid's rings, or past their cap or without a grid, _numpy_near.
+    def _block(self, key: int) -> _Block:
+        """The waypoints of rings 0 and 1 around the cell key, in the order the
+        ring scan visits them, as flat tuples of x, y and index; kept only when
+        it holds a waypoint (see the module docstring).
+        """
+        cells, order, bounds, points = self._cells, self._order, self._bounds, self.points
+        near: list[int] = []
+        for offset in self._block_offsets:
+            c = cells.get(key + offset)
+            if c is not None:
+                near.extend(order[bounds[c] : bounds[c + 1]])
+        block = tuple(points[j][0] for j in near), tuple(points[j][1] for j in near), tuple(near)
+        if near:
+            self._blocks[key] = block
+        return block
+
+    def _near(self, qx: float, qy: float, extra: float | np.ndarray) -> tuple[float, list[int]]:
+        """The nearest waypoint's distance d, times _SHORTLIST_REL, and the
+        index of every waypoint j within d + extra, where extra is a float,
+        or the array reach, whose margin for waypoint j is reach[j]: from the
+        grid's rings, or past their cap or without a grid, _numpy_near.
         """
         cells = self._cells
-        if cells is not None and extra < self._rings[-1][1]:
+        margins = self._reach if extra is self.reach else None
+        widest = extra if margins is None else self._max_reach
+        if cells is not None and widest < self._rings[-1][1]:
             fx, fy = (qx - self._x0) / self._width, (qy - self._y0) / self._width
             if -_RING_CAP <= fx < self._columns + _RING_CAP and -_RING_CAP <= fy < self._rows + _RING_CAP:
                 key = math.floor(fx) * self._stride + math.floor(fy)
+                block = self._blocks.get(key)
+                if block is None:
+                    block = self._block(key)
+                xs, ys, indices = block
+                d2 = [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in zip(xs, ys)]
+                # A copy, which rings past 1 extend: the block is kept.
+                near = list(indices)
                 points, order, bounds = self.points, self._order, self._bounds
-                seen: list[tuple[float, int]] = []
                 for ring, reach in self._rings:
                     for offset in ring:
                         c = cells.get(key + offset)
                         if c is not None:
                             for j in order[bounds[c] : bounds[c + 1]]:
                                 x, y = points[j]
-                                dx, dy = x - qx, y - qy
-                                seen.append((dx * dx + dy * dy, j))
-                    if seen:
-                        d = math.sqrt(min(seen)[0]) * _SHORTLIST_REL
-                        r = d + extra
+                                d2.append((x - qx) * (x - qx) + (y - qy) * (y - qy))
+                                near.append(j)
+                    if d2:
+                        d = math.sqrt(min(d2)) * _SHORTLIST_REL
+                        r = d + widest
                         if r < reach:
                             r *= r
-                            return d, [hit for hit in seen if hit[0] <= r]
+                            if margins is None:
+                                return d, [j for q2, j in zip(d2, near) if q2 <= r]
+                            # Within d + the widest margin first: the cheaper test, which the second implies.
+                            return d, [j for q2, j in zip(d2, near) if q2 <= r and q2 <= (m := margins[j] + d) * m]
         return self._numpy_near(qx, qy, extra)
 
-    def _numpy_near(self, qx: float, qy: float, extra: float) -> tuple[float, list[tuple[float, int]]]:
-        # _near against every waypoint, with numpy, in place: two float arrays a call.
+    def _numpy_near(self, qx: float, qy: float, extra: float | np.ndarray) -> tuple[float, list[int]]:
+        # _near against every waypoint, with numpy, in place but for an array extra.
         d2 = self.xs - qx
         d2 *= d2
         dy2 = self.ys - qy
@@ -191,8 +249,8 @@ class WaypointIndex:
         d2 += dy2
         d = math.sqrt(float(d2.min())) * _SHORTLIST_REL
         r = d + extra
-        near = (d2 <= r * r).nonzero()[0]
-        return d, list(zip(d2[near].tolist(), near.tolist()))
+        r *= r
+        return d, (d2 <= r).nonzero()[0].tolist()
 
     def nearest_group(self, probes: list[Point2]) -> list[int]:
         """Index of the waypoint nearest to each probe, from one scan.
@@ -206,7 +264,7 @@ class WaypointIndex:
         spread = 0.0
         for px, py in probes[1:]:
             spread = max(spread, math.hypot(px - qx, py - qy))
-        shortlist = sorted(j for _, j in self._near(qx, qy, 2.0 * spread * _SHORTLIST_REL + _SHORTLIST_ABS)[1])
+        shortlist = sorted(self._near(qx, qy, 2.0 * spread * _SHORTLIST_REL + _SHORTLIST_ABS)[1])
         if len(shortlist) == 1:
             return shortlist * len(probes)
         near = [(j, *self.points[j]) for j in shortlist]
@@ -233,18 +291,16 @@ class WaypointIndex:
         query 0.3 m from a 10^4-point circle.  The worst case is a query
         that needs more rings than _RING_CAP, such as the centre of that
         circle: it scans every cell of the rings, then every waypoint with
-        numpy, and every waypoint and segment goes through the loops, about
-        7 ms (4-11 ms over 5 processes; Python 3.11 on a shared 2-core Xeon).
+        numpy, which applies the reach rule, and every segment goes through
+        the loop, about 5 ms (Python 3.11 on a shared 2-core Xeon).
         """
         px, py = point
-        d, shortlist = self._near(px, py, self._max_reach)
-        reach, near = self._reach, set()
-        for q2, j in shortlist:
-            r = reach[j] + d
-            if q2 <= r * r:
-                near.add(j - 1)
-                near.add(j)
+        shortlist = self._near(px, py, self.reach)[1]
         # Waypoint j ends segment j - 1 and starts segment j, where those exist.
+        near = set()
+        for j in shortlist:
+            near.add(j - 1)
+            near.add(j)
         near.discard(-1)
         near.discard(len(self.points) - 1)
         points = self.points
@@ -275,8 +331,10 @@ class WaypointPath:
     """
 
     points: tuple[Point2, ...]
-    # Built from points on first use; never passed in, so it is always this path's.
+    # Built from points on first use; never passed in, so they are always this path's.
     _index: WaypointIndex | None = field(default=None, init=False, repr=False, compare=False)
+    # local_road's line or circle of each waypoint that has been asked for and has one.
+    _roads: dict[int, LocalRoad] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -385,13 +443,20 @@ def local_road(path: WaypointPath, w: int) -> LocalRoad:
     Both results stay in the global frame.  |Menger curvature| of the
     waypoint triple below STRAIGHT_EPS selects the least-squares line;
     otherwise the triple's circumcircle (radius 1 / |kappa|) is returned.
+    Each waypoint's road is derived once per path and kept; a triple that
+    has none raises every time it is asked for.
     """
-    a, b, c = path.points[w - 1], path.points[w], path.points[w + 1]
-    kappa = menger_curvature(a, b, c)
-    if abs(kappa) < STRAIGHT_EPS:
-        return _fit_line(a, b, c)
-    cx, cy = circumcenter(a, b, c)
-    return Circle(cx, cy, 1.0 / abs(kappa))
+    road = path._roads.get(w)
+    if road is None:
+        a, b, c = path.points[w - 1], path.points[w], path.points[w + 1]
+        kappa = menger_curvature(a, b, c)
+        if abs(kappa) < STRAIGHT_EPS:
+            road = _fit_line(a, b, c)
+        else:
+            cx, cy = circumcenter(a, b, c)
+            road = Circle(cx, cy, 1.0 / abs(kappa))
+        path._roads[w] = road
+    return road
 
 
 def load_waypoints(path: str) -> WaypointPath:

@@ -559,6 +559,51 @@ def test_coincident_triple_faults_the_step_and_the_run_goes_on(controller):
     assert summary.fault_count == sum(r.fault is not None for r in records)
 
 
+def tilted_path() -> WaypointPath:
+    """A straight stretch at slope 0.3: every local road is a fitted line whose cross term sxy is not 0."""
+    return WaypointPath([(0.5 * i, 0.15 * i) for i in range(60)])
+
+
+def test_hairpin_tip_raises_on_every_call_and_is_not_kept():
+    path = hairpin_path()
+    for _ in range(3):
+        with pytest.raises(CoincidentPoints):
+            local_road(path, 5)
+    assert 5 not in path._roads
+    # Its neighbours have roads, and those are kept.
+    assert local_road(path, 4) is local_road(path, 4) == local_road(hairpin_path(), 4)
+
+
+@pytest.mark.parametrize("where", ["waypoint_arc", "tilted", "hairpin"])
+@pytest.mark.parametrize("controller", [Controller.PP, Controller.UTPP])
+def test_batches_on_one_path_equal_runs_on_a_fresh_path_per_seed(where, controller, monkeypatch):
+    # The path keeps its index blocks and local roads from run to run and
+    # batch to batch; a fresh path starts with none.
+    if where == "waypoint_arc":
+        base = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=controller, steps=100)
+    elif where == "tilted":
+        base = make_scenario(tilted_path(), controller=controller, noise=reference_noise(), steps=80)
+    else:
+        base = make_scenario(hairpin_path(), start_pose=Pose(0.0, 0.0, 0.0), controller=controller, noise=reference_noise())
+    points = base.road.points
+    fresh = [
+        _records_digest(*run(replace(base, road=WaypointPath(points), noise=replace(base.noise, rng_seed=seed))))
+        for seed in range(4)
+    ]
+    digests = []
+    run_once = sim.run
+
+    def digested(scen):
+        records, summary = run_once(scen)
+        digests.append(_records_digest(records, summary))
+        return records, summary
+
+    monkeypatch.setattr(sim, "run", digested)
+    summaries = [run_batch(base, 4, 0)[0] for _ in range(2)]
+    assert digests == fresh + fresh
+    assert summaries[0] == summaries[1]
+
+
 def _count_cross_tracks(monkeypatch) -> list[int]:
     calls = [0]
     for name in ("cross_track_line", "cross_track_circle"):
@@ -681,9 +726,9 @@ def _records_digest(records, summary) -> str:
     return digest.hexdigest()
 
 
-# The same digests along a straight waypoint stretch at slope 0.3, where every
-# local road is a fitted line whose cross term sxy is not 0: unlike the
-# stadium's axis-parallel legs, these pin how _fit_line sums its dot products.
+# The same digests along tilted_path(), where every local road is a fitted
+# line whose cross term sxy is not 0: unlike the stadium's axis-parallel
+# legs, these pin how _fit_line sums its dot products.
 TILTED_DIGESTS = {
     ("pp", 0): "c0106feefbb1d0e0ba42b85f047f9ed63c9421e0d05a2794ab610e612b3e381e",
     ("pp", 1): "a282597bad3665358ca6e6aa91be36851aaa62156562eb65e9bb6534df1d3e7c",
@@ -697,8 +742,7 @@ def test_tilted_stretch_records_are_bit_identical_to_the_pinned_digests(controll
     fits = []
     fit_line = waypoints._fit_line
     monkeypatch.setattr(waypoints, "_fit_line", lambda *abc: fits.append(abc) or fit_line(*abc))
-    path = WaypointPath([(0.5 * i, 0.15 * i) for i in range(60)])
-    scen = make_scenario(path, controller=Controller(controller), noise=reference_noise(seed), steps=80)
+    scen = make_scenario(tilted_path(), controller=Controller(controller), noise=reference_noise(seed), steps=80)
     records, summary = run(scen)
 
     def sxy(a, b, c):

@@ -14,15 +14,17 @@ from utpursuit import (
     Pose,
     StraightLine,
     TooFewWaypoints,
+    VerticalRoad,
     WaypointIndex,
     WaypointPath,
     build_index,
     load_waypoints,
+    local_road,
     menger_curvature,
     reduce_to_local_road,
     select_lookahead_waypoint,
 )
-from utpursuit.waypoints import MIN_WAYPOINT_SPACING, circumcenter
+from utpursuit.waypoints import _RING_CAP, MIN_WAYPOINT_SPACING, circumcenter
 
 from conftest import CONFIG_DIR, stadium_path
 from test_roads import nearest_point_on_polyline_oracle
@@ -392,6 +394,112 @@ def test_grid_near_returns_the_numpy_scans_radius_and_list(case):
     assume(index._cells is not None)
     for q in queries:
         _assert_grid_near_is_numpy_near(index, q)
+
+
+@st.composite
+def memo_cases(draw):
+    """A path, queries around it and how each was placed: (points, [(where, query)]).
+
+    The path is a random walk of steps from 0.05 to 2 m, evenly spaced or
+    not, with one step 20 to 500 times the shortest among the others.  The
+    queries sit near waypoints, at the centres of empty cells inside the
+    grid's padding (some of them past the ring cap), on the long segment's
+    midpoint, far from every waypoint, and outside the padded grid.
+    """
+    n = draw(st.integers(3, 40))
+    if draw(st.booleans()):
+        lengths = [draw(st.floats(0.05, 2.0))] * (n - 1)
+    else:
+        lengths = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    long = draw(st.integers(0, n - 2))
+    lengths[long] = min(lengths) * draw(st.sampled_from([1.0, 20.0, 500.0]))
+    points = [(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))]
+    heading = draw(st.floats(0.0, 2.0 * math.pi))
+    for length in lengths:
+        heading += draw(st.floats(-1.5, 1.5))
+        x, y = points[-1]
+        points.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+    unit = st.floats(-1.0, 1.0)
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, y = points[draw(st.integers(0, n - 1))]
+        queries.append(("near", (x + 0.5 * draw(unit), y + 0.5 * draw(unit))))
+    (ax, ay), (bx, by) = points[long], points[long + 1]
+    queries.append(("long", ((ax + bx) / 2.0, (ay + by) / 2.0)))
+    index = WaypointPath(points).spatial_index()
+    if index._cells is not None:
+        # Cells in the padding around the occupied columns and rows, by their column and row.
+        for _ in range(draw(st.integers(1, 6))):
+            i = draw(st.integers(-_RING_CAP, index._columns + _RING_CAP - 1))
+            j = draw(st.integers(-_RING_CAP, index._rows + _RING_CAP - 1))
+            if i * index._stride + j not in index._cells:
+                centre = (index._x0 + (i + 0.5) * index._width, index._y0 + (j + 0.5) * index._width)
+                queries.append(("empty cell", centre))
+        beyond = (_RING_CAP + 3) * index._width
+        queries.append(("outside", (index._x0 - beyond, index._y0 + draw(unit) * beyond)))
+    queries.append(("far", (draw(st.sampled_from([-1e4, 1e4])), draw(st.floats(-1e4, 1e4)))))
+    return points, queries
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(memo_cases())
+def test_warm_queries_equal_fresh_ones_and_the_scalar_oracles(case):
+    points, queries = case
+    warm = WaypointPath(points)
+    index = warm.spatial_index()
+    for _ in range(2):
+        for _, q in queries:
+            fresh = WaypointPath(points).spatial_index()
+            for extra in (0.0, 0.6, index._max_reach):
+                d, near = index._near(*q, extra)
+                fresh_d, fresh_near = fresh._near(*q, extra)
+                assert (d, sorted(near)) == (fresh_d, sorted(fresh_near))
+            d, near = index._near(*q, index.reach)
+            fresh_d, fresh_near = fresh._near(*q, fresh.reach)
+            assert (d, sorted(near)) == (fresh_d, sorted(fresh_near))
+            assert index.nearest_group([q]) == fresh.nearest_group([q]) == [nearest_waypoint_oracle(q, points)]
+            assert index.project(q) == fresh.project(q) == nearest_point_on_polyline_oracle(q, warm)
+        # Blocks are kept only for cells with a waypoint within one ring, and
+        # only once a query has landed in them.
+        if index._cells is not None:
+            assert len(index._blocks) <= 9 * len(index._cells)
+            assert all(block[2] for block in index._blocks.values())
+    assert index.nearest_group([q for _, q in queries]) == [nearest_waypoint_oracle(q, points) for _, q in queries]
+    # Each local road is derived once and kept, equal to a fresh path's; a
+    # triple that has none raises on every call and is not kept.
+    for w in range(1, len(points) - 1):
+        outcomes = []
+        for path in (warm, warm, WaypointPath(points)):
+            try:
+                outcomes.append(local_road(path, w))
+            except (CoincidentPoints, VerticalRoad) as exc:
+                outcomes.append(type(exc))
+        kept, again, fresh = outcomes
+        assert kept == again == fresh
+        assert again is kept if w in warm._roads else isinstance(kept, type)
+
+
+def test_both_scans_apply_each_waypoints_reach_margin(monkeypatch):
+    # 100 unit segments, then one of 100 m: within d + the longest reach, 50 m,
+    # lie waypoints 0 to 55, past the grid's ring cap, so numpy scans them;
+    # within d + each one's own reach lie only 5 and 6.
+    q = (5.3, 0.2)
+    points = [(float(i), 0.0) for i in range(101)] + [(200.0, 0.0)]
+    index = WaypointPath(points).spatial_index()
+    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    d, near = index._near(*q, index.reach)
+    assert sorted(near) == [5, 6] and numpy_scans == [q]
+    assert index._numpy_near(*q, index.reach) == (d, near)
+    assert sorted(index._numpy_near(*q, index._max_reach)[1]) == list(range(56))
+    # With a last segment of 10 m, the grid's rings hold the waypoints within
+    # d + 5 m, 0 to 10, and the same two are within their own reach.
+    points[-1] = (110.0, 0.0)
+    index = WaypointPath(points).spatial_index()
+    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    grid_d, grid_near = index._near(*q, index.reach)
+    assert (grid_d, sorted(grid_near)) == (d, [5, 6])
+    assert sorted(index._near(*q, index._max_reach)[1]) == list(range(11))
+    assert numpy_scans == []
 
 
 class _CountingPoints(tuple):
