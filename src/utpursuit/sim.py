@@ -73,6 +73,13 @@ _FIELD_TYPES = (
     ("paper_literal", (bool,)),
 )
 _TYPE_NAMES = {Real: "real number", int: "whole number"}
+# Each field's getter, and the exact types that pass without the full test:
+# float and int for a real number, the listed classes themselves otherwise.
+# bool, subclasses and every wrong type still take the full test below.
+_FIELD_CHECKS = tuple(
+    (name, kinds, attrgetter(name), frozenset((float, int) if kinds == (Real,) else kinds))
+    for name, kinds in _FIELD_TYPES
+)
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # Checked first, so a wrong type fails here, named, rather than mid-run.
-        for name, kinds in _FIELD_TYPES:
-            value = attrgetter(name)(self)
+        for name, kinds, get, exact in _FIELD_CHECKS:
+            value = get(self)
+            if type(value) in exact:
+                continue
             if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
                 expected = " or ".join(_TYPE_NAMES.get(kind, kind.__name__) for kind in kinds)
                 raise ConfigInvalid(f"{name} must be a {expected}, got {type(value).__name__}")

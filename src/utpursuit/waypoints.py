@@ -7,12 +7,14 @@ a straight line, any other its circumcircle; the curvature's sign
 (counter-clockwise positive) is kept for diagnostics.  Every query takes
 the WaypointPath, which builds and keeps its own WaypointIndex.
 
-Both path queries follow one rule: a scan shortlists, the scalar loop of
-the tests' oracle decides, over that shortlist only, in index order.  The
-scan is WaypointIndex._near, the one place where the grid and numpy meet:
-for a query and a margin extra it returns d, the nearest waypoint's
-distance times _SHORTLIST_REL, and every waypoint within d + extra.  The
-margin is one float, or one per waypoint: project's reach (see below).
+Both path queries follow one rule: a candidate list is made, and the
+scalar loop of the tests' oracle decides, over that list only, in index
+order.  A query takes its list from a table kept per fine cell; where there
+is none, from a scan (both below).  The scan is WaypointIndex._near, the
+one place where the grid and numpy meet: for a query and a margin extra it
+returns d, the nearest waypoint's distance times _SHORTLIST_REL, and every
+waypoint within d + extra, or, for the segments, every segment with an end
+j within d + extra + reach[j] (see project, below).
 
 The grid's square cells are _CELL_SEGMENTS median segments wide.  A scan
 visits the query's cell, then the rings of cells around it, one ring
@@ -28,7 +30,8 @@ on the shortlist.  The nearest waypoint seen cannot get nearer after the
 stop, so d is final.  A query that needs more than _RING_CAP rings, such as
 the centre of a circular loop, or one whose path's extent is more than
 _MAX_CELLS widths, is scanned instead by numpy, against every waypoint; it
-applies the margin with numpy too, and lists only the waypoints within it.
+applies the margin with numpy too, and lists only the waypoints, or the
+segments, within it.
 
 Rings 0 and 1 come from a table: each cell key's block, the waypoints of
 the 3 x 3 cells around it (the standard cell list of particle codes), kept
@@ -43,23 +46,57 @@ queries visit, and is kept only when it holds a waypoint.  Each kept block
 then has an occupied cell among its 9, so at most 9 blocks per occupied
 cell are ever kept.
 
+The candidate lists.  Each grid cell is tiled by _FINE_CELLS x _FINE_CELLS
+fine cells, one median segment wide.  A fine cell with centre c keeps two
+lists, each built by one scan of c when its query first lands in the cell:
+its waypoints, those within (d_c + 2h) * _SHORTLIST_REL + _SHORTLIST_ABS of
+c, where d_c is the distance from c to its nearest waypoint, and its
+segments, those within (D_c + 2h) * _SHORTLIST_REL of c, where D_c is the
+distance from c to the polyline.  h bounds the distance from c to any query
+that lands in the cell.  For such a query q, the nearest waypoint is within
+d_c + h of q, so within d_c + 2h of c; the closest point on the polyline
+likewise lies within D_c + 2h of c; the margins are the scans' own.  So
+each list holds the answer, and the scalar loop over it, in index order,
+returns what the loop over every waypoint or segment would.  This rests on
+the assumption the scans make too: that each scalar foot is within
+rounding of exact.  The fine indices are rounded as the grid's are, by
+under 2**-20 fine cells here, so h is half the cell's diagonal widened by
+_RING_SLACK fine cells, plus a bound on what rounding moved c by.  The
+segment scan marks each end j within d_c + 2h + reach[j], which holds every
+segment within D_c + 2h <= d_c + 2h of c; the foot from c of each of those
+then decides.  Both lists hold shared entry tuples, (x, y, j) and
+(x0, y0, dx, dy), which the loops unpack as they are.
+
+Lists are kept only near the path, where the fine cell's centre lies in a
+grid cell with a block, and within a budget of _LIST_BUDGET entries per
+waypoint in all (each entry is one slot of a list that points to a shared
+tuple: about 25 bytes, cell overheads included, as measured on
+configs/waypoint_arc.txt).  So at most 9 * _FINE_CELLS**2 fine cells per
+occupied grid cell keep lists.  Every other query takes the scan: an index
+without a grid, one of fewer than 3 points or with a segment no longer
+than MIN_WAYPOINT_SPACING (a WaypointPath has neither), a query outside
+the grid's columns and rows or the cell around them, a cell outside the
+kept region, such as the centre of a loop, or one past the budget.
+
 nearest_group serves nearby probes, such as one step's sigma poses.  Each
-lies within delta of the first probe, so the first probe's nearest waypoint
-is within d0 + delta of it, and so is its own nearest waypoint, which thus
-lies within d0 + 2 delta of the first probe: extra is 2 delta, widened.  A
-one-waypoint shortlist answers every probe.
+probe is decided over its own cell's list, and probes in one cell share
+one lookup.  Where a probe's cell has no list, the group takes one scan:
+each probe lies within delta of the first probe, so the first probe's
+nearest waypoint is within d0 + delta of it, and so is its own nearest
+waypoint, which thus lies within d0 + 2 delta of the first probe: extra is
+2 delta, widened.  A one-waypoint shortlist answers every probe.
 
 project's closest point is at most d0 away, and a segment holding a point
 within d0 has its nearer endpoint within d0 + L/2, where L is its length.  So
-waypoint i is shortlisted within d0 + reach_i, where reach_i is half the
-longer segment at waypoint i, which keeps one long segment from putting every
-other segment on the list; segments with a shortlisted endpoint go through
-the loop.  extra is reach, waypoint by waypoint.
+waypoint i is marked within d0 + reach_i, where reach_i is half the longer
+segment at waypoint i, which keeps one long segment from putting every
+other segment on the list; segments with a marked end go through the loop.
+The numpy scan turns its mask of marked waypoints into segments in numpy.
 
 A WaypointPath also keeps local_road's line or circle of each waypoint it
 was asked for, so a waypoint's triple is fitted once per path.  Neither that
-nor the index's blocks changes any result: each holds exactly what would be
-derived again.
+nor the index's blocks and lists changes any result: each gives exactly
+what would be derived again.
 """
 
 from __future__ import annotations
@@ -85,15 +122,15 @@ VERTICAL_COS_EPS = 1e-12
 LocalRoad = StraightLine | Circle
 
 
-# The shortlist radii, d0 + 2 delta and d0 + reach, are widened by a relative
-# margin for rounded distances and squares.  The scans square by an
-# exact-rounded multiply, but the scalar loop's ** calls libm pow, which rounds
-# about one square in a thousand the other way; sums of two squares then differ
-# by under 2**-50 relative, far inside the margin.  The group radius also gets
-# an absolute one for squares rounded in the subnormal range, whose error of a
-# few 2**-1075 is up to about 2**-536 in distance; the projection radius needs
-# none, since every segment of a WaypointPath is longer than
-# MIN_WAYPOINT_SPACING, which makes its relative margin at least 5e-16 m.
+# The shortlist radii, d0 + 2 delta and d0 + reach, and the candidate lists'
+# radii are widened by a relative margin for rounded distances and squares.
+# The scans square by an exact-rounded multiply, but the scalar loop's ** calls
+# libm pow, which rounds about one square in a thousand the other way; sums of
+# two squares then differ by under 2**-50 relative, far inside the margin.  The
+# waypoint radii also get an absolute one for squares rounded in the subnormal
+# range, whose error of a few 2**-1075 is up to about 2**-536 in distance; the
+# segment radii need none, since every segment of a WaypointPath is longer than
+# MIN_WAYPOINT_SPACING, which makes their relative margin at least 5e-16 m.
 _SHORTLIST_REL = 1.0 + 1e-6
 _SHORTLIST_ABS = 2.0**-530
 
@@ -105,13 +142,33 @@ _MAX_CELLS = 2**30
 # In cell widths: well over the 2**-20 that the cell indices' rounding can
 # take off a waypoint's distance outside the scanned rings.
 _RING_SLACK = 2.0**-16
+# Fine cells per grid cell along each axis, a power of two so that the fine
+# width is exact: 4 makes a fine cell one median segment wide.
+_FINE_CELLS = 4
+# The most list entries (waypoints and segments) one index keeps, per waypoint.
+_LIST_BUDGET = 128
 # A cell's neighbourhood block: the x, y and index of each waypoint around it.
 _Block = tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]
+# A fine cell's candidate lists, in index order: (x, y, j) of each waypoint
+# that can be nearest to a query in the cell, and (x0, y0, dx, dy) of each
+# segment that can hold its closest point.
+_Waypoints = tuple[tuple[float, float, int], ...]
+_Segments = tuple[tuple[float, float, float, float], ...]
 # Ring r of the grid: the (column, row) offsets at Chebyshev distance r.
 _RINGS = [
     [(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1) if max(abs(dx), abs(dy)) == r]
     for r in range(_RING_CAP + 1)
 ]
+
+
+def _nearest(px: float, py: float, waypoints: _Waypoints | list[tuple[float, float, int]]) -> int:
+    # The scalar loop: the first waypoint, in the given order, with the least (x - px)**2 + (y - py)**2.
+    best_d2, best = math.inf, waypoints[0][2]
+    for x, y, j in waypoints:
+        q2 = (x - px) ** 2 + (y - py) ** 2
+        if q2 < best_d2:
+            best_d2, best = q2, j
+    return best
 
 
 class WaypointIndex:
@@ -125,8 +182,9 @@ class WaypointIndex:
 
     The grid is compact: a dict from each occupied cell's key to its
     ordinal, and the waypoint indices ordered by cell, index order within
-    one, with each cell's bounds in that order, both numpy arrays.  A dict
-    of neighbourhood blocks fills in as queries land in cells.
+    one, with each cell's bounds in that order, both numpy arrays.  Two
+    dicts fill in as queries land in cells: the neighbourhood blocks of
+    grid cells, and the candidate lists of fine cells.
     """
 
     def __init__(self, points: tuple[Point2, ...]):
@@ -147,9 +205,19 @@ class WaypointIndex:
         self._cells: dict[int, int] | None = None
         # Each cell key's neighbourhood block, built when a query first lands there.
         self._blocks: dict[int, _Block] = {}
+        # Each fine cell key's waypoint and segment lists, each built when its
+        # query first lands there; None where no lists are kept (see the module docstring).
+        self._waypoint_lists: dict[int, _Waypoints] | None = None
+        self._segment_lists: dict[int, _Segments] | None = None
+        # Each waypoint's and segment's list entry, made when first listed and
+        # then shared by every list, and every scalar loop, that holds it.
+        self._waypoint_entries: list[tuple[float, float, int] | None] = [None] * len(points)
+        self._segment_entries: list[tuple[float, float, float, float] | None] = [None] * len(points)
         if len(length):
             # The median segment, the upper one of an even count.
             self._build_grid(_CELL_SEGMENTS * float(np.partition(length, len(length) // 2)[len(length) // 2]))
+            if self._cells is not None and len(points) >= 3 and float(length.min()) > MIN_WAYPOINT_SPACING:
+                self._start_lists()
 
     def _build_grid(self, width: float) -> None:
         # No grid for a zero or overflowing width, or one that would need an
@@ -184,6 +252,19 @@ class WaypointIndex:
             if r
         ]
 
+    def _start_lists(self) -> None:
+        # Fine cells cover the grid's columns and rows and one cell around
+        # them; fine keys, unlike grid keys, name one cell each.
+        self._waypoint_lists, self._segment_lists = {}, {}
+        self._fine = self._width / _FINE_CELLS
+        self._fine_columns = (self._columns + 1) * _FINE_CELLS
+        self._fine_rows = (self._rows + 1) * _FINE_CELLS
+        self._fine_stride = (self._rows + 2) * _FINE_CELLS
+        # Half a fine cell's diagonal, widened by the rounding of a query's fine indices.
+        self._half_diagonal = (0.5 + _RING_SLACK) * math.sqrt(2.0) * self._fine
+        # Entries the lists may still take.
+        self._budget = _LIST_BUDGET * len(self.points)
+
     def _block(self, key: int) -> _Block:
         """The waypoints of rings 0 and 1 around the cell key, in the order the
         ring scan visits them, as flat tuples of x, y and index; kept only when
@@ -200,15 +281,23 @@ class WaypointIndex:
             self._blocks[key] = block
         return block
 
-    def _near(self, qx: float, qy: float, extra: float | np.ndarray) -> tuple[float, list[int]]:
+    def _waypoint_entry(self, j: int) -> tuple[float, float, int]:
+        entry = self._waypoint_entries[j] = (*self.points[j], j)
+        return entry
+
+    def _segment_entry(self, k: int) -> tuple[float, float, float, float]:
+        (x0, y0), (x1, y1) = self.points[k], self.points[k + 1]
+        entry = self._segment_entries[k] = x0, y0, x1 - x0, y1 - y0
+        return entry
+
+    def _near(self, qx: float, qy: float, extra: float, segments: bool = False) -> tuple[float, list[int]]:
         """The nearest waypoint's distance d, times _SHORTLIST_REL, and the
-        index of every waypoint j within d + extra, where extra is a float,
-        or the array reach, whose margin for waypoint j is reach[j]: from the
-        grid's rings, or past their cap or without a grid, _numpy_near.
+        index of every waypoint within d + extra; with segments, the index,
+        in order, of every segment with an end j within d + extra + reach[j]:
+        from the grid's rings, or past their cap or without a grid, _numpy_near.
         """
         cells = self._cells
-        margins = self._reach if extra is self.reach else None
-        widest = extra if margins is None else self._max_reach
+        widest = extra + self._max_reach if segments else extra
         if cells is not None and widest < self._rings[-1][1]:
             fx, fy = (qx - self._x0) / self._width, (qy - self._y0) / self._width
             if -_RING_CAP <= fx < self._columns + _RING_CAP and -_RING_CAP <= fy < self._rows + _RING_CAP:
@@ -234,14 +323,23 @@ class WaypointIndex:
                         r = d + widest
                         if r < reach:
                             r *= r
-                            if margins is None:
+                            if not segments:
                                 return d, [j for q2, j in zip(d2, near) if q2 <= r]
                             # Within d + the widest margin first: the cheaper test, which the second implies.
-                            return d, [j for q2, j in zip(d2, near) if q2 <= r and q2 <= (m := margins[j] + d) * m]
-        return self._numpy_near(qx, qy, extra)
+                            margins, base = self._reach, d + extra
+                            ends = [j for q2, j in zip(d2, near) if q2 <= r and q2 <= (m := margins[j] + base) * m]
+                            # Waypoint j ends segment j - 1 and starts segment j, where those exist.
+                            found = set()
+                            for j in ends:
+                                found.add(j - 1)
+                                found.add(j)
+                            found.discard(-1)
+                            found.discard(len(self.points) - 1)
+                            return d, sorted(found)
+        return self._numpy_near(qx, qy, extra, segments)
 
-    def _numpy_near(self, qx: float, qy: float, extra: float | np.ndarray) -> tuple[float, list[int]]:
-        # _near against every waypoint, with numpy, in place but for an array extra.
+    def _numpy_near(self, qx: float, qy: float, extra: float, segments: bool = False) -> tuple[float, list[int]]:
+        # _near against every waypoint, with numpy, in place but for the segments' margins.
         d2 = self.xs - qx
         d2 *= d2
         dy2 = self.ys - qy
@@ -249,17 +347,110 @@ class WaypointIndex:
         d2 += dy2
         d = math.sqrt(float(d2.min())) * _SHORTLIST_REL
         r = d + extra
+        if segments:
+            r = r + self.reach
         r *= r
-        return d, (d2 <= r).nonzero()[0].tolist()
+        near = d2 <= r
+        if segments:
+            near = near[:-1] | near[1:]
+        return d, near.nonzero()[0].tolist()
+
+    def _cell(self, qx: float, qy: float) -> int | None:
+        """The key of the fine cell that (qx, qy) lands in, or None where no lists are kept."""
+        if self._waypoint_lists is None:
+            return None
+        gx, gy = (qx - self._x0) / self._fine, (qy - self._y0) / self._fine
+        if -_FINE_CELLS <= gx < self._fine_columns and -_FINE_CELLS <= gy < self._fine_rows:
+            return math.floor(gx) * self._fine_stride + math.floor(gy)
+        return None
+
+    def _centre(self, key: int) -> tuple[float, float, float] | None:
+        """The centre c of the fine cell key, and 2h, widened, where h bounds
+        the distance from c to any query in the cell; None where the cell
+        lies outside the kept region or the budget is spent.
+        """
+        stride = self._fine_stride
+        i = (key + _FINE_CELLS) // stride
+        j = key - i * stride
+        x0, y0, width = self._x0, self._y0, self._width
+        cx, cy = x0 + (i + 0.5) * self._fine, y0 + (j + 0.5) * self._fine
+        block_key = math.floor((cx - x0) / width) * self._stride + math.floor((cy - y0) / width)
+        block = self._blocks.get(block_key) or self._block(block_key)
+        if not block[2] or self._budget <= 0:
+            return None
+        # Half the diagonal, widened, plus what rounding moved c by.
+        h = self._half_diagonal + (abs(cx) + abs(cy) + abs(x0) + abs(y0)) * 2.0**-50
+        return cx, cy, 2.0 * h * _SHORTLIST_REL
+
+    def _build_waypoints(self, key: int) -> _Waypoints | None:
+        # The waypoints within (d_c + 2h) * _SHORTLIST_REL + _SHORTLIST_ABS of c, kept.
+        centre = self._centre(key)
+        if centre is None:
+            return None
+        cx, cy, extra = centre
+        entries = self._waypoint_entries
+        near = sorted(self._near(cx, cy, extra + _SHORTLIST_ABS)[1])
+        return self._keep(self._waypoint_lists, key, tuple([entries[j] or self._waypoint_entry(j) for j in near]))
+
+    def _build_segments(self, key: int) -> _Segments | None:
+        # The segments within (D_c + 2h) * _SHORTLIST_REL of c, kept: of those
+        # with an end j within d_c + 2h + reach[j] of c, which holds them all,
+        # the ones whose foot from c, as the scalar loop finds it, is that near.
+        centre = self._centre(key)
+        if centre is None:
+            return None
+        cx, cy, extra = centre
+        entries = self._segment_entries
+        feet = []
+        for k in self._near(cx, cy, extra, True)[1]:
+            entry = entries[k] or self._segment_entry(k)
+            ax, ay, dx, dy = entry
+            ex, ey = cx - ax, cy - ay
+            t = (ex * dx + ey * dy) / (dx * dx + dy * dy)
+            if t > 1.0:
+                t = 1.0
+            elif not t > 0.0:
+                t = 0.0
+            ex -= t * dx
+            ey -= t * dy
+            feet.append((ex * ex + ey * ey, entry))
+        r = math.sqrt(min(q2 for q2, _ in feet)) * _SHORTLIST_REL + extra
+        r *= r
+        return self._keep(self._segment_lists, key, tuple([segment for q2, segment in feet if q2 <= r]))
+
+    def _keep(self, lists: dict, key: int, found: tuple) -> tuple | None:
+        # A list that would overrun the budget is not kept, and no list is built after it.
+        if len(found) > self._budget:
+            self._budget = 0
+            return None
+        self._budget -= len(found)
+        lists[key] = found
+        return found
 
     def nearest_group(self, probes: list[Point2]) -> list[int]:
-        """Index of the waypoint nearest to each probe, from one scan.
+        """Index of the waypoint nearest to each probe.
 
-        Only probes[0] is scanned, by _near.  Each probe, the first included,
-        is then decided by the scalar loop, in index order with a strict <
-        and Python's **, over the shortlist of waypoints within d0 + 2 delta
-        of probes[0] (see the module docstring).
+        Each probe is decided by the scalar loop, in index order with a
+        strict < and Python's **, over its fine cell's waypoint list; probes
+        in one cell share one lookup.  Where a probe's cell keeps no list,
+        the group takes the scan: only probes[0] is scanned, by _near, and
+        every probe is decided over the shortlist of waypoints within
+        d0 + 2 delta of probes[0] (see the module docstring).
         """
+        found = []
+        last = waypoints = None
+        for px, py in probes:
+            key = self._cell(px, py)
+            if key != last:
+                last = key
+                waypoints = key is not None and (self._waypoint_lists.get(key) or self._build_waypoints(key))
+            if not waypoints:
+                return self._scan_group(probes)
+            found.append(_nearest(px, py, waypoints))
+        return found
+
+    def _scan_group(self, probes: list[Point2]) -> list[int]:
+        # nearest_group from one scan of probes[0], where a probe's cell keeps no list.
         qx, qy = probes[0]
         spread = 0.0
         for px, py in probes[1:]:
@@ -267,48 +458,34 @@ class WaypointIndex:
         shortlist = sorted(self._near(qx, qy, 2.0 * spread * _SHORTLIST_REL + _SHORTLIST_ABS)[1])
         if len(shortlist) == 1:
             return shortlist * len(probes)
-        near = [(j, *self.points[j]) for j in shortlist]
-        found = []
-        for px, py in probes:
-            best_d2, best = math.inf, shortlist[0]
-            for j, x, y in near:
-                q2 = (x - px) ** 2 + (y - py) ** 2
-                if q2 < best_d2:
-                    best_d2, best = q2, j
-            found.append(best)
-        return found
+        entries = self._waypoint_entries
+        near = [entries[j] or self._waypoint_entry(j) for j in shortlist]
+        return [_nearest(px, py, near) for px, py in probes]
 
     def project(self, point: Point2) -> Point2:
         """Closest point on the polyline, segment interiors included.
 
-        The segments with an endpoint on the shortlist (see the module
-        docstring) go through the scalar loop, in index order with a
-        strict <: t = ((p - a) . d) / (d . d) clipped to [0, 1], the foot
-        a + t d, and its squared distance with Python's **.  Every other
-        segment's foot is farther, so the result is that loop's over all
-        segments.  Near the path the grid's rings and the shortlist hold a
-        few waypoints each, whatever the path's length: about 20 us for a
-        query 0.3 m from a 10^4-point circle.  The worst case is a query
-        that needs more rings than _RING_CAP, such as the centre of that
-        circle: it scans every cell of the rings, then every waypoint with
-        numpy, which applies the reach rule, and every segment goes through
-        the loop, about 5 ms (Python 3.11 on a shared 2-core Xeon).
+        The scalar loop runs over the segments of the query's fine cell, in
+        index order with a strict <: t = ((p - a) . d) / (d . d) clipped to
+        [0, 1], the foot a + t d, and its squared distance with Python's **.
+        Every other segment's foot is farther, so the result is that loop's
+        over all segments.  Where the cell keeps no list, the loop runs over
+        the segments with an end on the scan's shortlist (see the module
+        docstring).  Near the path a query costs a few us whatever the
+        path's length.  The worst case is a query that needs more rings than
+        _RING_CAP, such as the centre of a 10^4-point circle: it scans every
+        cell of the rings, then every waypoint with numpy, which applies the
+        reach rule, and every segment goes through the loop, about 4 ms
+        (Python 3.11 on a shared 2-core Xeon).
         """
         px, py = point
-        shortlist = self._near(px, py, self.reach)[1]
-        # Waypoint j ends segment j - 1 and starts segment j, where those exist.
-        near = set()
-        for j in shortlist:
-            near.add(j - 1)
-            near.add(j)
-        near.discard(-1)
-        near.discard(len(self.points) - 1)
-        points = self.points
-        best_d2, best = math.inf, points[0]
-        for k in sorted(near):
-            x0, y0 = points[k]
-            x1, y1 = points[k + 1]
-            dx, dy = x1 - x0, y1 - y0
+        key = self._cell(px, py)
+        segments = key is not None and (self._segment_lists.get(key) or self._build_segments(key))
+        if not segments:
+            entries = self._segment_entries
+            segments = [entries[k] or self._segment_entry(k) for k in self._near(px, py, 0.0, True)[1]]
+        best_d2, best = math.inf, self.points[0]
+        for x0, y0, dx, dy in segments:
             t = ((px - x0) * dx + (py - y0) * dy) / (dx * dx + dy * dy)
             # min(1.0, max(0.0, t)) to the bit, NaN and -0.0 included, without two calls.
             if not t > 0.0:

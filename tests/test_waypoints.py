@@ -24,7 +24,8 @@ from utpursuit import (
     reduce_to_local_road,
     select_lookahead_waypoint,
 )
-from utpursuit.waypoints import _RING_CAP, MIN_WAYPOINT_SPACING, circumcenter
+from utpursuit import waypoints
+from utpursuit.waypoints import _FINE_CELLS, _LIST_BUDGET, _RING_CAP, MIN_WAYPOINT_SPACING, circumcenter
 
 from conftest import CONFIG_DIR, stadium_path
 from test_roads import nearest_point_on_polyline_oracle
@@ -335,7 +336,7 @@ def test_grid_queries_match_the_scalar_oracles(case):
 def _count_numpy_scans(monkeypatch, index):
     calls = []
     scan = index._numpy_near
-    monkeypatch.setattr(index, "_numpy_near", lambda qx, qy, extra: calls.append((qx, qy)) or scan(qx, qy, extra))
+    monkeypatch.setattr(index, "_numpy_near", lambda qx, qy, *margin: calls.append((qx, qy)) or scan(qx, qy, *margin))
     return calls
 
 
@@ -454,9 +455,7 @@ def test_warm_queries_equal_fresh_ones_and_the_scalar_oracles(case):
                 d, near = index._near(*q, extra)
                 fresh_d, fresh_near = fresh._near(*q, extra)
                 assert (d, sorted(near)) == (fresh_d, sorted(fresh_near))
-            d, near = index._near(*q, index.reach)
-            fresh_d, fresh_near = fresh._near(*q, fresh.reach)
-            assert (d, sorted(near)) == (fresh_d, sorted(fresh_near))
+            assert index._near(*q, 0.0, True) == fresh._near(*q, 0.0, True)
             assert index.nearest_group([q]) == fresh.nearest_group([q]) == [nearest_waypoint_oracle(q, points)]
             assert index.project(q) == fresh.project(q) == nearest_point_on_polyline_oracle(q, warm)
         # Blocks are kept only for cells with a waypoint within one ring, and
@@ -482,56 +481,190 @@ def test_warm_queries_equal_fresh_ones_and_the_scalar_oracles(case):
 def test_both_scans_apply_each_waypoints_reach_margin(monkeypatch):
     # 100 unit segments, then one of 100 m: within d + the longest reach, 50 m,
     # lie waypoints 0 to 55, past the grid's ring cap, so numpy scans them;
-    # within d + each one's own reach lie only 5 and 6.
+    # within d + each one's own reach lie only 5 and 6, the ends of segments 4 to 6.
     q = (5.3, 0.2)
     points = [(float(i), 0.0) for i in range(101)] + [(200.0, 0.0)]
     index = WaypointPath(points).spatial_index()
     numpy_scans = _count_numpy_scans(monkeypatch, index)
-    d, near = index._near(*q, index.reach)
-    assert sorted(near) == [5, 6] and numpy_scans == [q]
-    assert index._numpy_near(*q, index.reach) == (d, near)
+    d, near = index._near(*q, 0.0, True)
+    assert near == [4, 5, 6] and numpy_scans == [q]
+    assert index._numpy_near(*q, 0.0, True) == (d, near)
     assert sorted(index._numpy_near(*q, index._max_reach)[1]) == list(range(56))
     # With a last segment of 10 m, the grid's rings hold the waypoints within
     # d + 5 m, 0 to 10, and the same two are within their own reach.
     points[-1] = (110.0, 0.0)
     index = WaypointPath(points).spatial_index()
     numpy_scans = _count_numpy_scans(monkeypatch, index)
-    grid_d, grid_near = index._near(*q, index.reach)
-    assert (grid_d, sorted(grid_near)) == (d, [5, 6])
+    assert index._near(*q, 0.0, True) == (d, [4, 5, 6])
     assert sorted(index._near(*q, index._max_reach)[1]) == list(range(11))
     assert numpy_scans == []
 
 
 class _CountingPoints(tuple):
-    """A path's points that count their reads by index."""
+    """A path's points, or a cell's list, that count their reads by index, and the loops over them."""
+
+    reads = loops = 0
 
     def __getitem__(self, i):
         self.reads += 1
         return tuple.__getitem__(self, i)
 
+    def __iter__(self):
+        self.loops += 1
+        return tuple.__iter__(self)
+
+
+def _no_scan(*args):
+    raise AssertionError(f"scanned at {args}")
+
 
 def test_project_loops_only_over_the_segments_near_the_query(monkeypatch):
-    # 100 unit segments, then one of 100 m: its reach of 50 m widens the
-    # scan to every waypoint within d0 + 50 m, with d0 = 0.36 m, the nearest
-    # waypoint's distance.  But a waypoint marks its segments only within
-    # d0 + its own reach, 0.86 m for one between unit segments.
+    # 100 unit segments, then one of 100 m, whose reach of 50 m widens the
+    # scan that builds the lists.  The query's fine cell is [5, 6) x [0, 1),
+    # one median segment wide; its centre c = (5.5, 0.5) is D_c = 0.5 m from
+    # the polyline, and 2h is the cell's diagonal, widened, about 1.414 m.  Only
+    # segments 3 to 7 come within D_c + 2h of c: 1.58 m for 3 and 7, 2.55 m for 2 and 8.
     points = [(float(i), 0.0) for i in range(101)] + [(200.0, 0.0)]
     index = WaypointPath(points).spatial_index()
-    counted = _CountingPoints(index.points)
-    monkeypatch.setattr(index, "points", counted)
-    near = index._near
-
-    def near_then_reset(*args):
-        found = near(*args)
-        counted.reads = 0
-        return found
-
-    monkeypatch.setattr(index, "_near", near_then_reset)
     q = (5.3, 0.2)
-    assert index.project(q) == nearest_point_on_polyline_oracle(q, SimpleNamespace(points=points))
-    # points[0], then both ends of segments 4, 5 and 6: waypoints 5 and 6
-    # are 0.36 and 0.73 m away, waypoint 4 is 1.31 m away.
-    assert counted.reads == 1 + 2 * 3
+    expected = nearest_point_on_polyline_oracle(q, SimpleNamespace(points=points))
+    assert index.project(q) == expected
+    key = index._cell(*q)
+    assert list(index._segment_lists) == [key] and index._waypoint_lists == {}
+    segments = index._segment_lists[key]
+    assert segments == tuple((float(k), 0.0, 1.0, 0.0) for k in range(3, 8))
+    # Asked again, project loops once over that list and reads no waypoint
+    # but points[0], the loop's starting value; it scans nothing.
+    counted, listed = _CountingPoints(index.points), _CountingPoints(segments)
+    monkeypatch.setattr(index, "points", counted)
+    monkeypatch.setitem(index._segment_lists, key, listed)
+    monkeypatch.setattr(index, "_near", _no_scan)
+    assert index.project(q) == expected
+    assert (counted.reads, listed.loops) == (1, 1)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-4, 0.3, 3.0])
+def test_each_probe_reads_only_its_own_cells_list(spread, monkeypatch):
+    # Five probes within 2 cm of the 10^4-waypoint stadium, 0.05 m apart, at
+    # waypoints up to spread metres apart along it: however far apart they
+    # are, each probe loops once over its own fine cell's waypoint list, no
+    # other list and no waypoint of the path is read, and nothing is scanned.
+    path = stadium_path()
+    index = path.spatial_index()
+    rng = np.random.default_rng(107)
+    first, step = int(rng.integers(len(path) - 100)), round(spread / 0.05 / 4)
+    probes = []
+    for k in range(5):
+        x, y = path.points[first + k * step]
+        u, v = rng.uniform(-0.02, 0.02, 2)
+        probes.append((float(x + u), float(y + v)))
+    expected = index.nearest_group(probes)
+    assert expected == [nearest_waypoint_oracle(q, path.points) for q in probes]
+    keys = [index._cell(*q) for q in probes]
+    assert None not in keys
+    counted = {key: _CountingPoints(index._waypoint_lists[key]) for key in set(keys)}
+    for key, listed in counted.items():
+        monkeypatch.setitem(index._waypoint_lists, key, listed)
+    points = _CountingPoints(index.points)
+    monkeypatch.setattr(index, "points", points)
+    monkeypatch.setattr(index, "_near", _no_scan)
+    assert index.nearest_group(probes) == expected
+    assert {key: listed.loops for key, listed in counted.items()} == {key: keys.count(key) for key in counted}
+    assert points.reads == 0
+    # The lists are short near the path, whatever the spread: each holds the
+    # few waypoints within d_c + 2h of its cell's centre, 2h about 0.07 m here.
+    assert all(len(listed) <= 6 for listed in counted.values())
+
+
+@st.composite
+def fine_cell_cases(draw):
+    """A memo_cases or grid_stress_paths path, and queries on its fine cells: (points, queries).
+
+    Around a few waypoints, a fine cell up to two cells away is picked; the
+    queries sit on its lower-left corner and on its left and lower edges, on
+    both sides of each (math.nextafter), and at its centre.  The path's own
+    queries come too.
+    """
+    if draw(st.booleans()):
+        points, placed = draw(memo_cases())
+        queries = [q for _, q in placed]
+    else:
+        _, points, queries = draw(grid_stress_paths().filter(lambda case: case[0] != "few"))
+    index = WaypointPath(points).spatial_index()
+    if index._waypoint_lists is not None:
+        fine = index._fine
+        for _ in range(draw(st.integers(1, 4))):
+            x, y = points[draw(st.integers(0, len(points) - 1))]
+            i = math.floor((x - index._x0) / fine) + draw(st.integers(-2, 2))
+            j = math.floor((y - index._y0) / fine) + draw(st.integers(-2, 2))
+            edge_x, edge_y = index._x0 + i * fine, index._y0 + j * fine
+            xs = [math.nextafter(edge_x, -math.inf), edge_x, math.nextafter(edge_x, math.inf), edge_x + fine / 2]
+            ys = [math.nextafter(edge_y, -math.inf), edge_y, math.nextafter(edge_y, math.inf), edge_y + fine / 2]
+            queries += [(qx, qy) for qx in xs for qy in ys]
+    return points, queries
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fine_cell_cases())
+def test_fine_cell_edges_and_centres_match_fresh_indexes_and_the_scalar_oracles(case):
+    points, queries = case
+    index = WaypointPath(points).spatial_index()
+    built = []
+    for name in ("_build_waypoints", "_build_segments"):
+        build = getattr(index, name)
+        setattr(index, name, lambda key, build=build, name=name: built.append((name, key)) or build(key))
+    for _ in range(2):
+        for q in queries:
+            fresh = WaypointPath(points).spatial_index()
+            assert index.nearest_group([q]) == fresh.nearest_group([q]) == [nearest_waypoint_oracle(q, points)]
+            expected = nearest_point_on_polyline_oracle(q, SimpleNamespace(points=points))
+            assert index.project(q) == fresh.project(q) == expected
+    assert index.nearest_group(queries) == [nearest_waypoint_oracle(q, points) for q in queries]
+    kept = {"_build_waypoints": index._waypoint_lists, "_build_segments": index._segment_lists}
+    if index._waypoint_lists is None:
+        assert built == []
+        return
+    # Each kept list was built once, on the first query in its cell.
+    assert all(built.count(b) == 1 for b in built if b[1] in kept[b[0]])
+    for lists in kept.values():
+        # Kept only where the fine cell's centre lies in a grid cell with a block ...
+        for key in lists:
+            i = (key + _FINE_CELLS) // index._fine_stride
+            j = key - i * index._fine_stride
+            cx, cy = index._x0 + (i + 0.5) * index._fine, index._y0 + (j + 0.5) * index._fine
+            block_key = math.floor((cx - index._x0) / index._width) * index._stride
+            assert block_key + math.floor((cy - index._y0) / index._width) in index._blocks
+        # ... so at most 9 * _FINE_CELLS**2 per occupied grid cell.
+        assert len(lists) <= 9 * _FINE_CELLS**2 * len(index._cells)
+    # Each list holds the shared entries, in index order.
+    segment_of = {id(e): k for k, e in enumerate(index._segment_entries) if e is not None}
+    for found in index._waypoint_lists.values():
+        assert all(e is index._waypoint_entries[e[2]] for e in found)
+        assert [e[2] for e in found] == sorted({e[2] for e in found})
+    for found in index._segment_lists.values():
+        assert [segment_of[id(e)] for e in found] == sorted({segment_of[id(e)] for e in found})
+    # Within the budget, which every kept entry is counted against.
+    entries = sum(map(len, index._waypoint_lists.values())) + sum(map(len, index._segment_lists.values()))
+    assert index._budget == _LIST_BUDGET * len(points) - entries >= 0
+
+
+def test_lists_stop_at_the_budget_and_later_queries_take_the_scan(monkeypatch):
+    # A budget of one entry per waypoint, 181 for the arc, runs out after a
+    # few dozen cells; queries in cells without lists then take the scan.
+    monkeypatch.setattr(waypoints, "_LIST_BUDGET", 1)
+    path = arc_path()
+    index = path.spatial_index()
+    rng = np.random.default_rng(109)
+    cells = set()
+    for _ in range(400):
+        x, y = path.points[rng.integers(len(path))]
+        q = (float(x + rng.normal(0.0, 0.3)), float(y + rng.normal(0.0, 0.3)))
+        cells.add(index._cell(*q))
+        assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, path.points)]
+        assert index.project(q) == nearest_point_on_polyline_oracle(q, path)
+    entries = sum(map(len, index._waypoint_lists.values())) + sum(map(len, index._segment_lists.values()))
+    assert index._budget == 0 and entries <= len(path)
+    assert len(index._waypoint_lists) < len(cells) and len(index._segment_lists) < len(cells)
 
 
 def test_circumcenter_rejects_collinear_points():
