@@ -60,23 +60,28 @@ each list holds the answer, and the scalar loop over it, in index order,
 returns what the loop over every waypoint or segment would.  This rests on
 the assumption the scans make too: that each scalar foot is within
 rounding of exact.  The fine indices are rounded as the grid's are, by
-under 2**-20 fine cells here, so h is half the cell's diagonal widened by
+under 2**-19 fine cells here, so h is half the cell's diagonal widened by
 _RING_SLACK fine cells, plus a bound on what rounding moved c by.  The
 segment scan marks each end j within d_c + 2h + reach[j], which holds every
 segment within D_c + 2h <= d_c + 2h of c; the foot from c of each of those
 then decides.  Both lists hold shared entry tuples, (x, y, j) and
 (x0, y0, dx, dy), which the loops unpack as they are.
 
-Lists are kept only near the path, where the fine cell's centre lies in a
-grid cell with a block, and within a budget of _LIST_BUDGET entries per
-waypoint in all (each entry is one slot of a list that points to a shared
-tuple: about 25 bytes, cell overheads included, as measured on
-configs/waypoint_arc.txt).  So at most 9 * _FINE_CELLS**2 fine cells per
-occupied grid cell keep lists.  Every other query takes the scan: an index
+Lists are kept only near the path, where the grid's rings answer the scan
+of c: within _RING_CAP cells of the path, margin included, or, where the
+margin is too wide for the rings (a path with one very long segment),
+where c's nearest waypoint lies within their reach.  A cell past that,
+such as the centre of a loop, keeps an empty marker instead, so its
+queries take the scan without building again.  So every query within
+about 30 median segments of the path reads a list, on a path of any
+density.  All lists fit a budget of _LIST_BUDGET entries per waypoint, a
+marker counting as one (each entry is one slot of a list that points to a
+shared tuple: about 25 bytes, cell overheads included, as measured on
+configs/waypoint_arc.txt).  Every other query takes the scan: an index
 without a grid, one of fewer than 3 points or with a segment no longer
 than MIN_WAYPOINT_SPACING (a WaypointPath has neither), a query outside
-the grid's columns and rows or the cell around them, a cell outside the
-kept region, such as the centre of a loop, or one past the budget.
+the grid's columns and rows or the _RING_CAP cells around them, a marked
+cell, or one past the budget.
 
 nearest_group serves nearby probes, such as one step's sigma poses.  Each
 probe is decided over its own cell's list, and probes in one cell share
@@ -253,13 +258,15 @@ class WaypointIndex:
         ]
 
     def _start_lists(self) -> None:
-        # Fine cells cover the grid's columns and rows and one cell around
-        # them; fine keys, unlike grid keys, name one cell each.
+        # Fine cells cover the grid's columns and rows and the _RING_CAP
+        # cells around them that its rings reach; fine keys, unlike grid
+        # keys, name one cell each.
         self._waypoint_lists, self._segment_lists = {}, {}
         self._fine = self._width / _FINE_CELLS
-        self._fine_columns = (self._columns + 1) * _FINE_CELLS
-        self._fine_rows = (self._rows + 1) * _FINE_CELLS
-        self._fine_stride = (self._rows + 2) * _FINE_CELLS
+        self._fine_pad = _RING_CAP * _FINE_CELLS
+        self._fine_columns = (self._columns + _RING_CAP) * _FINE_CELLS
+        self._fine_rows = (self._rows + _RING_CAP) * _FINE_CELLS
+        self._fine_stride = (self._rows + 2 * _RING_CAP) * _FINE_CELLS
         # Half a fine cell's diagonal, widened by the rounding of a query's fine indices.
         self._half_diagonal = (0.5 + _RING_SLACK) * math.sqrt(2.0) * self._fine
         # Entries the lists may still take.
@@ -290,11 +297,16 @@ class WaypointIndex:
         entry = self._segment_entries[k] = x0, y0, x1 - x0, y1 - y0
         return entry
 
-    def _near(self, qx: float, qy: float, extra: float, segments: bool = False) -> tuple[float, list[int]]:
+    def _near(
+        self, qx: float, qy: float, extra: float, segments: bool = False, capped: bool = False
+    ) -> tuple[float, list[int]] | None:
         """The nearest waypoint's distance d, times _SHORTLIST_REL, and the
         index of every waypoint within d + extra; with segments, the index,
         in order, of every segment with an end j within d + extra + reach[j]:
         from the grid's rings, or past their cap or without a grid, _numpy_near.
+        With capped, None where the query lies past the rings' cap: outside
+        their reach of the grid, or, for a margin too wide for the rings, with
+        its nearest waypoint farther than they reach.
         """
         cells = self._cells
         widest = extra + self._max_reach if segments else extra
@@ -336,7 +348,12 @@ class WaypointIndex:
                             found.discard(-1)
                             found.discard(len(self.points) - 1)
                             return d, sorted(found)
-        return self._numpy_near(qx, qy, extra, segments)
+            if capped:
+                return None
+        found = self._numpy_near(qx, qy, extra, segments)
+        if capped and found[0] >= self._rings[-1][1]:
+            return None
+        return found
 
     def _numpy_near(self, qx: float, qy: float, extra: float, segments: bool = False) -> tuple[float, list[int]]:
         # _near against every waypoint, with numpy, in place but for the segments' margins.
@@ -360,24 +377,22 @@ class WaypointIndex:
         if self._waypoint_lists is None:
             return None
         gx, gy = (qx - self._x0) / self._fine, (qy - self._y0) / self._fine
-        if -_FINE_CELLS <= gx < self._fine_columns and -_FINE_CELLS <= gy < self._fine_rows:
+        if -self._fine_pad <= gx < self._fine_columns and -self._fine_pad <= gy < self._fine_rows:
             return math.floor(gx) * self._fine_stride + math.floor(gy)
         return None
 
     def _centre(self, key: int) -> tuple[float, float, float] | None:
         """The centre c of the fine cell key, and 2h, widened, where h bounds
-        the distance from c to any query in the cell; None where the cell
-        lies outside the kept region or the budget is spent.
+        the distance from c to any query in the cell; None once the budget
+        is spent.
         """
-        stride = self._fine_stride
-        i = (key + _FINE_CELLS) // stride
-        j = key - i * stride
-        x0, y0, width = self._x0, self._y0, self._width
-        cx, cy = x0 + (i + 0.5) * self._fine, y0 + (j + 0.5) * self._fine
-        block_key = math.floor((cx - x0) / width) * self._stride + math.floor((cy - y0) / width)
-        block = self._blocks.get(block_key) or self._block(block_key)
-        if not block[2] or self._budget <= 0:
+        if self._budget <= 0:
             return None
+        stride = self._fine_stride
+        i = (key + self._fine_pad) // stride
+        j = key - i * stride
+        x0, y0 = self._x0, self._y0
+        cx, cy = x0 + (i + 0.5) * self._fine, y0 + (j + 0.5) * self._fine
         # Half the diagonal, widened, plus what rounding moved c by.
         h = self._half_diagonal + (abs(cx) + abs(cy) + abs(x0) + abs(y0)) * 2.0**-50
         return cx, cy, 2.0 * h * _SHORTLIST_REL
@@ -388,8 +403,11 @@ class WaypointIndex:
         if centre is None:
             return None
         cx, cy, extra = centre
+        found = self._near(cx, cy, extra + _SHORTLIST_ABS, capped=True)
+        if found is None:
+            return self._keep(self._waypoint_lists, key, ())
         entries = self._waypoint_entries
-        near = sorted(self._near(cx, cy, extra + _SHORTLIST_ABS)[1])
+        near = sorted(found[1])
         return self._keep(self._waypoint_lists, key, tuple([entries[j] or self._waypoint_entry(j) for j in near]))
 
     def _build_segments(self, key: int) -> _Segments | None:
@@ -400,9 +418,12 @@ class WaypointIndex:
         if centre is None:
             return None
         cx, cy, extra = centre
+        found = self._near(cx, cy, extra, True, True)
+        if found is None:
+            return self._keep(self._segment_lists, key, ())
         entries = self._segment_entries
         feet = []
-        for k in self._near(cx, cy, extra, True)[1]:
+        for k in found[1]:
             entry = entries[k] or self._segment_entry(k)
             ax, ay, dx, dy = entry
             ex, ey = cx - ax, cy - ay
@@ -419,11 +440,14 @@ class WaypointIndex:
         return self._keep(self._segment_lists, key, tuple([segment for q2, segment in feet if q2 <= r]))
 
     def _keep(self, lists: dict, key: int, found: tuple) -> tuple | None:
-        # A list that would overrun the budget is not kept, and no list is built after it.
-        if len(found) > self._budget:
+        # A list costs its entries, and the empty marker of a cell past the
+        # rings' cap one; a list that would overrun the budget is not kept,
+        # and no list is built after it.
+        cost = len(found) or 1
+        if cost > self._budget:
             self._budget = 0
             return None
-        self._budget -= len(found)
+        self._budget -= cost
         lists[key] = found
         return found
 
@@ -443,7 +467,9 @@ class WaypointIndex:
             key = self._cell(px, py)
             if key != last:
                 last = key
-                waypoints = key is not None and (self._waypoint_lists.get(key) or self._build_waypoints(key))
+                waypoints = key is not None and self._waypoint_lists.get(key)
+                if waypoints is None:
+                    waypoints = self._build_waypoints(key)
             if not waypoints:
                 return self._scan_group(probes)
             found.append(_nearest(px, py, waypoints))
@@ -480,7 +506,9 @@ class WaypointIndex:
         """
         px, py = point
         key = self._cell(px, py)
-        segments = key is not None and (self._segment_lists.get(key) or self._build_segments(key))
+        segments = key is not None and self._segment_lists.get(key)
+        if segments is None:
+            segments = self._build_segments(key)
         if not segments:
             entries = self._segment_entries
             segments = [entries[k] or self._segment_entry(k) for k in self._near(px, py, 0.0, True)[1]]

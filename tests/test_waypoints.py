@@ -25,7 +25,7 @@ from utpursuit import (
     select_lookahead_waypoint,
 )
 from utpursuit import waypoints
-from utpursuit.waypoints import _FINE_CELLS, _LIST_BUDGET, _RING_CAP, MIN_WAYPOINT_SPACING, circumcenter
+from utpursuit.waypoints import _LIST_BUDGET, _RING_CAP, MIN_WAYPOINT_SPACING, circumcenter
 
 from conftest import CONFIG_DIR, stadium_path
 from test_roads import nearest_point_on_polyline_oracle
@@ -367,6 +367,39 @@ def test_loop_centre_query_takes_the_numpy_scan(monkeypatch):
     assert numpy_scans == [centre, centre]
 
 
+def test_a_cell_past_the_rings_cap_keeps_an_empty_marker_and_scans_once(monkeypatch):
+    # The stadium's centre lies past the rings' cap: its fine cell keeps an
+    # empty marker for each query, built once, without a numpy scan of its
+    # own, and every later query there takes the one numpy scan of its own.
+    path = stadium_path()
+    index = path.spatial_index()
+    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    centre = (92.9 / 2, 50.0)
+    key = index._cell(*centre)
+    budget = index._budget
+    for _ in range(3):
+        assert index.project(centre) == nearest_point_on_polyline_oracle(centre, path)
+        assert index.nearest_group([centre]) == [nearest_waypoint_oracle(centre, path.points)]
+    assert index._waypoint_lists == {key: ()} and index._segment_lists == {key: ()}
+    assert index._budget == budget - 2
+    assert numpy_scans == [centre] * 6
+
+
+def test_queries_outside_the_grid_within_the_rings_cap_read_lists(monkeypatch):
+    # 0.5 m below the stadium's lower leg, 2.5 grid cells (0.2 m wide) below
+    # its lowest row: the rings still answer there, so both queries read
+    # their cell's lists, and asked again, scan nothing.
+    path = stadium_path()
+    index = path.spatial_index()
+    q = (40.0, -0.5)
+    key = index._cell(*q)
+    for _ in range(2):
+        assert index.project(q) == nearest_point_on_polyline_oracle(q, path)
+        assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, path.points)]
+        monkeypatch.setattr(index, "_near", _no_scan)
+    assert index._segment_lists[key] and index._waypoint_lists[key]
+
+
 def _assert_grid_near_is_numpy_near(index, q):
     # The margins the queries ask for: a lone probe's (about 0), a group's, project's.
     for extra in (0.0, 0.6, index._max_reach):
@@ -624,18 +657,20 @@ def test_fine_cell_edges_and_centres_match_fresh_indexes_and_the_scalar_oracles(
     if index._waypoint_lists is None:
         assert built == []
         return
-    # Each kept list was built once, on the first query in its cell.
+    # Each kept list, or empty marker, was built once, on the first query in its cell.
     assert all(built.count(b) == 1 for b in built if b[1] in kept[b[0]])
-    for lists in kept.values():
-        # Kept only where the fine cell's centre lies in a grid cell with a block ...
-        for key in lists:
-            i = (key + _FINE_CELLS) // index._fine_stride
+    cap = _RING_CAP * index._width
+    for name, lists in kept.items():
+        # A list where the centre c's nearest waypoint lies within the rings'
+        # reach, an empty marker only where it lies about that far, margin
+        # included: 2h, and for the segments the longest segment's reach.
+        margin = math.sqrt(2.0) * index._fine * 1.01 + (index._max_reach if name == "_build_segments" else 0.0)
+        for key, found in lists.items():
+            i = (key + index._fine_pad) // index._fine_stride
             j = key - i * index._fine_stride
-            cx, cy = index._x0 + (i + 0.5) * index._fine, index._y0 + (j + 0.5) * index._fine
-            block_key = math.floor((cx - index._x0) / index._width) * index._stride
-            assert block_key + math.floor((cy - index._y0) / index._width) in index._blocks
-        # ... so at most 9 * _FINE_CELLS**2 per occupied grid cell.
-        assert len(lists) <= 9 * _FINE_CELLS**2 * len(index._cells)
+            c = (index._x0 + (i + 0.5) * index._fine, index._y0 + (j + 0.5) * index._fine)
+            d = math.dist(c, points[nearest_waypoint_oracle(c, points)])
+            assert d < cap if found else d + margin >= cap - index._width
     # Each list holds the shared entries, in index order.
     segment_of = {id(e): k for k, e in enumerate(index._segment_entries) if e is not None}
     for found in index._waypoint_lists.values():
@@ -643,9 +678,9 @@ def test_fine_cell_edges_and_centres_match_fresh_indexes_and_the_scalar_oracles(
         assert [e[2] for e in found] == sorted({e[2] for e in found})
     for found in index._segment_lists.values():
         assert [segment_of[id(e)] for e in found] == sorted({segment_of[id(e)] for e in found})
-    # Within the budget, which every kept entry is counted against.
-    entries = sum(map(len, index._waypoint_lists.values())) + sum(map(len, index._segment_lists.values()))
-    assert index._budget == _LIST_BUDGET * len(points) - entries >= 0
+    # Within the budget, which every kept entry, and each marker, is counted against.
+    found = [*index._waypoint_lists.values(), *index._segment_lists.values()]
+    assert index._budget == _LIST_BUDGET * len(points) - sum(len(f) or 1 for f in found) >= 0
 
 
 def test_lists_stop_at_the_budget_and_later_queries_take_the_scan(monkeypatch):
