@@ -214,8 +214,8 @@ def _local_roads(
 ) -> Callable[[int], LocalRoad]:
     """The local road of the sigma pose sigma[i], as a function of i, built when first asked for.
 
-    On a waypoint road the mean and the poses of the steered pairs share one
-    nearest-waypoint scan, and the path keeps each waypoint's line or circle.
+    On a waypoint road the mean and the poses of the steered pairs are looked
+    up in one nearest_group call, and the path keeps each waypoint's line or circle.
     """
     road = scenario.road
     if not isinstance(road, WaypointPath):

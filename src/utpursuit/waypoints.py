@@ -10,11 +10,11 @@ the WaypointPath, which builds and keeps its own WaypointIndex.
 Both path queries follow one rule: a candidate list is made, and the
 scalar loop of the tests' oracle decides, over that list only, in index
 order.  A query takes its list from a table kept per fine cell; where there
-is none, from a scan (both below).  The scan is WaypointIndex._near, the
-one place where the grid and numpy meet: for a query and a margin extra it
-returns d, the nearest waypoint's distance times _SHORTLIST_REL, and every
-waypoint within d + extra, or, for the segments, every segment with an end
-j within d + extra + reach[j] (see project, below).
+is none, from a scan.  The scan is WaypointIndex._near, the one place where
+the grid and numpy meet: for a query and a margin extra it returns d, the
+nearest waypoint's distance times _SHORTLIST_REL, and every waypoint within
+d + extra, or, for the segments, every segment with an end j within
+d + extra + reach[j] (see project, below).
 
 The grid's square cells are _CELL_SEGMENTS median segments wide.  A scan
 visits the query's cell, then the rings of cells around it, one ring
@@ -29,22 +29,7 @@ from the query, farther than d + extra, and it is neither the nearest nor
 on the shortlist.  The nearest waypoint seen cannot get nearer after the
 stop, so d is final.  A query that needs more than _RING_CAP rings, such as
 the centre of a circular loop, or one whose path's extent is more than
-_MAX_CELLS widths, is scanned instead by numpy, against every waypoint; it
-applies the margin with numpy too, and lists only the waypoints, or the
-segments, within it.
-
-Rings 0 and 1 come from a table: each cell key's block, the waypoints of
-the 3 x 3 cells around it (the standard cell list of particle codes), kept
-as flat tuples of x, y and index in the order the ring scan visits them.
-Ring 0 can never stop a scan, since it holds every waypoint only within a
-negative distance, so rings 0 and 1 are the least any scan visits, and the
-block gives them with the same distances, the same minimum and the same
-shortlist as cell-by-cell lookups would.  A scan that ring 1 cannot stop
-goes on from ring 2 as before.  A block is built when a query first lands
-in its cell, not with the index, so a path pays only for the cells its
-queries visit, and is kept only when it holds a waypoint.  Each kept block
-then has an occupied cell among its 9, so at most 9 blocks per occupied
-cell are ever kept.
+_MAX_CELLS widths, is scanned instead by numpy, against every waypoint.
 
 The candidate lists.  Each grid cell is tiled by _FINE_CELLS x _FINE_CELLS
 fine cells, one median segment wide.  A fine cell with centre c keeps two
@@ -55,53 +40,48 @@ segments, those within (D_c + 2h) * _SHORTLIST_REL of c, where D_c is the
 distance from c to the polyline.  h bounds the distance from c to any query
 that lands in the cell.  For such a query q, the nearest waypoint is within
 d_c + h of q, so within d_c + 2h of c; the closest point on the polyline
-likewise lies within D_c + 2h of c; the margins are the scans' own.  So
-each list holds the answer, and the scalar loop over it, in index order,
-returns what the loop over every waypoint or segment would.  This rests on
-the assumption the scans make too: that each scalar foot is within
-rounding of exact.  The fine indices are rounded as the grid's are, by
-under 2**-19 fine cells here, so h is half the cell's diagonal widened by
-_RING_SLACK fine cells, plus a bound on what rounding moved c by.  The
-segment scan marks each end j within d_c + 2h + reach[j], which holds every
-segment within D_c + 2h <= d_c + 2h of c; the foot from c of each of those
-then decides.  Both lists hold shared entry tuples, (x, y, j) and
-(x0, y0, dx, dy), which the loops unpack as they are.
+likewise lies within D_c + 2h of c.  So each list holds the answer, and the
+scalar loop over it, in index order, returns what the loop over every
+waypoint or segment would.  This rests on the assumption the scans make
+too: that each scalar foot is within rounding of exact.  The fine indices
+are rounded as the grid's are, by under 2**-19 fine cells, so h is half the
+cell's diagonal widened by _RING_SLACK fine cells, plus a bound on what
+rounding moved c by.  The segment scan marks each end j within
+d_c + 2h + reach[j], which holds every segment within D_c + 2h <= d_c + 2h
+of c; the foot from c of each of those then decides.  Both lists hold shared entry
+tuples, (x, y, j) and (x0, y0, dx, dy), which the loops unpack as they are.
 
-Lists are kept only near the path, where the grid's rings answer the scan
-of c: within _RING_CAP cells of the path, margin included, or, where the
-margin is too wide for the rings (a path with one very long segment),
-where c's nearest waypoint lies within their reach.  A cell past that,
-such as the centre of a loop, keeps an empty marker instead, so its
-queries take the scan without building again.  So every query within
-about 30 median segments of the path reads a list, on a path of any
-density.  All lists fit a budget of _LIST_BUDGET entries per waypoint, a
-marker counting as one (each entry is one slot of a list that points to a
-shared tuple: about 25 bytes, cell overheads included, as measured on
-configs/waypoint_arc.txt).  Every other query takes the scan: an index
-without a grid, one of fewer than 3 points or with a segment no longer
-than MIN_WAYPOINT_SPACING (a WaypointPath has neither), a query outside
-the grid's columns and rows or the _RING_CAP cells around them, a marked
-cell, or one past the budget.
+Lists are kept only where the grid's rings answer the scan of c: within
+_RING_CAP cells of the path, margin included, or, for a margin too wide for
+the rings (a path with one very long segment), where c's nearest waypoint
+lies within their reach.  A cell past that, such as the centre of a loop,
+keeps an empty marker instead, so its queries take the scan without
+building again.  All lists fit a budget of _LIST_BUDGET entries per
+waypoint, a marker counting as one (an entry is one slot pointing to a
+shared tuple: about 25 bytes, cell overheads included).  Every other query
+takes the scan: an index without a grid or without lists (fewer than 3
+points, or a segment no longer than MIN_WAYPOINT_SPACING, which a
+WaypointPath never has), a query outside the fine cells, a marked cell, or
+one past the budget.
 
 nearest_group serves nearby probes, such as one step's sigma poses.  Each
-probe is decided over its own cell's list, and probes in one cell share
-one lookup.  Where a probe's cell has no list, the group takes one scan:
-each probe lies within delta of the first probe, so the first probe's
-nearest waypoint is within d0 + delta of it, and so is its own nearest
-waypoint, which thus lies within d0 + 2 delta of the first probe: extra is
-2 delta, widened.  A one-waypoint shortlist answers every probe.
+probe is decided over its own fine cell's waypoint list.  Where a probe's
+cell has none, the group takes one scan: each probe lies within delta of
+the first, so the first probe's nearest waypoint is within d0 + delta of
+it, and so is its own nearest waypoint, which thus lies within d0 + 2 delta
+of the first probe: extra is 2 delta, widened.  A one-waypoint shortlist
+answers every probe.
 
 project's closest point is at most d0 away, and a segment holding a point
 within d0 has its nearer endpoint within d0 + L/2, where L is its length.  So
 waypoint i is marked within d0 + reach_i, where reach_i is half the longer
 segment at waypoint i, which keeps one long segment from putting every
 other segment on the list; segments with a marked end go through the loop.
-The numpy scan turns its mask of marked waypoints into segments in numpy.
 
 A WaypointPath also keeps local_road's line or circle of each waypoint it
 was asked for, so a waypoint's triple is fitted once per path.  Neither that
-nor the index's blocks and lists changes any result: each gives exactly
-what would be derived again.
+nor the index's lists changes any result: each gives exactly what would be
+derived again.
 """
 
 from __future__ import annotations
@@ -152,8 +132,6 @@ _RING_SLACK = 2.0**-16
 _FINE_CELLS = 4
 # The most list entries (waypoints and segments) one index keeps, per waypoint.
 _LIST_BUDGET = 128
-# A cell's neighbourhood block: the x, y and index of each waypoint around it.
-_Block = tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]
 # A fine cell's candidate lists, in index order: (x, y, j) of each waypoint
 # that can be nearest to a query in the cell, and (x0, y0, dx, dy) of each
 # segment that can hold its closest point.
@@ -188,8 +166,8 @@ class WaypointIndex:
     The grid is compact: a dict from each occupied cell's key to its
     ordinal, and the waypoint indices ordered by cell, index order within
     one, with each cell's bounds in that order, both numpy arrays.  Two
-    dicts fill in as queries land in cells: the neighbourhood blocks of
-    grid cells, and the candidate lists of fine cells.
+    dicts fill in as queries land in fine cells: their waypoint lists and
+    their segment lists.
     """
 
     def __init__(self, points: tuple[Point2, ...]):
@@ -201,15 +179,10 @@ class WaypointIndex:
         # Half the longer of the segments at waypoint i, widened: waypoint i
         # is marked when it lies within (d0 + reach_i) * _SHORTLIST_REL.
         half = 0.5 * length
-        self.reach = np.zeros_like(self.xs)
-        self.reach[:-1] = half
-        np.maximum(self.reach[1:], half, out=self.reach[1:])
-        self.reach *= _SHORTLIST_REL
+        self.reach = np.maximum(np.r_[half, 0.0], np.r_[0.0, half]) * _SHORTLIST_REL
         self._reach = memoryview(self.reach)
         self._max_reach = float(self.reach.max(initial=0.0))
         self._cells: dict[int, int] | None = None
-        # Each cell key's neighbourhood block, built when a query first lands there.
-        self._blocks: dict[int, _Block] = {}
         # Each fine cell key's waypoint and segment lists, each built when its
         # query first lands there; None where no lists are kept (see the module docstring).
         self._waypoint_lists: dict[int, _Waypoints] | None = None
@@ -246,15 +219,11 @@ class WaypointIndex:
         self._order = memoryview(order)
         self._bounds = memoryview(np.r_[0, starts, len(keys)])
         self._x0, self._y0, self._width, self._stride = x0, y0, width, stride
-        # The key offsets of a cell's block, rings 0 and 1 in scan order; then
-        # each ring from 1 out, with the key offsets it adds to the block's,
-        # none for ring 1, and the distance within which it and the rings
-        # inside it hold every waypoint.
-        self._block_offsets = [dx * stride + dy for dx, dy in _RINGS[0] + _RINGS[1]]
+        # Each ring's key offsets, and the distance within which it and the
+        # rings inside it hold every waypoint: negative for ring 0, which so
+        # never stops a scan.
         self._rings = [
-            ([dx * stride + dy for dx, dy in ring] if r > 1 else [], (r - _RING_SLACK) * width)
-            for r, ring in enumerate(_RINGS)
-            if r
+            ([dx * stride + dy for dx, dy in ring], (r - _RING_SLACK) * width) for r, ring in enumerate(_RINGS)
         ]
 
     def _start_lists(self) -> None:
@@ -271,22 +240,6 @@ class WaypointIndex:
         self._half_diagonal = (0.5 + _RING_SLACK) * math.sqrt(2.0) * self._fine
         # Entries the lists may still take.
         self._budget = _LIST_BUDGET * len(self.points)
-
-    def _block(self, key: int) -> _Block:
-        """The waypoints of rings 0 and 1 around the cell key, in the order the
-        ring scan visits them, as flat tuples of x, y and index; kept only when
-        it holds a waypoint (see the module docstring).
-        """
-        cells, order, bounds, points = self._cells, self._order, self._bounds, self.points
-        near: list[int] = []
-        for offset in self._block_offsets:
-            c = cells.get(key + offset)
-            if c is not None:
-                near.extend(order[bounds[c] : bounds[c + 1]])
-        block = tuple(points[j][0] for j in near), tuple(points[j][1] for j in near), tuple(near)
-        if near:
-            self._blocks[key] = block
-        return block
 
     def _waypoint_entry(self, j: int) -> tuple[float, float, int]:
         entry = self._waypoint_entries[j] = (*self.points[j], j)
@@ -314,13 +267,8 @@ class WaypointIndex:
             fx, fy = (qx - self._x0) / self._width, (qy - self._y0) / self._width
             if -_RING_CAP <= fx < self._columns + _RING_CAP and -_RING_CAP <= fy < self._rows + _RING_CAP:
                 key = math.floor(fx) * self._stride + math.floor(fy)
-                block = self._blocks.get(key)
-                if block is None:
-                    block = self._block(key)
-                xs, ys, indices = block
-                d2 = [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in zip(xs, ys)]
-                # A copy, which rings past 1 extend: the block is kept.
-                near = list(indices)
+                d2: list[float] = []
+                near: list[int] = []
                 points, order, bounds = self.points, self._order, self._bounds
                 for ring, reach in self._rings:
                     for offset in ring:
@@ -341,12 +289,7 @@ class WaypointIndex:
                             margins, base = self._reach, d + extra
                             ends = [j for q2, j in zip(d2, near) if q2 <= r and q2 <= (m := margins[j] + base) * m]
                             # Waypoint j ends segment j - 1 and starts segment j, where those exist.
-                            found = set()
-                            for j in ends:
-                                found.add(j - 1)
-                                found.add(j)
-                            found.discard(-1)
-                            found.discard(len(self.points) - 1)
+                            found = {k for j in ends for k in (j - 1, j)} - {-1, len(self.points) - 1}
                             return d, sorted(found)
             if capped:
                 return None
@@ -455,21 +398,17 @@ class WaypointIndex:
         """Index of the waypoint nearest to each probe.
 
         Each probe is decided by the scalar loop, in index order with a
-        strict < and Python's **, over its fine cell's waypoint list; probes
-        in one cell share one lookup.  Where a probe's cell keeps no list,
-        the group takes the scan: only probes[0] is scanned, by _near, and
-        every probe is decided over the shortlist of waypoints within
-        d0 + 2 delta of probes[0] (see the module docstring).
+        strict < and Python's **, over its own fine cell's waypoint list.
+        Where a probe's cell keeps no list, the group takes one scan of
+        probes[0], by _near, and every probe is decided over the shortlist of
+        waypoints within d0 + 2 delta of probes[0] (see the module docstring).
         """
         found = []
-        last = waypoints = None
         for px, py in probes:
             key = self._cell(px, py)
-            if key != last:
-                last = key
-                waypoints = key is not None and self._waypoint_lists.get(key)
-                if waypoints is None:
-                    waypoints = self._build_waypoints(key)
+            waypoints = key is not None and self._waypoint_lists.get(key)
+            if waypoints is None:
+                waypoints = self._build_waypoints(key)
             if not waypoints:
                 return self._scan_group(probes)
             found.append(_nearest(px, py, waypoints))
@@ -478,9 +417,7 @@ class WaypointIndex:
     def _scan_group(self, probes: list[Point2]) -> list[int]:
         # nearest_group from one scan of probes[0], where a probe's cell keeps no list.
         qx, qy = probes[0]
-        spread = 0.0
-        for px, py in probes[1:]:
-            spread = max(spread, math.hypot(px - qx, py - qy))
+        spread = max([0.0] + [math.hypot(px - qx, py - qy) for px, py in probes[1:]])
         shortlist = sorted(self._near(qx, qy, 2.0 * spread * _SHORTLIST_REL + _SHORTLIST_ABS)[1])
         if len(shortlist) == 1:
             return shortlist * len(probes)
@@ -584,7 +521,7 @@ def select_lookahead_waypoint(path: WaypointPath, pose: Pose, d_l: float) -> int
 def select_lookahead_waypoints(
     path: WaypointPath, poses: list[tuple[float, float, float]], d_l: float
 ) -> list[int]:
-    """select_lookahead_waypoint for each (x, y, yaw) pose, with one shared nearest-waypoint scan."""
+    """select_lookahead_waypoint for each (x, y, yaw) pose, in one nearest_group call."""
     probes = [(x + d_l * math.cos(yaw), y + d_l * math.sin(yaw)) for x, y, yaw in poses]
     last = len(path) - 2
     return [min(max(i, 1), last) for i in path.spatial_index().nearest_group(probes)]

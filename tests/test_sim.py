@@ -577,7 +577,7 @@ def test_hairpin_tip_raises_on_every_call_and_is_not_kept():
 @pytest.mark.parametrize("where", ["waypoint_arc", "tilted", "hairpin"])
 @pytest.mark.parametrize("controller", [Controller.PP, Controller.UTPP])
 def test_batches_on_one_path_equal_runs_on_a_fresh_path_per_seed(where, controller, monkeypatch):
-    # The path keeps its index blocks and local roads from run to run and
+    # The path keeps its candidate lists and local roads from run to run and
     # batch to batch; a fresh path starts with none.
     if where == "waypoint_arc":
         base = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=controller, steps=100)

@@ -385,6 +385,33 @@ def test_a_cell_past_the_rings_cap_keeps_an_empty_marker_and_scans_once(monkeypa
     assert numpy_scans == [centre] * 6
 
 
+@pytest.mark.parametrize("marked_first", [False, True])
+def test_a_group_that_meets_a_marked_cell_takes_one_group_scan(marked_first, monkeypatch):
+    # Two probes near the stadium's lower leg read their fine cells' lists;
+    # a third at its centre lands in a cell past the rings' cap, which keeps
+    # an empty marker, built by the group itself or beforehand.  Mixed, the
+    # three take exactly one _scan_group, whose shortlist answers each probe.
+    path = stadium_path()
+    index = path.spatial_index()
+    centre = (92.9 / 2, 50.0)
+    listed = [(40.0, 0.01), (40.05, -0.01)]
+    if marked_first:
+        index.nearest_group([centre])
+        assert index._waypoint_lists[index._cell(*centre)] == ()
+    assert index.nearest_group(listed) == [nearest_waypoint_oracle(q, path.points) for q in listed]
+    assert all(index._waypoint_lists[index._cell(*q)] for q in listed)
+    group_scans = []
+    scan_group = index._scan_group
+    monkeypatch.setattr(index, "_scan_group", lambda probes: group_scans.append(probes) or scan_group(probes))
+    probes = [listed[0], centre, listed[1]]
+    assert index.nearest_group(probes) == [nearest_waypoint_oracle(q, path.points) for q in probes]
+    assert group_scans == [probes]
+    assert index._waypoint_lists[index._cell(*centre)] == ()
+    # Without the marked cell, the listed probes take no group scan.
+    assert index.nearest_group(listed) == [nearest_waypoint_oracle(q, path.points) for q in listed]
+    assert group_scans == [probes]
+
+
 def test_queries_outside_the_grid_within_the_rings_cap_read_lists(monkeypatch):
     # 0.5 m below the stadium's lower leg, 2.5 grid cells (0.2 m wide) below
     # its lowest row: the rings still answer there, so both queries read
@@ -491,11 +518,6 @@ def test_warm_queries_equal_fresh_ones_and_the_scalar_oracles(case):
             assert index._near(*q, 0.0, True) == fresh._near(*q, 0.0, True)
             assert index.nearest_group([q]) == fresh.nearest_group([q]) == [nearest_waypoint_oracle(q, points)]
             assert index.project(q) == fresh.project(q) == nearest_point_on_polyline_oracle(q, warm)
-        # Blocks are kept only for cells with a waypoint within one ring, and
-        # only once a query has landed in them.
-        if index._cells is not None:
-            assert len(index._blocks) <= 9 * len(index._cells)
-            assert all(block[2] for block in index._blocks.values())
     assert index.nearest_group([q for _, q in queries]) == [nearest_waypoint_oracle(q, points) for _, q in queries]
     # Each local road is derived once and kept, equal to a fresh path's; a
     # triple that has none raises on every call and is not kept.
