@@ -667,6 +667,14 @@ RUN_DIGESTS = {
     ("waypoint_arc", "pp", 1): "ffb67cfeeac8831c00923cfd2193b4eec7ba750c86dabe0df5c5737fe1260e55",
     ("waypoint_arc", "utpp", 0): "82f9b5c5b07d75c4916064ce4b7f26f53cf5e41671209dab177623bb85eef831",
     ("waypoint_arc", "utpp", 1): "ba71b669125f74cac2ceeee688a15b782ae69154303e2baedec9654549e1b924",
+    ("tilted_line", "pp", 0): "1624a5db668d4b3ae72f4dd86ec59bb18205b5a1b168fb78b048c1c40b713291",
+    ("tilted_line", "pp", 1): "e6a174c2b39c5cd6ab99ca8d919a7d23933460d9802a14b3c48e52cc37c4b2b1",
+    ("tilted_line", "utpp", 0): "5625dd8b706d03b7daa35117e761c7b096e7d10f9529d6dac84b70f5dd0847f7",
+    ("tilted_line", "utpp", 1): "01381c536d8ef9ef873f2075d266caebdcf64565be6a7f221fc7daa0db24017d",
+    ("off_axis_circle", "pp", 0): "24b6b36b8e6c9f9e4cfc0d65763a3f7d76422742c7b56f92ecdbb193aa7c0b15",
+    ("off_axis_circle", "pp", 1): "46306f0db2b3579fa7b8dc1fea1ad0676976769be32563bd78a7c8c0511fb35b",
+    ("off_axis_circle", "utpp", 0): "86df597806e1664e24eb8eb9a0225493f91c8d4610729fbcab171880089a9b22",
+    ("off_axis_circle", "utpp", 1): "280a712285b4638a7124ef663353d56e38c58ac3a635ef6f3d28743ca5d3d885",
 }
 
 
@@ -678,9 +686,21 @@ def _digest_text(value) -> str:
     return repr(value)
 
 
+# Stems that run a shipped config on another road: a tilted line, where
+# sin(atan(slope)) is not 0, so the order of x sin + (c - y) cos counts, and a
+# circle whose centre has two nonzero coordinates.
+OFF_AXIS_ROADS = {
+    "tilted_line": ("straight", StraightLine(0.3, 0.7)),
+    "off_axis_circle": ("circle", Circle(1.2, 5.6, 5.0)),
+}
+
+
 @pytest.mark.parametrize("stem, controller, seed", sorted(RUN_DIGESTS))
 def test_run_records_are_bit_identical_to_the_pinned_digests(stem, controller, seed):
-    base = parse_config(str(CONFIG_DIR / f"{stem}.cfg"))
+    config, road = OFF_AXIS_ROADS.get(stem, (stem, None))
+    base = parse_config(str(CONFIG_DIR / f"{config}.cfg"))
+    if road is not None:
+        base = replace(base, road=road)
     scen = replace(base, controller=Controller(controller), noise=replace(base.noise, rng_seed=seed))
     records, summary = run(scen)
     digest = hashlib.sha256()
