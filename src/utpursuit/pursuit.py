@@ -16,6 +16,8 @@ from .errors import DegenerateCenter, NoForwardIntersection, NoIntersection, Pat
 FLAT_SLOPE_EPS = 1e-12
 # Allowance for arccos arguments that drift past +/-1 by float rounding.
 COS_ARG_SLACK = 1e-12
+# A road circle's centre closer than this to the rear axle has no bearing.
+DEGENERATE_CENTER_EPS = 1e-12
 
 DEFAULT_STEERING_LIMIT = math.radians(35.0)
 
@@ -65,7 +67,7 @@ def cross_track_circle(cx: float, cy: float, radius: float, d_l: float) -> tuple
     when both meeting points lie behind the axle.
     """
     rho = math.hypot(cx, cy)
-    if rho < 1e-12:
+    if rho < DEGENERATE_CENTER_EPS:
         raise DegenerateCenter("road circle centered on the rear axle")
     cos_arg = (rho * rho + d_l * d_l - radius * radius) / (2.0 * d_l * rho)
     if abs(cos_arg) > 1.0 + COS_ARG_SLACK:

@@ -20,8 +20,16 @@ from operator import attrgetter
 from typing import Callable
 
 from .errors import ConfigInvalid, RoadGeometryFault
-from .geometry import Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
-from .pursuit import DEFAULT_STEERING_LIMIT, cross_track_circle, cross_track_line, steering_angle
+from .geometry import PERPENDICULAR_COS_EPS, Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
+from .pursuit import (
+    COS_ARG_SLACK,
+    DEFAULT_STEERING_LIMIT,
+    DEGENERATE_CENTER_EPS,
+    FLAT_SLOPE_EPS,
+    cross_track_circle,
+    cross_track_line,
+    steering_angle,
+)
 from .roads import RoadModel, lateral_deviation
 from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
@@ -209,45 +217,136 @@ def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     return _steer(road, pose.x, pose.y, pose.yaw, scenario)
 
 
-def _local_roads(
-    scenario: Scenario, sigma: tuple[tuple[float, float, float], ...], pairs: list[tuple[str, int]]
-) -> Callable[[int], LocalRoad]:
-    """The local road of the sigma pose sigma[i], as a function of i, built when first asked for.
+def _waypoint_steerer(
+    road: WaypointPath, sigma: tuple[tuple[float, float, float], ...], pairs: list[tuple[str, int]], scenario: Scenario
+) -> Callable[[int], tuple[float, float]]:
+    """_steer of the sigma pose sigma[i] against its own local road, as a function of i.
 
-    On a waypoint road the mean and the poses of the steered pairs are looked
-    up in one nearest_group call, and the path keeps each waypoint's line or circle.
+    The mean and the poses of the steered pairs are looked up in one
+    nearest_group call, and the path keeps each waypoint's line or circle.
     """
-    road = scenario.road
-    if not isinstance(road, WaypointPath):
-        return lambda i: road
     steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
     selected = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], scenario.lookahead)))
-    return lambda i: local_road(road, selected[i])
+    return lambda i: _steer(local_road(road, selected[i]), *sigma[i], scenario)
+
+
+# The kernels below steer the sigma poses of one step against a global line or
+# circle.  Each computes the road's terms once, then each pose's frame
+# transform, cross-track and clamped command inline, in the operation order
+# of the scalar functions that _steer calls, so its (delta, y_e) equals
+# _steer's bit for bit.  On every fault branch it returns _steer's result
+# instead, which raises the scalar functions' own error.
+
+
+def _line_steerer(
+    road: StraightLine, sigma: tuple[tuple[float, float, float], ...], scenario: Scenario
+) -> Callable[[int], tuple[float, float]]:
+    """_steer of the sigma pose sigma[i] against the line road, as a function of i.
+
+    Follows line_to_vehicle, cross_track_line and steering_angle.
+    """
+    psi_m = math.atan(road.slope)
+    sin_m, cos_m, c = math.sin(psi_m), math.cos(psi_m), road.intercept
+    d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
+    d_l2 = d_l * d_l
+
+    def steer(i: int) -> tuple[float, float]:
+        x, y, yaw = sigma[i]
+        gap = psi_m - yaw
+        cos_gap = math.cos(gap)
+        if abs(cos_gap) < PERPENDICULAR_COS_EPS:
+            return _steer(road, x, y, yaw, scenario)
+        m = math.tan(gap)
+        c2 = (x * sin_m + (c - y) * cos_m) / cos_gap
+        if not (math.isfinite(m) and math.isfinite(c2)):
+            return _steer(road, x, y, yaw, scenario)
+        if abs(m) < FLAT_SLOPE_EPS:
+            if d_l2 - c2 * c2 < 0.0:
+                return _steer(road, x, y, yaw, scenario)
+            y_e = c2
+        else:
+            one_m2 = 1.0 + m * m
+            disc = one_m2 * d_l * d_l - c2 * c2
+            if disc < 0.0:
+                return _steer(road, x, y, yaw, scenario)
+            root = math.sqrt(disc)
+            if (root - m * c2) / one_m2 < 0.0:
+                return _steer(road, x, y, yaw, scenario)
+            y_e = (c2 + m * root) / one_m2
+        delta = math.atan(2.0 * y_e * wheelbase / d_l2)
+        return max(-limit, min(limit, delta)), y_e
+
+    return steer
+
+
+def _circle_steerer(
+    road: Circle, sigma: tuple[tuple[float, float, float], ...], scenario: Scenario
+) -> Callable[[int], tuple[float, float]]:
+    """_steer of the sigma pose sigma[i] against the circle road, as a function of i.
+
+    Follows circle_to_vehicle, cross_track_circle and steering_angle.
+    """
+    cx0, cy0, radius = road.cx, road.cy, road.radius
+    d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
+    d_l2, r2, two_d_l = d_l * d_l, radius * radius, 2.0 * d_l
+
+    def steer(i: int) -> tuple[float, float]:
+        x, y, yaw = sigma[i]
+        c, s = math.cos(yaw), math.sin(yaw)
+        dx, dy = cx0 - x, cy0 - y
+        cx, cy = c * dx + s * dy, -s * dx + c * dy
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            return _steer(road, x, y, yaw, scenario)
+        rho = math.hypot(cx, cy)
+        if rho < DEGENERATE_CENTER_EPS:
+            return _steer(road, x, y, yaw, scenario)
+        cos_arg = (rho * rho + d_l2 - r2) / (two_d_l * rho)
+        if abs(cos_arg) > 1.0 + COS_ARG_SLACK:
+            return _steer(road, x, y, yaw, scenario)
+        alpha_1 = math.acos(max(-1.0, min(1.0, cos_arg)))
+        alpha_2 = math.atan2(cy + 0.0, cx)
+        plus, minus = alpha_2 + alpha_1, alpha_2 - alpha_1
+        alpha = plus if abs(plus) <= abs(minus) else minus
+        if d_l * math.cos(alpha) < 0.0:
+            return _steer(road, x, y, yaw, scenario)
+        y_e = d_l * math.sin(alpha)
+        delta = math.atan(2.0 * y_e * wheelbase / d_l2)
+        return max(-limit, min(limit, delta)), y_e
+
+    return steer
 
 
 def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     """One unscented pure-pursuit decision from the measured pose: (delta, y_e).
 
-    The seven sigma poses are steered and their commands combined with the
-    UT weights; the combined command is clamped to the steering limit, as
-    each pose's command is.  y_e is the mean sigma pose's.  A fault on the
-    mean pose faults the whole step.  Each axis contributes the commands of
-    its two sigma poses, or, when its variance is zero or either pose
-    faults, the mean's command in both slots, so the axis adds no
-    curvature term.
+    The mean sigma pose and the two poses of each axis with variance > 0
+    are steered, and the seven commands are combined with the UT weights;
+    the combined command is clamped to the steering limit, as each pose's
+    command is.  y_e is the mean sigma pose's.  A fault on the mean pose
+    faults the whole step.  Each axis contributes the commands of its two
+    sigma poses, or, when its variance is zero or either pose faults, the
+    mean's command in both slots, so the axis adds no curvature term.  On a
+    line or circle road the poses are steered by _line_steerer or
+    _circle_steerer, which compute the road's terms once per step.
     """
     cov = scenario.noise.cov
     sigma = generate_sigma_points(pose, cov, scenario.ut)
     # Poses i and i + 1 perturb the axis by + and - its spread.
     axes = (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw))
     pairs = [(axis, i) for axis, i, var in axes if var > 0.0]
-    road_of = _local_roads(scenario, sigma, pairs)
-    delta0, y_e = _steer(road_of(0), *sigma[0], scenario)
+    road = scenario.road
+    if isinstance(road, WaypointPath):
+        steer = _waypoint_steerer(road, sigma, pairs, scenario)
+    elif isinstance(road, StraightLine):
+        steer = _line_steerer(road, sigma, scenario)
+    else:
+        steer = _circle_steerer(road, sigma, scenario)
+    delta0, y_e = steer(0)
     deltas = [delta0] * len(sigma)
     for axis, i in pairs:
         try:
-            delta_plus = _steer(road_of(i), *sigma[i], scenario)[0]
-            deltas[i + 1] = _steer(road_of(i + 1), *sigma[i + 1], scenario)[0]
+            delta_plus = steer(i)[0]
+            deltas[i + 1] = steer(i + 1)[0]
             deltas[i] = delta_plus
         except RoadGeometryFault as exc:
             logger.debug("sigma axis %s fell back to the mean steering: %s", axis, exc)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -230,7 +231,7 @@ def test_csv_faulted_steps_leave_cells_empty(tmp_path):
     records, _ = run(scen)
     path = str(tmp_path / "f.csv")
     emit_csv(records, path)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     cells = lines[1].split(",")
     assert cells[8] == ""
     assert cells[11] == "PerpendicularLine"
@@ -254,7 +255,7 @@ def test_summary_json_contents(tmp_path):
     records, summary = run(scen)
     path = str(tmp_path / "s.json")
     emit_summary_json(summary, scen, path)
-    payload = json.loads(open(path, encoding="utf-8").read())
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     assert payload["controller"] == "pp"
     assert payload["steps"] == 60
     assert payload["dt"] == 0.1
@@ -288,7 +289,7 @@ def test_svg_circle_road_uses_a_circle_element(tmp_path):
     records, _ = run(scen)
     path = str(tmp_path / "c.svg")
     emit_svg(records, scen.road, path)
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert '<circle cx="0" cy="5" r="5"' in text
     assert len(read_svg_polylines(path)) == 3  # measured, true, delta(t)
 
@@ -302,7 +303,7 @@ def test_svg_of_a_constant_command_pads_its_zero_span(tmp_path):
     assert {r.delta for r in records} == {0.0}
     path = str(tmp_path / "z.svg")
     emit_svg(records, scen.road, path)
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert re.search(r'<g transform="translate\([^,]+,240\) scale\([^,]+,-163\.793103\)">', text), text
     assert [y for _, y in read_svg_polylines(path)[-1]] == [0.0] * 20
 

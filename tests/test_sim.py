@@ -4,12 +4,16 @@ import random
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from utpursuit import (
     Circle,
     CoincidentPoints,
+    DegenerateCenter,
+    NoForwardIntersection,
+    PathOutOfReach,
+    PerpendicularLine,
     RoadGeometryFault,
     VerticalRoad,
     ConfigInvalid,
@@ -605,15 +609,20 @@ def test_batches_on_one_path_equal_runs_on_a_fresh_path_per_seed(where, controll
 
 
 def _count_cross_tracks(monkeypatch) -> list[int]:
+    """Count the poses steered: cross-tracks of the scalar path, and poses of the line and circle kernels."""
     calls = [0]
-    for name in ("cross_track_line", "cross_track_circle"):
-        original = getattr(sim, name)
 
-        def counted(*args, original=original):
+    def counted(original):
+        def call(*args):
             calls[0] += 1
             return original(*args)
 
-        monkeypatch.setattr(sim, name, counted)
+        return call
+
+    for name in ("cross_track_line", "cross_track_circle"):
+        monkeypatch.setattr(sim, name, counted(getattr(sim, name)))
+    for name in ("_line_steerer", "_circle_steerer"):
+        monkeypatch.setattr(sim, name, lambda *args, factory=getattr(sim, name): counted(factory(*args)))
     return calls
 
 
@@ -649,6 +658,100 @@ def test_a_zero_variance_axis_is_not_steered_even_across_a_zero_sign(monkeypatch
     # whichever sign the zero has.
     mean, *others = generate_sigma_points(scen.start_pose, scen.noise.cov, scen.ut)
     assert step_pp(Pose(*mean), scen)[0] == step_pp(Pose(*others[4]), scen)[0] > 0.0
+
+
+def _bits_or_error(call):
+    """call()'s (delta, y_e) as float.hex strings, or the type of the error it raised."""
+    try:
+        delta, y_e = call()
+    except (RoadGeometryFault, ValueError) as exc:
+        return type(exc)
+    return delta.hex(), y_e.hex()
+
+
+signed = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-10.0, 10.0))
+kernel_roads = st.one_of(
+    st.builds(StraightLine, st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-50.0, 50.0)), signed),
+    st.builds(Circle, signed, signed, st.floats(0.1, 10.0)),
+)
+spreads = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    road=kernel_roads,
+    pose=st.tuples(signed, signed, st.floats(-math.pi, math.pi)),
+    spread=st.tuples(spreads, spreads, spreads),
+    vehicle=st.sampled_from(((1.0, 1.0), (1.7, 2.7), (0.9, 3.1))),
+    fault=st.none(),
+)
+# One example per fault branch of the kernels, each on the mean pose (index
+# 0) and on a sigma pose; spread holds the sigma poses' offsets along x, y
+# and yaw, vehicle the look-ahead and the wheelbase, and fault the index and
+# error that the example must reach.
+# A line perpendicular to the vehicle axis:
+@example(road=StraightLine(0.0, 0.0), pose=(0.0, -0.5, math.pi / 2), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, PerpendicularLine))
+@example(road=StraightLine(0.0, 0.0), pose=(0.0, -0.5, math.pi / 2 - 0.3), spread=(0.0, 0.0, 0.3), vehicle=(1.0, 1.0), fault=(5, PerpendicularLine))
+# A vehicle-frame intercept that overflows: the mean's c - y, then the +yaw
+# pose's division by cos(gap), with a look-ahead whose square overflows so
+# that the mean's reach test sees inf - inf and passes.
+@example(road=StraightLine(0.0, 1e308), pose=(0.0, -1e308, 0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, ValueError))
+@example(road=StraightLine(0.0, 1e308), pose=(0.0, 0.0, 0.0), spread=(0.0, 0.0, 1.0), vehicle=(1e200, 1.0), fault=(5, ValueError))
+# A flat line and a sloped line beyond the look-ahead:
+@example(road=StraightLine(0.0, 0.0), pose=(0.0, 2.0, 0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, PathOutOfReach))
+@example(road=StraightLine(0.0, 0.0), pose=(0.0, 0.5, 0.0), spread=(0.0, 1.0, 0.0), vehicle=(1.0, 1.0), fault=(3, PathOutOfReach))
+@example(road=StraightLine(1.0, 0.0), pose=(0.0, 2.0, 0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, PathOutOfReach))
+@example(road=StraightLine(1.0, 0.0), pose=(0.0, 0.5, math.pi / 4), spread=(0.0, 1.0, 0.0), vehicle=(1.0, 1.0), fault=(3, PathOutOfReach))
+# A line that meets the look-ahead only behind the axle:
+@example(road=StraightLine(0.0, 0.0), pose=(0.0, 0.8, math.pi / 2 - 0.1), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, NoForwardIntersection))
+@example(road=StraightLine(0.0, 0.0), pose=(0.0, -0.8, math.pi / 2 - 0.1), spread=(0.0, 1.6, 0.0), vehicle=(1.0, 1.0), fault=(3, NoForwardIntersection))
+# A circle centred on the rear axle:
+@example(road=Circle(0.0, 0.0, 1.0), pose=(0.0, 0.0, 0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, DegenerateCenter))
+@example(road=Circle(0.0, 0.0, 0.8), pose=(0.0, -0.5, 0.0), spread=(0.0, 0.5, 0.0), vehicle=(1.0, 1.0), fault=(3, DegenerateCenter))
+# A circle that the look-ahead does not meet:
+@example(road=Circle(0.0, 5.0, 1.0), pose=(0.0, 0.0, 0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, NoIntersection))
+@example(road=Circle(0.0, 5.0, 5.0), pose=(0.0, 0.5, 0.0), spread=(0.0, 2.0, 0.0), vehicle=(1.0, 1.0), fault=(3, NoIntersection))
+# A circle met only behind the axle:
+@example(road=Circle(0.0, 5.0, 4.5), pose=(0.0, 0.0, -math.pi / 2), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, NoForwardIntersection))
+@example(road=Circle(0.0, 5.0, 4.5), pose=(0.0, 0.0, 0.0), spread=(0.0, 0.0, math.pi / 2), vehicle=(1.0, 1.0), fault=(6, NoForwardIntersection))
+# A vehicle-frame centre that overflows: the mean's dx, then the +yaw pose's
+# rotation of a centre whose distance, and the radius's square, overflow
+# for the mean, whose arccos argument is then NaN and clamps to 1.
+@example(road=Circle(1e308, 0.0, 1.0), pose=(-1e308, 0.0, 0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, ValueError))
+@example(road=Circle(1.5e308, 1.5e308, 1e300), pose=(0.0, 0.0, 0.0), spread=(0.0, 0.0, math.pi / 4), vehicle=(1.0, 1.0), fault=(5, ValueError))
+# A centre straight behind the axle whose vehicle-frame cy is -0.0: the exact
+# tie, which goes left.
+@example(road=Circle(-1.5, -0.0, 2.0), pose=(0.0, 0.0, -0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=None)
+def test_the_line_and_circle_kernels_steer_each_pose_as_steer_does(road, pose, spread, vehicle, fault):
+    # At alpha = 1 and kappa = 0 the sigma poses sit sqrt(3) * sqrt(var) from the mean.
+    cov = Covariance3(*(s * s / 3.0 for s in spread))
+    scen = make_scenario(
+        road,
+        start_pose=Pose(*pose),
+        controller=Controller.UTPP,
+        noise=NoiseModel(cov),
+        ut=derive_ut_params(3, 1.0, 0.0),
+        speed=vehicle[0],
+        wheelbase=vehicle[1],
+    )
+    sigma = generate_sigma_points(scen.start_pose, cov, scen.ut)
+    kernel = sim._line_steerer if isinstance(road, StraightLine) else sim._circle_steerer
+    steer = kernel(road, sigma, scen)
+    axes = ((1, cov.var_x), (3, cov.var_y), (5, cov.var_yaw))
+    outcomes = {}
+    for i in [0, *(j for i, var in axes if var > 0.0 for j in (i, i + 1))]:
+        outcomes[i] = _bits_or_error(lambda: steer(i))
+        assert outcomes[i] == _bits_or_error(lambda: sim._steer(road, *sigma[i], scen))
+    step = _bits_or_error(lambda: step_utpp(scen.start_pose, scen))
+    assert step == _bits_or_error(lambda: step_utpp_oracle(scen.start_pose, scen))
+    if fault is not None:
+        i, kind = fault
+        assert outcomes[i] is kind
+        if i == 0 or kind is ValueError:
+            assert step is kind
+        else:
+            # The pair falls back to the mean's command, and the step does not fault.
+            assert isinstance(step, tuple)
 
 
 # SHA-256 of every record field (and the summary) of sim.run, floats written
