@@ -40,13 +40,23 @@ class Pose:
     y: float
     yaw: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.yaw)):
-            raise ValueError(f"pose fields must be finite, got {(self.x, self.y, self.yaw)}")
+    # Written by hand, since the loop builds two poses per step (dataclass keeps
+    # a class's own __init__): the slots' descriptors store the fields at about
+    # half the cost of the generated __init__'s object.__setattr__ calls.
+    def __init__(self, x: float, y: float, yaw: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw)):
+            raise ValueError(f"pose fields must be finite, got {(x, y, yaw)}")
         # normalize_angle returns an in-range float unchanged, so only a yaw
         # outside (-pi, pi] is wrapped; a bool yaw stays a bool for Scenario to reject.
-        if not -math.pi < self.yaw <= math.pi:
-            object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+        if not -math.pi < yaw <= math.pi:
+            yaw = normalize_angle(yaw)
+        _SET_X(self, x)
+        _SET_Y(self, y)
+        _SET_YAW(self, yaw)
+
+
+# The slots' own stores, which a frozen class's __setattr__ does not reach.
+_SET_X, _SET_Y, _SET_YAW = Pose.x.__set__, Pose.y.__set__, Pose.yaw.__set__
 
 
 @dataclass(frozen=True, slots=True)

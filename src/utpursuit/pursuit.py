@@ -22,6 +22,12 @@ DEGENERATE_CENTER_EPS = 1e-12
 DEFAULT_STEERING_LIMIT = math.radians(35.0)
 
 
+# Each reach and forward test below is written so that NaN fails it: a square
+# that overflows (an offset, look-ahead, distance or radius above about
+# 1.3e154) gives inf - inf, and such a road is reported out of reach rather
+# than steered at a NaN goal.
+
+
 def cross_track_line(slope: float, intercept: float, d_l: float) -> tuple[float, float]:
     """Intersect the look-ahead circle with the vehicle-frame line y = slope x + intercept.
 
@@ -36,17 +42,17 @@ def cross_track_line(slope: float, intercept: float, d_l: float) -> tuple[float,
     m, c2 = slope, intercept
     if abs(m) < FLAT_SLOPE_EPS:
         forward_sq = d_l * d_l - c2 * c2
-        if forward_sq < 0.0:
+        if not forward_sq >= 0.0:
             raise PathOutOfReach(f"flat line at offset {c2} beyond look-ahead {d_l}")
         return c2, math.sqrt(forward_sq)
     one_m2 = 1.0 + m * m
     disc = one_m2 * d_l * d_l - c2 * c2
-    if disc < 0.0:
+    if not disc >= 0.0:
         raise PathOutOfReach(f"line (m={m}, c={c2}) beyond look-ahead {d_l}")
     root = math.sqrt(disc)
     y_e = (c2 + m * root) / one_m2
     x_e = (root - m * c2) / one_m2
-    if x_e < 0.0:
+    if not x_e >= 0.0:
         raise NoForwardIntersection(f"line (m={m}, c={c2}) crosses look-ahead only behind the axle")
     return y_e, x_e
 
@@ -70,7 +76,7 @@ def cross_track_circle(cx: float, cy: float, radius: float, d_l: float) -> tuple
     if rho < DEGENERATE_CENTER_EPS:
         raise DegenerateCenter("road circle centered on the rear axle")
     cos_arg = (rho * rho + d_l * d_l - radius * radius) / (2.0 * d_l * rho)
-    if abs(cos_arg) > 1.0 + COS_ARG_SLACK:
+    if not abs(cos_arg) <= 1.0 + COS_ARG_SLACK:
         raise NoIntersection(
             f"road circle (center ({cx}, {cy}), R={radius}) misses look-ahead {d_l}"
         )
@@ -82,7 +88,7 @@ def cross_track_circle(cx: float, cy: float, radius: float, d_l: float) -> tuple
     plus, minus = alpha_2 + alpha_1, alpha_2 - alpha_1
     alpha = plus if abs(plus) <= abs(minus) else minus
     x_e = d_l * math.cos(alpha)
-    if x_e < 0.0:
+    if not x_e >= 0.0:
         raise NoForwardIntersection(
             f"road circle (center ({cx}, {cy}), R={radius}) meets look-ahead only behind the axle"
         )

@@ -222,20 +222,37 @@ def _waypoint_steerer(
 ) -> Callable[[int], tuple[float, float]]:
     """_steer of the sigma pose sigma[i] against its own local road, as a function of i.
 
-    The mean and the poses of the steered pairs are looked up in one
-    nearest_group call, and the path keeps each waypoint's line or circle.
+    The look-ahead waypoints of the mean and of the poses of the steered
+    pairs are selected in one nearest_group call, and the path keeps each
+    waypoint's line or circle.  Each pose is steered by the _line_steerer or
+    _circle_steerer kernel of the local road its waypoint gives: one kernel
+    per distinct selected waypoint, usually one per step.
     """
     steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
     selected = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], scenario.lookahead)))
-    return lambda i: _steer(local_road(road, selected[i]), *sigma[i], scenario)
+    kernels: dict[int, Callable[[int], tuple[float, float]]] = {}
+
+    def steer(i: int) -> tuple[float, float]:
+        w = selected[i]
+        kernel = kernels.get(w)
+        if kernel is None:
+            # Built at the first pose that selected w, and kept only once built,
+            # so a triple that has no road raises at that pose, every time.
+            local = local_road(road, w)
+            factory = _line_steerer if isinstance(local, StraightLine) else _circle_steerer
+            kernel = kernels[w] = factory(local, sigma, scenario)
+        return kernel(i)
+
+    return steer
 
 
 # The kernels below steer the sigma poses of one step against a global line or
 # circle.  Each computes the road's terms once, then each pose's frame
 # transform, cross-track and clamped command inline, in the operation order
 # of the scalar functions that _steer calls, so its (delta, y_e) equals
-# _steer's bit for bit.  On every fault branch it returns _steer's result
-# instead, which raises the scalar functions' own error.
+# _steer's bit for bit; its tests fail on NaN as theirs do.  On every fault
+# branch it returns _steer's result instead, which raises the scalar
+# functions' own error.
 
 
 def _line_steerer(
@@ -261,16 +278,16 @@ def _line_steerer(
         if not (math.isfinite(m) and math.isfinite(c2)):
             return _steer(road, x, y, yaw, scenario)
         if abs(m) < FLAT_SLOPE_EPS:
-            if d_l2 - c2 * c2 < 0.0:
+            if not d_l2 - c2 * c2 >= 0.0:
                 return _steer(road, x, y, yaw, scenario)
             y_e = c2
         else:
             one_m2 = 1.0 + m * m
             disc = one_m2 * d_l * d_l - c2 * c2
-            if disc < 0.0:
+            if not disc >= 0.0:
                 return _steer(road, x, y, yaw, scenario)
             root = math.sqrt(disc)
-            if (root - m * c2) / one_m2 < 0.0:
+            if not (root - m * c2) / one_m2 >= 0.0:
                 return _steer(road, x, y, yaw, scenario)
             y_e = (c2 + m * root) / one_m2
         delta = math.atan(2.0 * y_e * wheelbase / d_l2)
@@ -301,13 +318,13 @@ def _circle_steerer(
         if rho < DEGENERATE_CENTER_EPS:
             return _steer(road, x, y, yaw, scenario)
         cos_arg = (rho * rho + d_l2 - r2) / (two_d_l * rho)
-        if abs(cos_arg) > 1.0 + COS_ARG_SLACK:
+        if not abs(cos_arg) <= 1.0 + COS_ARG_SLACK:
             return _steer(road, x, y, yaw, scenario)
         alpha_1 = math.acos(max(-1.0, min(1.0, cos_arg)))
         alpha_2 = math.atan2(cy + 0.0, cx)
         plus, minus = alpha_2 + alpha_1, alpha_2 - alpha_1
         alpha = plus if abs(plus) <= abs(minus) else minus
-        if d_l * math.cos(alpha) < 0.0:
+        if not d_l * math.cos(alpha) >= 0.0:
             return _steer(road, x, y, yaw, scenario)
         y_e = d_l * math.sin(alpha)
         delta = math.atan(2.0 * y_e * wheelbase / d_l2)
@@ -325,9 +342,11 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     command is.  y_e is the mean sigma pose's.  A fault on the mean pose
     faults the whole step.  Each axis contributes the commands of its two
     sigma poses, or, when its variance is zero or either pose faults, the
-    mean's command in both slots, so the axis adds no curvature term.  On a
-    line or circle road the poses are steered by _line_steerer or
-    _circle_steerer, which compute the road's terms once per step.
+    mean's command in both slots, so the axis adds no curvature term.  The
+    poses are steered by _line_steerer or _circle_steerer, which compute a
+    road's terms once per step: on a line or circle road one kernel of the
+    road itself, on a waypoint road one kernel for each distinct local road
+    that the poses' look-ahead waypoints select (see _waypoint_steerer).
     """
     cov = scenario.noise.cov
     sigma = generate_sigma_points(pose, cov, scenario.ut)
@@ -389,16 +408,19 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
     the record is taken.  The noise of the whole run is drawn before the
     first step (NoiseModel.draws), and step k's measured pose takes triple k.
     """
-    if isinstance(scenario.road, WaypointPath):
+    road, speed, dt, wheelbase = scenario.road, scenario.speed, scenario.dt, scenario.wheelbase
+    if isinstance(road, WaypointPath):
         logger.info(
             "waypoint road: selecting the look-ahead waypoint by probing %.3f m ahead of the rear axle",
             scenario.lookahead,
         )
     step = step_utpp if scenario.controller is Controller.UTPP else step_pp
+    paper_literal = scenario.paper_literal
     noise = scenario.noise
     draws = noise.draws(scenario.steps)
     true_pose = measured_pose = scenario.start_pose
     records: list[TrajectoryRecord] = []
+    append = records.append
     delta = 0.0
     for k, draw in enumerate(repeat(None, scenario.steps) if draws is None else draws):
         fault: str | None = None
@@ -408,21 +430,22 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
             y_e = None
             fault = type(exc).__name__
             logger.debug("step %d faulted (%s), holding delta=%.6f", k, fault, delta)
-        records.append(
+        # step, time, true_pose, measured_pose, y_e, delta, lateral_error, fault
+        append(
             TrajectoryRecord(
-                step=k,
-                time=k * scenario.dt,
-                true_pose=true_pose,
-                measured_pose=measured_pose,
-                y_e=y_e,
-                delta=delta,
-                lateral_error=lateral_deviation((true_pose.x, true_pose.y), scenario.road),
-                fault=fault,
+                k,
+                k * dt,
+                true_pose,
+                measured_pose,
+                y_e,
+                delta,
+                lateral_deviation((true_pose.x, true_pose.y), road),
+                fault,
             )
         )
-        true_pose = advance_pose(true_pose, delta, scenario.speed, scenario.dt, scenario.wheelbase)
-        measured_pose = sample_measured_pose(true_pose, noise, scenario.road, draw)
-        if scenario.paper_literal:
+        true_pose = advance_pose(true_pose, delta, speed, dt, wheelbase)
+        measured_pose = sample_measured_pose(true_pose, noise, road, draw)
+        if paper_literal:
             true_pose = measured_pose
     return records, _summarize(records, scenario, noise.rng_seed)
 

@@ -1,8 +1,11 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from utpursuit import (
@@ -49,6 +52,79 @@ def test_pose_normalizes_yaw_and_rejects_non_finite():
 def test_pose_yaw_is_normalize_angle_bit_for_bit(yaw):
     # Pose wraps only a yaw outside (-pi, pi]; that must not move a single bit.
     assert Pose(0.0, 0.0, yaw).yaw.hex() == normalize_angle(yaw).hex()
+
+
+@dataclass(frozen=True, slots=True)
+class PostInitPose:
+    """Pose as the dataclass built it before Pose had its own __init__: the oracle for that __init__."""
+
+    x: float
+    y: float
+    yaw: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.yaw)):
+            raise ValueError(f"pose fields must be finite, got {(self.x, self.y, self.yaw)}")
+        if not -math.pi < self.yaw <= math.pi:
+            object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+
+
+_NEAR_PI = [v for p in (math.pi, -math.pi) for v in (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf))]
+pose_field = st.one_of(
+    st.floats(),
+    st.sampled_from((0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan, *_NEAR_PI)),
+    st.integers(),
+    st.sampled_from((-(10**400), 10**400)),
+    st.booleans(),
+)
+
+
+def _built(cls, args, by_name):
+    """The fields of cls built from args, each by repr and type, or the error raised."""
+    try:
+        pose = cls(**dict(zip(("x", "y", "yaw"), args))) if by_name else cls(*args)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(repr(v), type(v)) for v in (pose.x, pose.y, pose.yaw)]
+
+
+@settings(max_examples=500, derandomize=True)
+@given(args=st.tuples(pose_field, pose_field, pose_field), by_name=st.booleans())
+@example(args=(True, 0.5, 0.0), by_name=False)
+@example(args=(0.0, 0.5, True), by_name=False)
+@example(args=(1, 2, 4), by_name=True)
+def test_pose_init_builds_what_the_post_init_oracle_builds(args, by_name):
+    assert _built(Pose, args, by_name) == _built(PostInitPose, args, by_name)
+
+
+def _frozen_error(obj, action) -> str:
+    with pytest.raises(FrozenInstanceError) as info:
+        action(obj)
+    return str(info.value)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(args=st.tuples(st.floats(-1e308, 1e308), st.one_of(st.integers(), st.floats(-1.0, 1.0)), st.floats(-10.0, 10.0)))
+def test_pose_keeps_the_dataclass_behaviour_of_the_oracle(args):
+    pose, oracle = Pose(*args), PostInitPose(*args)
+    # geometry.py postpones its annotations, so its field types are the strings.
+    assert [(f.name, f.type) for f in fields(pose)] == [(f.name, f.type.__name__) for f in fields(oracle)]
+    assert Pose.__match_args__ == PostInitPose.__match_args__ and Pose.__slots__ == PostInitPose.__slots__
+    assert repr(pose) == repr(oracle).replace("PostInitPose", "Pose", 1)
+    assert hash(pose) == hash(oracle) and pose == Pose(*args) and oracle == PostInitPose(*args)
+    assert (pose != replace(pose, yaw=pose.yaw + 1.0)) == (oracle != replace(oracle, yaw=oracle.yaw + 1.0))
+
+    def state(p):
+        return type(p).__name__, [(repr(v), type(v)) for v in (p.x, p.y, p.yaw)]
+
+    for copied, copied_oracle in (
+        (replace(pose, yaw=4.0), replace(oracle, yaw=4.0)),
+        (copy.copy(pose), copy.copy(oracle)),
+        (pickle.loads(pickle.dumps(pose)), pickle.loads(pickle.dumps(oracle))),
+    ):
+        assert state(copied) == (state(copied_oracle)[0].replace("PostInitPose", "Pose"), state(copied_oracle)[1])
+    for action in (lambda p: setattr(p, "x", 1.0), lambda p: delattr(p, "yaw")):
+        assert _frozen_error(pose, action) == _frozen_error(oracle, action)
 
 
 def test_identity_frame_is_a_no_op():

@@ -78,6 +78,11 @@ def test_cross_track_line_out_of_reach():
         cross_track_line(0.0, 2.0, 1.0)
     with pytest.raises(PathOutOfReach):
         cross_track_line(1.0, 2.0, 1.0)
+    # Squares that overflow: the reach test sees inf - inf, a NaN, which must
+    # fail it, for a flat and a sloped line alike.
+    for slope in (0.0, 1.0):
+        with pytest.raises(PathOutOfReach):
+            cross_track_line(slope, 1e308, 1e200)
 
 
 def test_cross_track_line_behind_vehicle():
@@ -117,6 +122,9 @@ def test_cross_track_circle_on_circle_fixed_point():
 def test_cross_track_circle_errors():
     with pytest.raises(NoIntersection):
         cross_track_circle(0.0, 10.0, 5.0, 1.0)
+    # rho and R*R overflow, so the arccos argument is NaN: no intersection found.
+    with pytest.raises(NoIntersection):
+        cross_track_circle(1.5e308, 1.5e308, 1e300, 1.0)
     with pytest.raises(DegenerateCenter):
         cross_track_circle(0.0, 0.0, 5.0, 1.0)
     # Both crossings behind: a circle hugging the region behind the axle.

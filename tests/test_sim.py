@@ -4,7 +4,7 @@ import random
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from utpursuit import (
@@ -38,6 +38,7 @@ from utpursuit import (
     run,
     run_batch,
     select_lookahead_waypoint,
+    select_lookahead_waypoints,
     steering_angle,
     step_pp,
     step_utpp,
@@ -693,8 +694,9 @@ spreads = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 @example(road=StraightLine(0.0, 0.0), pose=(0.0, -0.5, math.pi / 2), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, PerpendicularLine))
 @example(road=StraightLine(0.0, 0.0), pose=(0.0, -0.5, math.pi / 2 - 0.3), spread=(0.0, 0.0, 0.3), vehicle=(1.0, 1.0), fault=(5, PerpendicularLine))
 # A vehicle-frame intercept that overflows: the mean's c - y, then the +yaw
-# pose's division by cos(gap), with a look-ahead whose square overflows so
-# that the mean's reach test sees inf - inf and passes.
+# pose's division by cos(gap), with a look-ahead whose square overflows, so
+# that the mean's reach test sees inf - inf, a NaN, and the mean's
+# PathOutOfReach is the step's outcome.
 @example(road=StraightLine(0.0, 1e308), pose=(0.0, -1e308, 0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, ValueError))
 @example(road=StraightLine(0.0, 1e308), pose=(0.0, 0.0, 0.0), spread=(0.0, 0.0, 1.0), vehicle=(1e200, 1.0), fault=(5, ValueError))
 # A flat line and a sloped line beyond the look-ahead:
@@ -716,7 +718,8 @@ spreads = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 @example(road=Circle(0.0, 5.0, 4.5), pose=(0.0, 0.0, 0.0), spread=(0.0, 0.0, math.pi / 2), vehicle=(1.0, 1.0), fault=(6, NoForwardIntersection))
 # A vehicle-frame centre that overflows: the mean's dx, then the +yaw pose's
 # rotation of a centre whose distance, and the radius's square, overflow
-# for the mean, whose arccos argument is then NaN and clamps to 1.
+# for the mean, whose arccos argument is then NaN, so that the mean's
+# NoIntersection is the step's outcome.
 @example(road=Circle(1e308, 0.0, 1.0), pose=(-1e308, 0.0, 0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, ValueError))
 @example(road=Circle(1.5e308, 1.5e308, 1e300), pose=(0.0, 0.0, 0.0), spread=(0.0, 0.0, math.pi / 4), vehicle=(1.0, 1.0), fault=(5, ValueError))
 # A centre straight behind the axle whose vehicle-frame cy is -0.0: the exact
@@ -747,11 +750,138 @@ def test_the_line_and_circle_kernels_steer_each_pose_as_steer_does(road, pose, s
     if fault is not None:
         i, kind = fault
         assert outcomes[i] is kind
-        if i == 0 or kind is ValueError:
+        if not isinstance(outcomes[0], tuple):
+            # A fault on the mean pose is the step's.
+            assert step is outcomes[0]
+        elif kind is ValueError:
             assert step is kind
         else:
             # The pair falls back to the mean's command, and the step does not fault.
             assert isinstance(step, tuple)
+
+
+@pytest.mark.parametrize(
+    ("road", "speed", "fault"),
+    [(StraightLine(0.0, 1e308), 1e200, PathOutOfReach), (Circle(1.5e308, 1.5e308, 1e300), 1.0, NoIntersection)],
+    ids=["line", "circle"],
+)
+def test_a_reach_test_whose_squares_overflow_faults_the_step(road, speed, fault):
+    # The offset (or rho) and the look-ahead (or radius) square to inf, so the
+    # reach test's operand is NaN.  The road is out of reach: the step faults
+    # rather than steer at the limit, where the clamp puts a NaN command.
+    # Under utpp the +yaw pose's vehicle-frame road overflows (see the kernel
+    # examples), but the mean's fault comes first, and the run records it.
+    noise = NoiseModel(Covariance3(0.0, 0.0, 1.0 / 3.0))
+    base = make_scenario(
+        road, start_pose=Pose(0.0, 0.0, 0.0), speed=speed, noise=noise, ut=derive_ut_params(3, 1.0, 0.0), steps=1
+    )
+    for controller, step in ((Controller.PP, step_pp), (Controller.UTPP, step_utpp)):
+        scen = replace(base, controller=controller)
+        with pytest.raises(fault):
+            step(scen.start_pose, scen)
+        records, summary = run(scen)
+        assert records[0].fault == fault.__name__ and summary.fault_count == 1
+
+
+huge = st.floats(-1e308, 1e308)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(("line", "circle")),
+    position=st.tuples(huge, huge),
+    yaw=st.floats(-math.pi, math.pi),
+    d_l=st.floats(1e-3, 1e308),
+    shape=st.tuples(st.floats(-1.5, 1.5), st.floats(0.5, 2.0), st.floats(0.0, 1.0)),
+    yaw_spread=st.floats(0.0, 4.0),
+)
+# A vehicle-frame offset whose square just overflows, seen from yaws that
+# bring the line within 1e-8 of perpendicular.
+@example(kind="line", position=(0.0, 0.0), yaw=0.0, d_l=2e154, shape=(0.0, 0.5, 1.0), yaw_spread=math.pi / 2 - 1e-8)
+def test_a_yaw_sigma_pose_does_not_overflow_while_its_mean_steers(kind, position, yaw, d_l, shape, yaw_spread):
+    # A mean pose that steers has passed a reach test that NaN fails, so its
+    # vehicle-frame offset (line) or centre distance (circle) squares to a
+    # finite value, under 1.4e154.  A yaw sigma pose keeps the mean's position:
+    # its line offset is the mean's numerator over a cos(gap) of at least 1e-9
+    # (else PerpendicularLine), its centre the mean's turned.  Neither can
+    # overflow, so the yaw pair steers or falls back, and raises no ValueError.
+    x, y = position
+    angle, a, t = shape
+    try:
+        if kind == "line":
+            # A line at heading angle, |a - 1| * t * d_l from the pose.
+            slope = math.tan(angle)
+            road = StraightLine(slope, y - slope * x + (a - 1.0) * d_l * t * math.sqrt(1.0 + slope * slope))
+        else:
+            # A centre a * d_l away, with a radius between |a - 1| d_l and (a + 1) d_l.
+            b = abs(a - 1.0) + t * (a + 1.0 - abs(a - 1.0))
+            road = Circle(x + a * d_l * math.cos(angle), y + a * d_l * math.sin(angle), b * d_l)
+    except ValueError:
+        assume(False)
+    noise = NoiseModel(Covariance3(0.0, 0.0, yaw_spread * yaw_spread / 3.0))
+    scen = make_scenario(
+        road, start_pose=Pose(x, y, yaw), speed=d_l, noise=noise, ut=derive_ut_params(3, 1.0, 0.0), steps=1
+    )
+    try:
+        step_pp(scen.start_pose, scen)
+    except (RoadGeometryFault, ValueError):
+        assume(False)
+    step = step_utpp(scen.start_pose, scen)
+    assert step == step_utpp_oracle(scen.start_pose, scen)
+
+
+def _count_kernels(monkeypatch) -> list[int]:
+    """Count the line and circle kernels built: one per call of either factory."""
+    built = [0]
+
+    def counted(factory):
+        def build(*args):
+            built[0] += 1
+            return factory(*args)
+
+        return build
+
+    for name in ("_line_steerer", "_circle_steerer"):
+        monkeypatch.setattr(sim, name, counted(getattr(sim, name)))
+    return built
+
+
+def test_waypoint_utpp_builds_one_kernel_per_selected_waypoint(monkeypatch):
+    arc = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=Controller.UTPP)
+    # Waypoints 1 m apart: at alpha = 1 the +x pose's probe, 0.35 m further
+    # ahead, lands on the next waypoint, and every other probe on the mean's.
+    straight = make_scenario(
+        WaypointPath([(float(i), 0.0) for i in range(10)]),
+        controller=Controller.UTPP,
+        noise=WIDE_NOISE,
+        ut=derive_ut_params(3, 1.0, 0.0),
+    )
+    # The +x pose probes the hairpin's tip, whose triple has no road: its pair
+    # falls back, the -x pose is never steered, and the yaw pair is.
+    hairpin = make_scenario(
+        hairpin_path(),
+        controller=Controller.UTPP,
+        noise=NoiseModel(Covariance3(3.2**2 / 3.0, 0.0, math.radians(10.0) ** 2 / 3.0)),
+        ut=derive_ut_params(3, 1.0, 0.0),
+    )
+    built = _count_kernels(monkeypatch)
+    for scen, pose, selected, kernels in (
+        (arc, arc.start_pose, [6, 6, 6, 6, 6], 1),
+        (straight, Pose(0.3, 0.0, 0.0), [1, 2, 1, 1, 1, 1, 1], 2),
+        (hairpin, Pose(1.0, -0.4, 0.0), [2, 5, 1, 2, 2], 1),
+    ):
+        cov = scen.noise.cov
+        sigma = generate_sigma_points(pose, cov, scen.ut)
+        axes = ((1, cov.var_x), (3, cov.var_y), (5, cov.var_yaw))
+        steered = [sigma[0], *(sigma[j] for i, var in axes if var > 0.0 for j in (i, i + 1))]
+        assert select_lookahead_waypoints(scen.road, steered, scen.lookahead) == selected
+        built[0] = 0
+        step = step_utpp(pose, scen)
+        assert built[0] == kernels
+        assert step == step_utpp_oracle(pose, scen)
+    # Only the x pair, whose + pose selected the tip, falls back.
+    assert step == step_utpp(pose, without_variance(hairpin, "var_x"))
+    assert step != step_utpp(pose, without_variance(without_variance(hairpin, "var_x"), "var_yaw"))
 
 
 # SHA-256 of every record field (and the summary) of sim.run, floats written
