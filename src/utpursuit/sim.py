@@ -21,15 +21,7 @@ from typing import Callable
 
 from .errors import ConfigInvalid, RoadGeometryFault
 from .geometry import PERPENDICULAR_COS_EPS, Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
-from .pursuit import (
-    COS_ARG_SLACK,
-    DEFAULT_STEERING_LIMIT,
-    DEGENERATE_CENTER_EPS,
-    FLAT_SLOPE_EPS,
-    cross_track_circle,
-    cross_track_line,
-    steering_angle,
-)
+from .pursuit import DEFAULT_STEERING_LIMIT, cross_track_circle, cross_track_line, steering_angle
 from .roads import RoadModel, lateral_deviation
 from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
@@ -248,11 +240,11 @@ def _waypoint_steerer(
 
 # The kernels below steer the sigma poses of one step against a global line or
 # circle.  Each computes the road's terms once, then each pose's frame
-# transform, cross-track and clamped command inline, in the operation order
-# of the scalar functions that _steer calls, so its (delta, y_e) equals
-# _steer's bit for bit; its tests fail on NaN as theirs do.  On every fault
-# branch it returns _steer's result instead, which raises the scalar
-# functions' own error.
+# transform inline, in the operation order of line_to_vehicle or
+# circle_to_vehicle, and hands the vehicle-frame road to the cross_track_*
+# and steering_angle that _steer calls, so its (delta, y_e), and any fault
+# it raises, equal _steer's bit for bit.  On a transform fault it returns
+# _steer's result instead, which raises the transform's own error.
 
 
 def _line_steerer(
@@ -260,12 +252,11 @@ def _line_steerer(
 ) -> Callable[[int], tuple[float, float]]:
     """_steer of the sigma pose sigma[i] against the line road, as a function of i.
 
-    Follows line_to_vehicle, cross_track_line and steering_angle.
+    Follows line_to_vehicle, then calls cross_track_line and steering_angle.
     """
     psi_m = math.atan(road.slope)
     sin_m, cos_m, c = math.sin(psi_m), math.cos(psi_m), road.intercept
     d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
-    d_l2 = d_l * d_l
 
     def steer(i: int) -> tuple[float, float]:
         x, y, yaw = sigma[i]
@@ -277,21 +268,8 @@ def _line_steerer(
         c2 = (x * sin_m + (c - y) * cos_m) / cos_gap
         if not (math.isfinite(m) and math.isfinite(c2)):
             return _steer(road, x, y, yaw, scenario)
-        if abs(m) < FLAT_SLOPE_EPS:
-            if not d_l2 - c2 * c2 >= 0.0:
-                return _steer(road, x, y, yaw, scenario)
-            y_e = c2
-        else:
-            one_m2 = 1.0 + m * m
-            disc = one_m2 * d_l * d_l - c2 * c2
-            if not disc >= 0.0:
-                return _steer(road, x, y, yaw, scenario)
-            root = math.sqrt(disc)
-            if not (root - m * c2) / one_m2 >= 0.0:
-                return _steer(road, x, y, yaw, scenario)
-            y_e = (c2 + m * root) / one_m2
-        delta = math.atan(2.0 * y_e * wheelbase / d_l2)
-        return max(-limit, min(limit, delta)), y_e
+        y_e = cross_track_line(m, c2, d_l)[0]
+        return steering_angle(y_e, d_l, wheelbase, limit), y_e
 
     return steer
 
@@ -301,11 +279,10 @@ def _circle_steerer(
 ) -> Callable[[int], tuple[float, float]]:
     """_steer of the sigma pose sigma[i] against the circle road, as a function of i.
 
-    Follows circle_to_vehicle, cross_track_circle and steering_angle.
+    Follows circle_to_vehicle, then calls cross_track_circle and steering_angle.
     """
     cx0, cy0, radius = road.cx, road.cy, road.radius
     d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
-    d_l2, r2, two_d_l = d_l * d_l, radius * radius, 2.0 * d_l
 
     def steer(i: int) -> tuple[float, float]:
         x, y, yaw = sigma[i]
@@ -314,21 +291,8 @@ def _circle_steerer(
         cx, cy = c * dx + s * dy, -s * dx + c * dy
         if not (math.isfinite(cx) and math.isfinite(cy)):
             return _steer(road, x, y, yaw, scenario)
-        rho = math.hypot(cx, cy)
-        if rho < DEGENERATE_CENTER_EPS:
-            return _steer(road, x, y, yaw, scenario)
-        cos_arg = (rho * rho + d_l2 - r2) / (two_d_l * rho)
-        if not abs(cos_arg) <= 1.0 + COS_ARG_SLACK:
-            return _steer(road, x, y, yaw, scenario)
-        alpha_1 = math.acos(max(-1.0, min(1.0, cos_arg)))
-        alpha_2 = math.atan2(cy + 0.0, cx)
-        plus, minus = alpha_2 + alpha_1, alpha_2 - alpha_1
-        alpha = plus if abs(plus) <= abs(minus) else minus
-        if not d_l * math.cos(alpha) >= 0.0:
-            return _steer(road, x, y, yaw, scenario)
-        y_e = d_l * math.sin(alpha)
-        delta = math.atan(2.0 * y_e * wheelbase / d_l2)
-        return max(-limit, min(limit, delta)), y_e
+        y_e = cross_track_circle(cx, cy, radius, d_l)[0]
+        return steering_angle(y_e, d_l, wheelbase, limit), y_e
 
     return steer
 
@@ -344,9 +308,10 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     sigma poses, or, when its variance is zero or either pose faults, the
     mean's command in both slots, so the axis adds no curvature term.  The
     poses are steered by _line_steerer or _circle_steerer, which compute a
-    road's terms once per step: on a line or circle road one kernel of the
-    road itself, on a waypoint road one kernel for each distinct local road
-    that the poses' look-ahead waypoints select (see _waypoint_steerer).
+    road's terms once per step and each pose's frame transform inline, then
+    call pp's own cross_track_* and steering_angle: on a line or circle road
+    one kernel of the road itself, on a waypoint road one kernel for each
+    distinct local road that the poses' look-ahead waypoints select.
     """
     cov = scenario.noise.cov
     sigma = generate_sigma_points(pose, cov, scenario.ut)

@@ -610,20 +610,23 @@ def test_batches_on_one_path_equal_runs_on_a_fresh_path_per_seed(where, controll
 
 
 def _count_cross_tracks(monkeypatch) -> list[int]:
-    """Count the poses steered: cross-tracks of the scalar path, and poses of the line and circle kernels."""
-    calls = [0]
+    """Count the poses steered: calls[0] of sim's cross_track_*, calls[1] of its steering_angle.
 
-    def counted(original):
+    The scalar path and the line and circle kernels all call these names, so
+    a kernel that inlined either law again would steer poses uncounted.
+    """
+    calls = [0, 0]
+
+    def counted(original, slot):
         def call(*args):
-            calls[0] += 1
+            calls[slot] += 1
             return original(*args)
 
         return call
 
     for name in ("cross_track_line", "cross_track_circle"):
-        monkeypatch.setattr(sim, name, counted(getattr(sim, name)))
-    for name in ("_line_steerer", "_circle_steerer"):
-        monkeypatch.setattr(sim, name, lambda *args, factory=getattr(sim, name): counted(factory(*args)))
+        monkeypatch.setattr(sim, name, counted(getattr(sim, name), 0))
+    monkeypatch.setattr(sim, "steering_angle", counted(sim.steering_angle, 1))
     return calls
 
 
@@ -635,9 +638,10 @@ def test_sigma_poses_equal_to_the_mean_are_not_steered_again(road, monkeypatch):
     calls = _count_cross_tracks(monkeypatch)
     for noise, expected in ((zero_noise(), 1), (reference_noise(), 5)):
         scen = make_scenario(road, controller=Controller.UTPP, noise=noise)
-        calls[0] = 0
+        calls[:] = [0, 0]
         delta, y_e = step_utpp(pose, scen)
         assert calls[0] == expected
+        assert calls[1] == calls[0]
         assert (delta, y_e) == step_utpp_oracle(pose, scen)
 
 
@@ -654,6 +658,7 @@ def test_a_zero_variance_axis_is_not_steered_even_across_a_zero_sign(monkeypatch
     calls = _count_cross_tracks(monkeypatch)
     delta, y_e = step_utpp(scen.start_pose, scen)
     assert calls[0] == 1
+    assert calls[1] == calls[0]
     assert (delta, y_e) == step_utpp_oracle(scen.start_pose, scen)
     # The centre sits straight behind the axle: an exact tie, which goes left
     # whichever sign the zero has.
@@ -686,10 +691,11 @@ spreads = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
     vehicle=st.sampled_from(((1.0, 1.0), (1.7, 2.7), (0.9, 3.1))),
     fault=st.none(),
 )
-# One example per fault branch of the kernels, each on the mean pose (index
-# 0) and on a sigma pose; spread holds the sigma poses' offsets along x, y
-# and yaw, vehicle the look-ahead and the wheelbase, and fault the index and
-# error that the example must reach.
+# One example per fault branch of the kernels' frame transforms and of the
+# cross_track_* that they call, each on the mean pose (index 0) and on a
+# sigma pose; spread holds the sigma poses' offsets along x, y and yaw,
+# vehicle the look-ahead and the wheelbase, and fault the index and error
+# that the example must reach.
 # A line perpendicular to the vehicle axis:
 @example(road=StraightLine(0.0, 0.0), pose=(0.0, -0.5, math.pi / 2), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=(0, PerpendicularLine))
 @example(road=StraightLine(0.0, 0.0), pose=(0.0, -0.5, math.pi / 2 - 0.3), spread=(0.0, 0.0, 0.3), vehicle=(1.0, 1.0), fault=(5, PerpendicularLine))
