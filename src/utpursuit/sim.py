@@ -23,7 +23,7 @@ from .errors import ConfigInvalid, RoadGeometryFault
 from .geometry import PERPENDICULAR_COS_EPS, Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
 from .pursuit import DEFAULT_STEERING_LIMIT, cross_track_circle, cross_track_line, steering_angle
 from .roads import RoadModel, lateral_deviation
-from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
+from .uncertainty import DEFAULT_UT, POSE_DIM, Covariance3, UtParams, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
 from .waypoints import LocalRoad, WaypointPath, local_road, reduce_to_local_road, select_lookahead_waypoints
 
@@ -107,6 +107,13 @@ class Scenario:
 
     # The look-ahead distance d_l = lookahead_gain * speed, derived once per scenario.
     lookahead: float = field(init=False, compare=False, repr=False)
+    # step_utpp's per-run plan, derived here too: the sigma pairs it steers,
+    # (axis, index of the + pose) for each axis whose variance is > 0 (pose
+    # i + 1 is the - pose), and on a line or circle road the (kernel, terms)
+    # of _road_terms for each of the seven sigma poses (None on a waypoint
+    # road, whose path keeps them per waypoint).
+    _steered_pairs: tuple[tuple[str, int], ...] = field(init=False, compare=False, repr=False)
+    _sigma_kernels: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Checked first, so a wrong type fails here, named, rather than mid-run.
@@ -145,6 +152,11 @@ class Scenario:
             )
         if self.noise.rng_seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.noise.rng_seed}")
+        cov = self.noise.cov
+        axes = (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw))
+        object.__setattr__(self, "_steered_pairs", tuple((axis, i) for axis, i, var in axes if var > 0.0))
+        kernels = None if isinstance(self.road, WaypointPath) else (_road_terms(self.road),) * (2 * POSE_DIM + 1)
+        object.__setattr__(self, "_sigma_kernels", kernels)
 
 
 @dataclass(slots=True)
@@ -209,92 +221,74 @@ def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     return _steer(road, pose.x, pose.y, pose.yaw, scenario)
 
 
-def _waypoint_steerer(
-    road: WaypointPath, sigma: tuple[tuple[float, float, float], ...], pairs: list[tuple[str, int]], scenario: Scenario
-) -> Callable[[int], tuple[float, float]]:
-    """_steer of the sigma pose sigma[i] against its own local road, as a function of i.
-
-    The look-ahead waypoints of the mean and of the poses of the steered
-    pairs are selected in one nearest_group call, and the path keeps each
-    waypoint's line or circle.  Each pose is steered by the _line_steerer or
-    _circle_steerer kernel of the local road its waypoint gives: one kernel
-    per distinct selected waypoint, usually one per step.
-    """
-    steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
-    selected = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], scenario.lookahead)))
-    kernels: dict[int, Callable[[int], tuple[float, float]]] = {}
-
-    def steer(i: int) -> tuple[float, float]:
-        w = selected[i]
-        kernel = kernels.get(w)
-        if kernel is None:
-            # Built at the first pose that selected w, and kept only once built,
-            # so a triple that has no road raises at that pose, every time.
-            local = local_road(road, w)
-            factory = _line_steerer if isinstance(local, StraightLine) else _circle_steerer
-            kernel = kernels[w] = factory(local, sigma, scenario)
-        return kernel(i)
-
-    return steer
-
-
-# The kernels below steer the sigma poses of one step against a global line or
-# circle.  Each computes the road's terms once, then each pose's frame
-# transform inline, in the operation order of line_to_vehicle or
+# The kernels below steer one pose against a global line or circle, given the
+# road's terms that _road_terms derives once per road.  Each runs the pose's
+# frame transform inline, in the operation order of line_to_vehicle or
 # circle_to_vehicle, and hands the vehicle-frame road to the cross_track_*
-# and steering_angle that _steer calls, so its (delta, y_e), and any fault
-# it raises, equal _steer's bit for bit.  On a transform fault it returns
-# _steer's result instead, which raises the transform's own error.
+# and steering_angle that _steer calls, so its (delta, y_e), and any fault it
+# raises, equal _steer's bit for bit.  On a transform fault it calls the
+# transform itself, which raises its own error.
 
 
-def _line_steerer(
-    road: StraightLine, sigma: tuple[tuple[float, float, float], ...], scenario: Scenario
-) -> Callable[[int], tuple[float, float]]:
-    """_steer of the sigma pose sigma[i] against the line road, as a function of i.
-
-    Follows line_to_vehicle, then calls cross_track_line and steering_angle.
-    """
-    psi_m = math.atan(road.slope)
-    sin_m, cos_m, c = math.sin(psi_m), math.cos(psi_m), road.intercept
-    d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
-
-    def steer(i: int) -> tuple[float, float]:
-        x, y, yaw = sigma[i]
-        gap = psi_m - yaw
-        cos_gap = math.cos(gap)
-        if abs(cos_gap) < PERPENDICULAR_COS_EPS:
-            return _steer(road, x, y, yaw, scenario)
+def _steer_line(
+    terms: tuple, x: float, y: float, yaw: float, d_l: float, wheelbase: float, limit: float
+) -> tuple[float, float]:
+    """_steer of the pose (x, y, yaw) against the line of _road_terms; follows line_to_vehicle."""
+    road, psi_m, sin_m, cos_m, c = terms
+    gap = psi_m - yaw
+    cos_gap = math.cos(gap)
+    if abs(cos_gap) < PERPENDICULAR_COS_EPS:
+        m, c2 = line_to_vehicle(road, x, y, yaw)
+    else:
         m = math.tan(gap)
         c2 = (x * sin_m + (c - y) * cos_m) / cos_gap
         if not (math.isfinite(m) and math.isfinite(c2)):
-            return _steer(road, x, y, yaw, scenario)
-        y_e = cross_track_line(m, c2, d_l)[0]
-        return steering_angle(y_e, d_l, wheelbase, limit), y_e
-
-    return steer
+            m, c2 = line_to_vehicle(road, x, y, yaw)
+    y_e = cross_track_line(m, c2, d_l)[0]
+    return steering_angle(y_e, d_l, wheelbase, limit), y_e
 
 
-def _circle_steerer(
-    road: Circle, sigma: tuple[tuple[float, float, float], ...], scenario: Scenario
-) -> Callable[[int], tuple[float, float]]:
-    """_steer of the sigma pose sigma[i] against the circle road, as a function of i.
+def _steer_circle(
+    terms: tuple, x: float, y: float, yaw: float, d_l: float, wheelbase: float, limit: float
+) -> tuple[float, float]:
+    """_steer of the pose (x, y, yaw) against the circle of _road_terms; follows circle_to_vehicle."""
+    road, cx0, cy0, radius = terms
+    c, s = math.cos(yaw), math.sin(yaw)
+    dx, dy = cx0 - x, cy0 - y
+    cx, cy = c * dx + s * dy, -s * dx + c * dy
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        cx, cy = circle_to_vehicle(road, x, y, yaw)
+    y_e = cross_track_circle(cx, cy, radius, d_l)[0]
+    return steering_angle(y_e, d_l, wheelbase, limit), y_e
 
-    Follows circle_to_vehicle, then calls cross_track_circle and steering_angle.
+
+def _road_terms(road: LocalRoad) -> tuple[Callable[..., tuple[float, float]], tuple]:
+    """(kernel, terms): the kernel that steers against a global line or circle, and the road's terms it reads.
+
+    A line's terms are its atan(slope), that angle's sine and cosine, and its
+    intercept; a circle's are its centre and radius.  Both lead with the road.
     """
-    cx0, cy0, radius = road.cx, road.cy, road.radius
-    d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
+    if isinstance(road, StraightLine):
+        psi_m = math.atan(road.slope)
+        return _steer_line, (road, psi_m, math.sin(psi_m), math.cos(psi_m), road.intercept)
+    return _steer_circle, (road, road.cx, road.cy, road.radius)
 
-    def steer(i: int) -> tuple[float, float]:
-        x, y, yaw = sigma[i]
-        c, s = math.cos(yaw), math.sin(yaw)
-        dx, dy = cx0 - x, cy0 - y
-        cx, cy = c * dx + s * dy, -s * dx + c * dy
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            return _steer(road, x, y, yaw, scenario)
-        y_e = cross_track_circle(cx, cy, radius, d_l)[0]
-        return steering_angle(y_e, d_l, wheelbase, limit), y_e
 
-    return steer
+def _steer_waypoint(
+    terms: tuple, x: float, y: float, yaw: float, d_l: float, wheelbase: float, limit: float
+) -> tuple[float, float]:
+    """_steer of the pose (x, y, yaw) against the local road of waypoint w, for terms (path, w).
+
+    That road's _road_terms are derived the first time a pose selects w and
+    kept on the path beside the road; a triple that has no road raises
+    local_road's error at every pose that selects it, and nothing is kept.
+    """
+    path, w = terms
+    found = path._terms.get(w)
+    if found is None:
+        found = path._terms[w] = _road_terms(local_road(path, w))
+    kernel, terms = found
+    return kernel(terms, x, y, yaw, d_l, wheelbase, limit)
 
 
 def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
@@ -306,35 +300,36 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     command is.  y_e is the mean sigma pose's.  A fault on the mean pose
     faults the whole step.  Each axis contributes the commands of its two
     sigma poses, or, when its variance is zero or either pose faults, the
-    mean's command in both slots, so the axis adds no curvature term.  The
-    poses are steered by _line_steerer or _circle_steerer, which compute a
-    road's terms once per step and each pose's frame transform inline, then
-    call pp's own cross_track_* and steering_angle: on a line or circle road
-    one kernel of the road itself, on a waypoint road one kernel for each
-    distinct local road that the poses' look-ahead waypoints select.
+    mean's command in both slots, so the axis adds no curvature term.  On a
+    line or circle road every pose is steered by the road's kernel and
+    terms, which the scenario derives once.  On a waypoint road the
+    look-ahead waypoints of all the steered poses are selected in one call,
+    and each pose is steered by _steer_waypoint against its waypoint's road.
     """
-    cov = scenario.noise.cov
-    sigma = generate_sigma_points(pose, cov, scenario.ut)
-    # Poses i and i + 1 perturb the axis by + and - its spread.
-    axes = (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw))
-    pairs = [(axis, i) for axis, i, var in axes if var > 0.0]
-    road = scenario.road
-    if isinstance(road, WaypointPath):
-        steer = _waypoint_steerer(road, sigma, pairs, scenario)
-    elif isinstance(road, StraightLine):
-        steer = _line_steerer(road, sigma, scenario)
-    else:
-        steer = _circle_steerer(road, sigma, scenario)
-    delta0, y_e = steer(0)
+    sigma = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
+    pairs = scenario._steered_pairs
+    d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
+    kernels = scenario._sigma_kernels
+    if kernels is None:
+        road = scenario.road
+        steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
+        selected = select_lookahead_waypoints(road, [sigma[j] for j in steered], d_l)
+        kernels = {j: (_steer_waypoint, (road, w)) for j, w in zip(steered, selected)}
+    kernel, terms = kernels[0]
+    x, y, yaw = sigma[0]
+    delta0, y_e = kernel(terms, x, y, yaw, d_l, wheelbase, limit)
     deltas = [delta0] * len(sigma)
     for axis, i in pairs:
         try:
-            delta_plus = steer(i)[0]
-            deltas[i + 1] = steer(i + 1)[0]
+            kernel, terms = kernels[i]
+            x, y, yaw = sigma[i]
+            delta_plus = kernel(terms, x, y, yaw, d_l, wheelbase, limit)[0]
+            kernel, terms = kernels[i + 1]
+            x, y, yaw = sigma[i + 1]
+            deltas[i + 1] = kernel(terms, x, y, yaw, d_l, wheelbase, limit)[0]
             deltas[i] = delta_plus
         except RoadGeometryFault as exc:
             logger.debug("sigma axis %s fell back to the mean steering: %s", axis, exc)
-    limit = scenario.steering_limit
     return max(-limit, min(limit, weighted_steering(deltas, scenario.ut))), y_e
 
 

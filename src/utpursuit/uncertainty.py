@@ -30,11 +30,18 @@ class Covariance3:
     var_x: float
     var_y: float
     var_yaw: float
+    # The standard deviations sqrt(var_*), derived once per covariance.
+    sd_x: float = field(init=False, compare=False, repr=False)
+    sd_y: float = field(init=False, compare=False, repr=False)
+    sd_yaw: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, v in (("var_x", self.var_x), ("var_y", self.var_y), ("var_yaw", self.var_yaw)):
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        object.__setattr__(self, "sd_x", math.sqrt(self.var_x))
+        object.__setattr__(self, "sd_y", math.sqrt(self.var_y))
+        object.__setattr__(self, "sd_yaw", math.sqrt(self.var_yaw))
 
     def is_zero(self) -> bool:
         return self.var_x == 0.0 and self.var_y == 0.0 and self.var_yaw == 0.0
@@ -45,7 +52,8 @@ class UtParams:
     """The scaled unscented transform of a 3-D pose: alpha, kappa and the weights they induce.
 
     lambda = alpha^2 (3 + kappa) - 3, w0 = lambda / (3 + lambda) and
-    wi = 1 / (2 (3 + lambda)).  Raises DegenerateScaling when
+    wi = 1 / (2 (3 + lambda)); scale = sqrt(3 + lambda) spreads the sigma
+    points.  Raises DegenerateScaling when
     alpha^2 (3 + kappa) <= 0, which would put the sigma points at or beyond
     the mean with an undefined spread, and when rounding leaves 3 + lambda
     at 0 or weights that miss 1 by more than WEIGHT_SUM_TOL.  For kappa 0
@@ -58,6 +66,7 @@ class UtParams:
     lam: float = field(init=False)
     w0: float = field(init=False)
     wi: float = field(init=False)
+    scale: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         scaled = self.alpha * self.alpha * (POSE_DIM + self.kappa)
@@ -78,6 +87,7 @@ class UtParams:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "w0", w0)
         object.__setattr__(self, "wi", wi)
+        object.__setattr__(self, "scale", math.sqrt(denom))
 
 
 def derive_ut_params(dim: int, alpha: float, kappa: float) -> UtParams:
@@ -103,10 +113,10 @@ def generate_sigma_points(
     Pose's ValueError, and the perturbed yaws wrap into (-pi, pi] (the mean's
     yaw is already wrapped, and wrapping leaves it as it is).
     """
-    scale = math.sqrt(POSE_DIM + params.lam)
-    sx = scale * math.sqrt(cov.var_x)
-    sy = scale * math.sqrt(cov.var_y)
-    syaw = scale * math.sqrt(cov.var_yaw)
+    scale = params.scale
+    sx = scale * cov.sd_x
+    sy = scale * cov.sd_y
+    syaw = scale * cov.sd_yaw
     x, y, yaw = mean.x, mean.y, mean.yaw
     points = (
         (x, y, yaw),
@@ -122,7 +132,11 @@ def generate_sigma_points(
     for axis, point in zip((0, 0, 1, 1, 2, 2), points[1:]):
         if not math.isfinite(point[axis]):
             raise ValueError(f"pose fields must be finite, got {point}")
-    return (*points[:5], (x, y, normalize_angle(points[5][2])), (x, y, normalize_angle(points[6][2])))
+    yaw_plus, yaw_minus = points[5][2], points[6][2]
+    # normalize_angle returns a yaw in (-pi, pi] unchanged, as Pose relies on too.
+    if -math.pi < yaw_plus <= math.pi and -math.pi < yaw_minus <= math.pi:
+        return points
+    return (*points[:5], (x, y, normalize_angle(yaw_plus)), (x, y, normalize_angle(yaw_minus)))
 
 
 def weighted_steering(deltas: Sequence[float], params: UtParams) -> float:

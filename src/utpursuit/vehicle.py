@@ -87,8 +87,8 @@ def sample_measured_pose(
     if draw is None:
         return true_pose
     cov = noise.cov
-    x = true_pose.x + (0.0 + math.sqrt(cov.var_x) * draw[0])
-    y = true_pose.y + (0.0 + math.sqrt(cov.var_y) * draw[1])
-    yaw = true_pose.yaw + (0.0 + math.sqrt(cov.var_yaw) * draw[2])
+    x = true_pose.x + (0.0 + cov.sd_x * draw[0])
+    y = true_pose.y + (0.0 + cov.sd_y * draw[1])
+    yaw = true_pose.yaw + (0.0 + cov.sd_yaw * draw[2])
     x, y = clamp_to_road((x, y), road, noise.max_lateral_dev)
     return Pose(x, y, yaw)

@@ -477,6 +477,8 @@ class WaypointPath:
     _index: WaypointIndex | None = field(default=None, init=False, repr=False, compare=False)
     # local_road's line or circle of each waypoint that has been asked for and has one.
     _roads: dict[int, LocalRoad] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Beside each kept road, the steering kernel and road terms that sim derives from it.
+    _terms: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 from dataclasses import fields, replace
 
@@ -744,12 +745,14 @@ def test_the_line_and_circle_kernels_steer_each_pose_as_steer_does(road, pose, s
         wheelbase=vehicle[1],
     )
     sigma = generate_sigma_points(scen.start_pose, cov, scen.ut)
-    kernel = sim._line_steerer if isinstance(road, StraightLine) else sim._circle_steerer
-    steer = kernel(road, sigma, scen)
+    kernel, terms = sim._road_terms(road)
+    assert kernel is (sim._steer_line if isinstance(road, StraightLine) else sim._steer_circle)
+    assert scen._sigma_kernels == ((kernel, terms),) * 7
+    law = (scen.lookahead, scen.wheelbase, scen.steering_limit)
     axes = ((1, cov.var_x), (3, cov.var_y), (5, cov.var_yaw))
     outcomes = {}
     for i in [0, *(j for i, var in axes if var > 0.0 for j in (i, i + 1))]:
-        outcomes[i] = _bits_or_error(lambda: steer(i))
+        outcomes[i] = _bits_or_error(lambda: kernel(terms, *sigma[i], *law))
         assert outcomes[i] == _bits_or_error(lambda: sim._steer(road, *sigma[i], scen))
     step = _bits_or_error(lambda: step_utpp(scen.start_pose, scen))
     assert step == _bits_or_error(lambda: step_utpp_oracle(scen.start_pose, scen))
@@ -837,18 +840,15 @@ def test_a_yaw_sigma_pose_does_not_overflow_while_its_mean_steers(kind, position
 
 
 def _count_kernels(monkeypatch) -> list[int]:
-    """Count the line and circle kernels built: one per call of either factory."""
+    """Count the line and circle kernels' road terms derived: one per call of _road_terms."""
     built = [0]
+    derive = sim._road_terms
 
-    def counted(factory):
-        def build(*args):
-            built[0] += 1
-            return factory(*args)
+    def counted(road):
+        built[0] += 1
+        return derive(road)
 
-        return build
-
-    for name in ("_line_steerer", "_circle_steerer"):
-        monkeypatch.setattr(sim, name, counted(getattr(sim, name)))
+    monkeypatch.setattr(sim, "_road_terms", counted)
     return built
 
 
@@ -885,9 +885,127 @@ def test_waypoint_utpp_builds_one_kernel_per_selected_waypoint(monkeypatch):
         step = step_utpp(pose, scen)
         assert built[0] == kernels
         assert step == step_utpp_oracle(pose, scen)
+        # The path keeps each waypoint's terms, so the same step again derives none.
+        assert step_utpp(pose, scen) == step and built[0] == kernels
     # Only the x pair, whose + pose selected the tip, falls back.
     assert step == step_utpp(pose, without_variance(hairpin, "var_x"))
     assert step != step_utpp(pose, without_variance(without_variance(hairpin, "var_x"), "var_yaw"))
+
+
+@pytest.mark.parametrize("stem", ["straight", "circle"])
+def test_a_utpp_run_derives_its_road_terms_once(stem, monkeypatch):
+    base = parse_config(str(CONFIG_DIR / f"{stem}.cfg"))
+    built = _count_kernels(monkeypatch)
+    scen = replace(base, controller=Controller.UTPP)
+    assert built[0] == 1
+    records, _ = run(scen)
+    assert len(records) == 300 and built[0] == 1
+
+
+def test_a_waypoint_batch_derives_each_selected_waypoints_terms_once_per_path(monkeypatch):
+    base = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=Controller.UTPP, steps=100)
+    derive = sim._road_terms
+    roads = []
+
+    def counted(road):
+        roads.append(road)
+        return derive(road)
+
+    monkeypatch.setattr(sim, "_road_terms", counted)
+    path = base.road
+    summaries = run_batch(base, 4, 0)[0]
+    selected = sorted(path._terms)
+    assert len(selected) > 1
+    assert sorted(map(id, roads)) == sorted(id(local_road(path, w)) for w in selected)
+    assert all(path._terms[w][1][0] is local_road(path, w) for w in selected)
+    # A second batch on the same path derives nothing; a fresh path derives its own.
+    assert run_batch(base, 4, 0)[0] == summaries and len(roads) == len(selected)
+    fresh = replace(base, road=WaypointPath(path.points))
+    assert run_batch(fresh, 4, 0)[0] == summaries and len(roads) == 2 * len(selected)
+
+
+def _plan(scen: Scenario) -> tuple:
+    return scen._steered_pairs, scen._sigma_kernels
+
+
+def test_replace_rederives_the_step_plan(monkeypatch):
+    # Each replaced scenario steers its new road with its new pairs: as the
+    # oracle does, and with one steered pose per sigma pose of a noisy axis.
+    base = make_scenario(
+        STRAIGHT_ROAD, controller=Controller.UTPP, noise=WIDE_NOISE, ut=derive_ut_params(3, 1.0, 0.0)
+    )
+    pose = Pose(0.2, 0.3, 0.1)
+    roads = (CIRCLE_ROAD, StraightLine(0.3, -0.2), Circle(-1.0, -4.0, 4.5), WaypointPath([(0.5 * k, 0.1) for k in range(30)]))
+    noises = (reference_noise(), zero_noise(), NoiseModel(Covariance3(0.04, 0.0, 0.0)), WIDE_NOISE)
+    calls = _count_cross_tracks(monkeypatch)
+    before = step_utpp(pose, base)
+    variants = [replace(base, road=road) for road in roads] + [replace(base, noise=noise) for noise in noises]
+    for scen in variants:
+        fresh = Scenario(**{f.name: getattr(scen, f.name) for f in fields(Scenario) if f.init})
+        assert _plan(scen) == _plan(fresh)
+        cov = scen.noise.cov
+        pairs = tuple((axis, i) for axis, i, var in (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw)) if var > 0.0)
+        assert scen._steered_pairs == pairs
+        if not isinstance(scen.road, WaypointPath):
+            assert scen._sigma_kernels == (sim._road_terms(scen.road),) * 7
+        calls[:] = [0, 0]
+        step = step_utpp(pose, scen)
+        assert calls[0] == 1 + 2 * len(pairs)
+        assert step == step_utpp_oracle(pose, scen)
+    # Every variant but the same-noise one steers differently from the base.
+    assert sum(step_utpp(pose, scen) != before for scen in variants) == len(variants) - 1
+
+
+def test_derived_fields_stay_out_of_equality_hash_and_repr():
+    scen = make_scenario(STRAIGHT_ROAD, controller=Controller.UTPP, noise=reference_noise())
+    cov, ut = scen.noise.cov, scen.ut
+    for obj, derived in (
+        (scen, ("lookahead", "_steered_pairs", "_sigma_kernels")),
+        (cov, ("sd_x", "sd_y", "sd_yaw")),
+        (ut, ("scale",)),
+    ):
+        assert tuple(f.name for f in fields(obj) if not f.compare) == derived
+        assert not any(f.init or f.repr for f in fields(obj) if f.name in derived)
+        twin = replace(obj)
+        for name in derived:
+            object.__setattr__(twin, name, None)
+        assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+        assert not any(f"{name}=" in repr(obj) for name in derived)
+    assert (cov.sd_x, cov.sd_y, cov.sd_yaw) == tuple(map(math.sqrt, (cov.var_x, cov.var_y, cov.var_yaw)))
+    assert ut.scale == math.sqrt(3 + ut.lam)
+
+
+@pytest.mark.parametrize("stem", ["straight", "circle", "waypoint_arc"])
+def test_a_scenario_survives_a_pickle_round_trip(stem):
+    scen = replace(parse_config(str(CONFIG_DIR / f"{stem}.cfg")), controller=Controller.UTPP, steps=60)
+    copy = pickle.loads(pickle.dumps(scen))
+    assert copy == scen and _plan(copy) == _plan(scen)
+    cov = copy.noise.cov
+    assert (cov.sd_x, cov.sd_y, cov.sd_yaw, copy.ut.scale) == (
+        scen.noise.cov.sd_x, scen.noise.cov.sd_y, scen.noise.cov.sd_yaw, scen.ut.scale
+    )
+    assert _records_digest(*run(copy)) == _records_digest(*run(scen))
+
+
+@pytest.mark.parametrize("overflow", ["transform", "sigma pose"])
+def test_a_sigma_pose_that_overflows_raises_from_run(overflow):
+    # Both stay errors: a +/- y pose whose vehicle-frame intercept overflows
+    # (its y offset of 1.2e308 over cos(yaw) = 0.36), and a pose that is not
+    # finite itself, raise ValueError from run rather than fall back as a
+    # pair fault does.  The mean steers; alpha 1e150 puts the spread at
+    # 1e154 * sqrt(var_y).
+    ut = UtParams(1e150, 1e8 - 3.0)
+    noise = NoiseModel(Covariance3(0.0, 1.2e154**2, 0.0))
+    start = Pose(0.0, 0.0 if overflow == "transform" else 1e308, 1.2)
+    road = StraightLine(0.0, start.y)
+    scen = make_scenario(road, start_pose=start, controller=Controller.UTPP, noise=noise, ut=ut, steps=3)
+    sigma = generate_sigma_points(start, noise.cov, ut) if overflow == "transform" else None
+    if sigma is not None:
+        step_pp(start, scen)
+        with pytest.raises(ValueError, match="line coefficients must be finite"):
+            line_to_vehicle(road, *sigma[3])
+    with pytest.raises(ValueError, match="must be finite"):
+        run(scen)
 
 
 # SHA-256 of every record field (and the summary) of sim.run, floats written
