@@ -9,7 +9,7 @@ the transpose rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PerpendicularLine
 
@@ -65,9 +65,18 @@ class StraightLine:
 
     slope: float
     intercept: float
+    # The line's heading atan(slope) and that angle's sine and cosine, derived
+    # once per line for line_to_vehicle.
+    heading: float = field(init=False, compare=False, repr=False)
+    sin_heading: float = field(init=False, compare=False, repr=False)
+    cos_heading: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_line(self.slope, self.intercept)
+        heading = math.atan(self.slope)
+        object.__setattr__(self, "heading", heading)
+        object.__setattr__(self, "sin_heading", math.sin(heading))
+        object.__setattr__(self, "cos_heading", math.cos(heading))
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,10 +89,6 @@ class Circle:
 
     def __post_init__(self) -> None:
         _check_circle(self.cx, self.cy, self.radius)
-
-    @property
-    def center(self) -> Point2:
-        return (self.cx, self.cy)
 
 
 def _check_line(slope: float, intercept: float) -> None:
@@ -109,21 +114,22 @@ def line_to_vehicle(line: StraightLine, x: float, y: float, yaw: float) -> tuple
     """Express a global slope-intercept line in the vehicle frame of (x, y, yaw).
 
     Returns the vehicle-frame (slope, intercept).  The slope maps through
-    the heading difference, tan(psi_m - yaw) with psi_m = arctan(slope).
-    Raises PerpendicularLine when the line runs within ~1e-9 of
-    perpendicular to the vehicle x-axis, where the slope form has no finite
-    representation, and ValueError when a coefficient overflows.
+    the heading difference, tan(psi_m - yaw) with psi_m = line.heading =
+    arctan(slope).  Raises PerpendicularLine when the line runs within ~1e-9
+    of perpendicular to the vehicle x-axis, where the slope form has no
+    finite representation, and ValueError when a coefficient overflows.
     """
-    psi_m = math.atan(line.slope)
-    gap = psi_m - yaw
+    gap = line.heading - yaw
     cos_gap = math.cos(gap)
     if abs(cos_gap) < PERPENDICULAR_COS_EPS:
         raise PerpendicularLine(
-            f"line at heading {psi_m:.6f} rad is perpendicular to vehicle yaw {yaw:.6f} rad"
+            f"line at heading {line.heading:.6f} rad is perpendicular to vehicle yaw {yaw:.6f} rad"
         )
     slope_v = math.tan(gap)
-    intercept_v = (x * math.sin(psi_m) + (line.intercept - y) * math.cos(psi_m)) / cos_gap
-    _check_line(slope_v, intercept_v)
+    intercept_v = (x * line.sin_heading + (line.intercept - y) * line.cos_heading) / cos_gap
+    # Every steered pose comes through here: the checker is called only to raise.
+    if not (math.isfinite(slope_v) and math.isfinite(intercept_v)):
+        _check_line(slope_v, intercept_v)
     return slope_v, intercept_v
 
 
@@ -133,6 +139,11 @@ def circle_to_vehicle(circle: Circle, x: float, y: float, yaw: float) -> Point2:
     Returns the vehicle-frame (cx, cy); the radius is invariant.  Raises
     ValueError when the center overflows.
     """
-    cx, cy = global_to_vehicle(circle.center, x, y, yaw)
-    _check_circle(cx, cy, circle.radius)
+    # global_to_vehicle of the centre, inline, as every steered pose on a
+    # circle comes through here; the checker is called only to raise.
+    c, s = math.cos(yaw), math.sin(yaw)
+    dx, dy = circle.cx - x, circle.cy - y
+    cx, cy = c * dx + s * dy, -s * dx + c * dy
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        _check_circle(cx, cy, circle.radius)
     return cx, cy

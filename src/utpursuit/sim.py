@@ -17,13 +17,12 @@ from enum import Enum
 from itertools import repeat
 from numbers import Real
 from operator import attrgetter
-from typing import Callable
 
 from .errors import ConfigInvalid, RoadGeometryFault
-from .geometry import PERPENDICULAR_COS_EPS, Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
+from .geometry import Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
 from .pursuit import DEFAULT_STEERING_LIMIT, cross_track_circle, cross_track_line, steering_angle
 from .roads import RoadModel, lateral_deviation
-from .uncertainty import DEFAULT_UT, POSE_DIM, Covariance3, UtParams, generate_sigma_points, weighted_steering
+from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
 from .waypoints import LocalRoad, WaypointPath, local_road, reduce_to_local_road, select_lookahead_waypoints
 
@@ -109,11 +108,8 @@ class Scenario:
     lookahead: float = field(init=False, compare=False, repr=False)
     # step_utpp's per-run plan, derived here too: the sigma pairs it steers,
     # (axis, index of the + pose) for each axis whose variance is > 0 (pose
-    # i + 1 is the - pose), and on a line or circle road the (kernel, terms)
-    # of _road_terms for each of the seven sigma poses (None on a waypoint
-    # road, whose path keeps them per waypoint).
+    # i + 1 is the - pose).
     _steered_pairs: tuple[tuple[str, int], ...] = field(init=False, compare=False, repr=False)
-    _sigma_kernels: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Checked first, so a wrong type fails here, named, rather than mid-run.
@@ -155,8 +151,6 @@ class Scenario:
         cov = self.noise.cov
         axes = (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw))
         object.__setattr__(self, "_steered_pairs", tuple((axis, i) for axis, i, var in axes if var > 0.0))
-        kernels = None if isinstance(self.road, WaypointPath) else (_road_terms(self.road),) * (2 * POSE_DIM + 1)
-        object.__setattr__(self, "_sigma_kernels", kernels)
 
 
 @dataclass(slots=True)
@@ -203,14 +197,17 @@ class BatchStats:
     mean_fault_count: float
 
 
-def _steer(road: LocalRoad, x: float, y: float, yaw: float, scenario: Scenario) -> tuple[float, float]:
+def _steer(
+    road: LocalRoad, x: float, y: float, yaw: float, d_l: float, wheelbase: float, limit: float
+) -> tuple[float, float]:
     """The pure-pursuit command of the pose (x, y, yaw) against a global line or circle: (delta, y_e)."""
-    d_l = scenario.lookahead
     if isinstance(road, StraightLine):
-        y_e = cross_track_line(*line_to_vehicle(road, x, y, yaw), d_l)[0]
+        m, c = line_to_vehicle(road, x, y, yaw)
+        y_e = cross_track_line(m, c, d_l)[0]
     else:
-        y_e = cross_track_circle(*circle_to_vehicle(road, x, y, yaw), road.radius, d_l)[0]
-    return steering_angle(y_e, d_l, scenario.wheelbase, scenario.steering_limit), y_e
+        cx, cy = circle_to_vehicle(road, x, y, yaw)
+        y_e = cross_track_circle(cx, cy, road.radius, d_l)[0]
+    return steering_angle(y_e, d_l, wheelbase, limit), y_e
 
 
 def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
@@ -218,115 +215,47 @@ def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     road = scenario.road
     if isinstance(road, WaypointPath):
         road = reduce_to_local_road(road, pose, scenario.lookahead)
-    return _steer(road, pose.x, pose.y, pose.yaw, scenario)
-
-
-# The kernels below steer one pose against a global line or circle, given the
-# road's terms that _road_terms derives once per road.  Each runs the pose's
-# frame transform inline, in the operation order of line_to_vehicle or
-# circle_to_vehicle, and hands the vehicle-frame road to the cross_track_*
-# and steering_angle that _steer calls, so its (delta, y_e), and any fault it
-# raises, equal _steer's bit for bit.  On a transform fault it calls the
-# transform itself, which raises its own error.
-
-
-def _steer_line(
-    terms: tuple, x: float, y: float, yaw: float, d_l: float, wheelbase: float, limit: float
-) -> tuple[float, float]:
-    """_steer of the pose (x, y, yaw) against the line of _road_terms; follows line_to_vehicle."""
-    road, psi_m, sin_m, cos_m, c = terms
-    gap = psi_m - yaw
-    cos_gap = math.cos(gap)
-    if abs(cos_gap) < PERPENDICULAR_COS_EPS:
-        m, c2 = line_to_vehicle(road, x, y, yaw)
-    else:
-        m = math.tan(gap)
-        c2 = (x * sin_m + (c - y) * cos_m) / cos_gap
-        if not (math.isfinite(m) and math.isfinite(c2)):
-            m, c2 = line_to_vehicle(road, x, y, yaw)
-    y_e = cross_track_line(m, c2, d_l)[0]
-    return steering_angle(y_e, d_l, wheelbase, limit), y_e
-
-
-def _steer_circle(
-    terms: tuple, x: float, y: float, yaw: float, d_l: float, wheelbase: float, limit: float
-) -> tuple[float, float]:
-    """_steer of the pose (x, y, yaw) against the circle of _road_terms; follows circle_to_vehicle."""
-    road, cx0, cy0, radius = terms
-    c, s = math.cos(yaw), math.sin(yaw)
-    dx, dy = cx0 - x, cy0 - y
-    cx, cy = c * dx + s * dy, -s * dx + c * dy
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        cx, cy = circle_to_vehicle(road, x, y, yaw)
-    y_e = cross_track_circle(cx, cy, radius, d_l)[0]
-    return steering_angle(y_e, d_l, wheelbase, limit), y_e
-
-
-def _road_terms(road: LocalRoad) -> tuple[Callable[..., tuple[float, float]], tuple]:
-    """(kernel, terms): the kernel that steers against a global line or circle, and the road's terms it reads.
-
-    A line's terms are its atan(slope), that angle's sine and cosine, and its
-    intercept; a circle's are its centre and radius.  Both lead with the road.
-    """
-    if isinstance(road, StraightLine):
-        psi_m = math.atan(road.slope)
-        return _steer_line, (road, psi_m, math.sin(psi_m), math.cos(psi_m), road.intercept)
-    return _steer_circle, (road, road.cx, road.cy, road.radius)
-
-
-def _steer_waypoint(
-    terms: tuple, x: float, y: float, yaw: float, d_l: float, wheelbase: float, limit: float
-) -> tuple[float, float]:
-    """_steer of the pose (x, y, yaw) against the local road of waypoint w, for terms (path, w).
-
-    That road's _road_terms are derived the first time a pose selects w and
-    kept on the path beside the road; a triple that has no road raises
-    local_road's error at every pose that selects it, and nothing is kept.
-    """
-    path, w = terms
-    found = path._terms.get(w)
-    if found is None:
-        found = path._terms[w] = _road_terms(local_road(path, w))
-    kernel, terms = found
-    return kernel(terms, x, y, yaw, d_l, wheelbase, limit)
+    return _steer(road, pose.x, pose.y, pose.yaw, scenario.lookahead, scenario.wheelbase, scenario.steering_limit)
 
 
 def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     """One unscented pure-pursuit decision from the measured pose: (delta, y_e).
 
     The mean sigma pose and the two poses of each axis with variance > 0
-    are steered, and the seven commands are combined with the UT weights;
-    the combined command is clamped to the steering limit, as each pose's
-    command is.  y_e is the mean sigma pose's.  A fault on the mean pose
-    faults the whole step.  Each axis contributes the commands of its two
-    sigma poses, or, when its variance is zero or either pose faults, the
-    mean's command in both slots, so the axis adds no curvature term.  On a
-    line or circle road every pose is steered by the road's kernel and
-    terms, which the scenario derives once.  On a waypoint road the
+    are steered by _steer, as step_pp steers its one pose, and the seven
+    commands are combined with the UT weights; the combined command is
+    clamped to the steering limit, as each pose's command is.  y_e is the
+    mean sigma pose's.  A fault on the mean pose faults the whole step.
+    Each axis contributes the commands of its two sigma poses, or, when its
+    variance is zero or either pose faults, the mean's command in both
+    slots, so the axis adds no curvature term.  On a waypoint road the
     look-ahead waypoints of all the steered poses are selected in one call,
-    and each pose is steered by _steer_waypoint against its waypoint's road.
+    and each pose is steered against its waypoint's local road, which is
+    looked up inside the pose's own fault handling.
     """
     sigma = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
     pairs = scenario._steered_pairs
     d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
-    kernels = scenario._sigma_kernels
-    if kernels is None:
-        road = scenario.road
+    road = scenario.road
+    waypoint = None
+    if isinstance(road, WaypointPath):
         steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
-        selected = select_lookahead_waypoints(road, [sigma[j] for j in steered], d_l)
-        kernels = {j: (_steer_waypoint, (road, w)) for j, w in zip(steered, selected)}
-    kernel, terms = kernels[0]
+        waypoint = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], d_l)))
     x, y, yaw = sigma[0]
-    delta0, y_e = kernel(terms, x, y, yaw, d_l, wheelbase, limit)
+    delta0, y_e = _steer(
+        road if waypoint is None else local_road(road, waypoint[0]), x, y, yaw, d_l, wheelbase, limit
+    )
     deltas = [delta0] * len(sigma)
     for axis, i in pairs:
         try:
-            kernel, terms = kernels[i]
             x, y, yaw = sigma[i]
-            delta_plus = kernel(terms, x, y, yaw, d_l, wheelbase, limit)[0]
-            kernel, terms = kernels[i + 1]
+            delta_plus = _steer(
+                road if waypoint is None else local_road(road, waypoint[i]), x, y, yaw, d_l, wheelbase, limit
+            )[0]
             x, y, yaw = sigma[i + 1]
-            deltas[i + 1] = kernel(terms, x, y, yaw, d_l, wheelbase, limit)[0]
+            deltas[i + 1] = _steer(
+                road if waypoint is None else local_road(road, waypoint[i + 1]), x, y, yaw, d_l, wheelbase, limit
+            )[0]
             deltas[i] = delta_plus
         except RoadGeometryFault as exc:
             logger.debug("sigma axis %s fell back to the mean steering: %s", axis, exc)
@@ -350,10 +279,19 @@ def convergence_time(records: list[TrajectoryRecord], dt: float) -> float | None
     return None
 
 
+def _mean(values: list[float]) -> float:
+    """math.fsum(values) / len(values), taken term by term where that sum passes the float range."""
+    n = len(values)
+    try:
+        return math.fsum(values) / n
+    except OverflowError:
+        return math.fsum(v / n for v in values)
+
+
 def _summarize(records: list[TrajectoryRecord], scenario: Scenario, seed: int) -> RunSummary:
     return RunSummary(
         convergence_time=convergence_time(records, scenario.dt),
-        mean_abs_lateral_error=math.fsum(abs(r.lateral_error) for r in records) / len(records),
+        mean_abs_lateral_error=_mean([abs(r.lateral_error) for r in records]),
         max_abs_delta=max(abs(r.delta) for r in records),
         fault_count=sum(1 for r in records if r.fault is not None),
         seed=seed,
@@ -434,7 +372,7 @@ def aggregate(summaries: list[RunSummary], controller: Controller) -> BatchStats
         n_runs=len(summaries),
         n_converged=len(converged),
         median_convergence_time=statistics.median(times),
-        mean_convergence_time=(math.fsum(converged) / len(converged)) if converged else None,
-        mean_abs_lateral_error=math.fsum(s.mean_abs_lateral_error for s in summaries) / len(summaries),
-        mean_fault_count=math.fsum(s.fault_count for s in summaries) / len(summaries),
+        mean_convergence_time=_mean(converged) if converged else None,
+        mean_abs_lateral_error=_mean([s.mean_abs_lateral_error for s in summaries]),
+        mean_fault_count=_mean([s.fault_count for s in summaries]),
     )

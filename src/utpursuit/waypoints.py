@@ -477,8 +477,6 @@ class WaypointPath:
     _index: WaypointIndex | None = field(default=None, init=False, repr=False, compare=False)
     # local_road's line or circle of each waypoint that has been asked for and has one.
     _roads: dict[int, LocalRoad] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # Beside each kept road, the steering kernel and road terms that sim derives from it.
-    _terms: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -501,6 +499,11 @@ class WaypointPath:
         if self._index is None:
             object.__setattr__(self, "_index", build_index(self))
         return self._index
+
+    def __getstate__(self) -> dict:
+        # The index holds memoryviews, which do not pickle; it is derived from
+        # the points alone, so a copy builds its own on first use.
+        return {**self.__dict__, "_index": None}
 
     def __len__(self) -> int:
         return len(self.points)

@@ -33,6 +33,7 @@ from utpursuit import (
     cross_track_line,
     derive_ut_params,
     generate_sigma_points,
+    global_to_vehicle,
     line_to_vehicle,
     local_road,
     reduce_to_local_road,
@@ -47,6 +48,7 @@ from utpursuit import (
 )
 from utpursuit import sim, waypoints
 from utpursuit.config import parse_config
+from utpursuit.geometry import PERPENDICULAR_COS_EPS, Point2
 from utpursuit.sim import aggregate, convergence_time
 
 from conftest import (
@@ -395,6 +397,21 @@ def test_summary_statistics_are_consistent_with_records():
     assert summary.seed == 9
 
 
+def test_means_whose_sums_pass_the_float_range_are_still_taken():
+    # Three lateral errors of 1e308 sum past the float range, where math.fsum
+    # raises OverflowError; the run keeps its records and its mean.
+    scen = make_scenario(
+        StraightLine(0.0, 1e308), start_pose=Pose(0.0, 0.0, 0.0), speed=1e200, lookahead_gain=1.0, steps=3
+    )
+    assert scen.lookahead == 1e200
+    records, summary = run(scen)
+    assert [r.fault for r in records] == ["PathOutOfReach"] * 3
+    assert summary.mean_abs_lateral_error == pytest.approx(1e308, rel=1e-15)
+    stats = aggregate([summary] * 4, Controller.PP)
+    assert stats.mean_abs_lateral_error == pytest.approx(1e308, rel=1e-15)
+    assert stats.mean_fault_count == 3.0
+
+
 def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     """step_utpp as seven independent poses, each with its own waypoint scan and reduction.
 
@@ -613,8 +630,9 @@ def test_batches_on_one_path_equal_runs_on_a_fresh_path_per_seed(where, controll
 def _count_cross_tracks(monkeypatch) -> list[int]:
     """Count the poses steered: calls[0] of sim's cross_track_*, calls[1] of its steering_angle.
 
-    The scalar path and the line and circle kernels all call these names, so
-    a kernel that inlined either law again would steer poses uncounted.
+    step_pp and step_utpp steer every pose through sim._steer, which calls
+    these names, so a path that inlined either law again would steer poses
+    uncounted.
     """
     calls = [0, 0]
 
@@ -676,8 +694,40 @@ def _bits_or_error(call):
     return delta.hex(), y_e.hex()
 
 
+def _transform_oracle(road, x, y, yaw):
+    """The frame transform from the road's defining fields alone.
+
+    A line's atan(slope), and that angle's sine and cosine, are computed on
+    every call, not read from the line; a circle's centre goes through
+    global_to_vehicle.
+    """
+    if isinstance(road, StraightLine):
+        psi_m = math.atan(road.slope)
+        gap = psi_m - yaw
+        cos_gap = math.cos(gap)
+        if abs(cos_gap) < PERPENDICULAR_COS_EPS:
+            raise PerpendicularLine("perpendicular")
+        m = math.tan(gap)
+        c = (x * math.sin(psi_m) + (road.intercept - y) * math.cos(psi_m)) / cos_gap
+    else:
+        m, c = global_to_vehicle((road.cx, road.cy), x, y, yaw)
+    if not (math.isfinite(m) and math.isfinite(c)):
+        raise ValueError("not finite")
+    return m, c
+
+
+def _steer_oracle(road, x, y, yaw, d_l, wheelbase, limit):
+    """sim._steer's (delta, y_e) through _transform_oracle."""
+    m, c = _transform_oracle(road, x, y, yaw)
+    if isinstance(road, StraightLine):
+        y_e = cross_track_line(m, c, d_l)[0]
+    else:
+        y_e = cross_track_circle(m, c, road.radius, d_l)[0]
+    return steering_angle(y_e, d_l, wheelbase, limit), y_e
+
+
 signed = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-10.0, 10.0))
-kernel_roads = st.one_of(
+steered_roads = st.one_of(
     st.builds(StraightLine, st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-50.0, 50.0)), signed),
     st.builds(Circle, signed, signed, st.floats(0.1, 10.0)),
 )
@@ -686,14 +736,14 @@ spreads = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(
-    road=kernel_roads,
+    road=steered_roads,
     pose=st.tuples(signed, signed, st.floats(-math.pi, math.pi)),
     spread=st.tuples(spreads, spreads, spreads),
     vehicle=st.sampled_from(((1.0, 1.0), (1.7, 2.7), (0.9, 3.1))),
     fault=st.none(),
 )
-# One example per fault branch of the kernels' frame transforms and of the
-# cross_track_* that they call, each on the mean pose (index 0) and on a
+# One example per fault branch of the frame transforms and of the
+# cross_track_* that _steer calls, each on the mean pose (index 0) and on a
 # sigma pose; spread holds the sigma poses' offsets along x, y and yaw,
 # vehicle the look-ahead and the wheelbase, and fault the index and error
 # that the example must reach.
@@ -732,7 +782,7 @@ spreads = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 # A centre straight behind the axle whose vehicle-frame cy is -0.0: the exact
 # tie, which goes left.
 @example(road=Circle(-1.5, -0.0, 2.0), pose=(0.0, 0.0, -0.0), spread=(0.0, 0.0, 0.0), vehicle=(1.0, 1.0), fault=None)
-def test_the_line_and_circle_kernels_steer_each_pose_as_steer_does(road, pose, spread, vehicle, fault):
+def test_steer_matches_the_frame_transform_oracle_bit_for_bit(road, pose, spread, vehicle, fault):
     # At alpha = 1 and kappa = 0 the sigma poses sit sqrt(3) * sqrt(var) from the mean.
     cov = Covariance3(*(s * s / 3.0 for s in spread))
     scen = make_scenario(
@@ -745,15 +795,12 @@ def test_the_line_and_circle_kernels_steer_each_pose_as_steer_does(road, pose, s
         wheelbase=vehicle[1],
     )
     sigma = generate_sigma_points(scen.start_pose, cov, scen.ut)
-    kernel, terms = sim._road_terms(road)
-    assert kernel is (sim._steer_line if isinstance(road, StraightLine) else sim._steer_circle)
-    assert scen._sigma_kernels == ((kernel, terms),) * 7
     law = (scen.lookahead, scen.wheelbase, scen.steering_limit)
     axes = ((1, cov.var_x), (3, cov.var_y), (5, cov.var_yaw))
     outcomes = {}
     for i in [0, *(j for i, var in axes if var > 0.0 for j in (i, i + 1))]:
-        outcomes[i] = _bits_or_error(lambda: kernel(terms, *sigma[i], *law))
-        assert outcomes[i] == _bits_or_error(lambda: sim._steer(road, *sigma[i], scen))
+        outcomes[i] = _bits_or_error(lambda: sim._steer(road, *sigma[i], *law))
+        assert outcomes[i] == _bits_or_error(lambda: _steer_oracle(road, *sigma[i], *law))
     step = _bits_or_error(lambda: step_utpp(scen.start_pose, scen))
     assert step == _bits_or_error(lambda: step_utpp_oracle(scen.start_pose, scen))
     if fault is not None:
@@ -778,8 +825,9 @@ def test_a_reach_test_whose_squares_overflow_faults_the_step(road, speed, fault)
     # The offset (or rho) and the look-ahead (or radius) square to inf, so the
     # reach test's operand is NaN.  The road is out of reach: the step faults
     # rather than steer at the limit, where the clamp puts a NaN command.
-    # Under utpp the +yaw pose's vehicle-frame road overflows (see the kernel
-    # examples), but the mean's fault comes first, and the run records it.
+    # Under utpp the +yaw pose's vehicle-frame road overflows (see the
+    # examples of the frame transform oracle test), but the mean's fault
+    # comes first, and the run records it.
     noise = NoiseModel(Covariance3(0.0, 0.0, 1.0 / 3.0))
     base = make_scenario(
         road, start_pose=Pose(0.0, 0.0, 0.0), speed=speed, noise=noise, ut=derive_ut_params(3, 1.0, 0.0), steps=1
@@ -839,20 +887,23 @@ def test_a_yaw_sigma_pose_does_not_overflow_while_its_mean_steers(kind, position
     assert step == step_utpp_oracle(scen.start_pose, scen)
 
 
-def _count_kernels(monkeypatch) -> list[int]:
-    """Count the line and circle kernels' road terms derived: one per call of _road_terms."""
-    built = [0]
-    derive = sim._road_terms
+def _count_fits(monkeypatch) -> list[Point2]:
+    """Record the local roads fitted: the middle waypoint of each line or circle that local_road builds."""
+    fitted = []
 
-    def counted(road):
-        built[0] += 1
-        return derive(road)
+    def counted(original):
+        def fit(a, b, c):
+            fitted.append(b)
+            return original(a, b, c)
 
-    monkeypatch.setattr(sim, "_road_terms", counted)
-    return built
+        return fit
+
+    for name in ("_fit_line", "circumcenter"):
+        monkeypatch.setattr(waypoints, name, counted(getattr(waypoints, name)))
+    return fitted
 
 
-def test_waypoint_utpp_builds_one_kernel_per_selected_waypoint(monkeypatch):
+def test_waypoint_utpp_fits_one_local_road_per_selected_waypoint(monkeypatch):
     arc = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=Controller.UTPP)
     # Waypoints 1 m apart: at alpha = 1 the +x pose's probe, 0.35 m further
     # ahead, lands on the next waypoint, and every other probe on the mean's.
@@ -870,23 +921,23 @@ def test_waypoint_utpp_builds_one_kernel_per_selected_waypoint(monkeypatch):
         noise=NoiseModel(Covariance3(3.2**2 / 3.0, 0.0, math.radians(10.0) ** 2 / 3.0)),
         ut=derive_ut_params(3, 1.0, 0.0),
     )
-    built = _count_kernels(monkeypatch)
-    for scen, pose, selected, kernels in (
-        (arc, arc.start_pose, [6, 6, 6, 6, 6], 1),
-        (straight, Pose(0.3, 0.0, 0.0), [1, 2, 1, 1, 1, 1, 1], 2),
-        (hairpin, Pose(1.0, -0.4, 0.0), [2, 5, 1, 2, 2], 1),
+    fitted = _count_fits(monkeypatch)
+    for scen, pose, selected, fits in (
+        (arc, arc.start_pose, [6, 6, 6, 6, 6], [6]),
+        (straight, Pose(0.3, 0.0, 0.0), [1, 2, 1, 1, 1, 1, 1], [1, 2]),
+        (hairpin, Pose(1.0, -0.4, 0.0), [2, 5, 1, 2, 2], [2]),
     ):
         cov = scen.noise.cov
         sigma = generate_sigma_points(pose, cov, scen.ut)
         axes = ((1, cov.var_x), (3, cov.var_y), (5, cov.var_yaw))
         steered = [sigma[0], *(sigma[j] for i, var in axes if var > 0.0 for j in (i, i + 1))]
         assert select_lookahead_waypoints(scen.road, steered, scen.lookahead) == selected
-        built[0] = 0
+        fitted.clear()
         step = step_utpp(pose, scen)
-        assert built[0] == kernels
+        assert fitted == [scen.road.points[w] for w in fits]
         assert step == step_utpp_oracle(pose, scen)
-        # The path keeps each waypoint's terms, so the same step again derives none.
-        assert step_utpp(pose, scen) == step and built[0] == kernels
+        # The path keeps each waypoint's road, so the same step again fits none.
+        assert step_utpp(pose, scen) == step and len(fitted) == len(fits)
     # Only the x pair, whose + pose selected the tip, falls back.
     assert step == step_utpp(pose, without_variance(hairpin, "var_x"))
     assert step != step_utpp(pose, without_variance(without_variance(hairpin, "var_x"), "var_yaw"))
@@ -894,38 +945,47 @@ def test_waypoint_utpp_builds_one_kernel_per_selected_waypoint(monkeypatch):
 
 @pytest.mark.parametrize("stem", ["straight", "circle"])
 def test_a_utpp_run_derives_its_road_terms_once(stem, monkeypatch):
+    # A line derives its heading's terms when it is built, and a circle keeps
+    # its centre; a utpp run builds no road, and steers every pose through the
+    # frame transform of the scenario's own.
+    kind, transform = (StraightLine, "line_to_vehicle") if stem == "straight" else (Circle, "circle_to_vehicle")
+    built = [0]
+    derive = kind.__post_init__
+
+    def counted(road):
+        built[0] += 1
+        derive(road)
+
+    monkeypatch.setattr(kind, "__post_init__", counted)
     base = parse_config(str(CONFIG_DIR / f"{stem}.cfg"))
-    built = _count_kernels(monkeypatch)
+    transformed = [0]
+    original = getattr(sim, transform)
+
+    def call(*args):
+        transformed[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(sim, transform, call)
+    calls = _count_cross_tracks(monkeypatch)
     scen = replace(base, controller=Controller.UTPP)
     assert built[0] == 1
     records, _ = run(scen)
     assert len(records) == 300 and built[0] == 1
+    assert transformed[0] == calls[0] == 5 * 300
 
 
 def test_a_waypoint_batch_derives_each_selected_waypoints_terms_once_per_path(monkeypatch):
     base = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=Controller.UTPP, steps=100)
-    derive = sim._road_terms
-    roads = []
-
-    def counted(road):
-        roads.append(road)
-        return derive(road)
-
-    monkeypatch.setattr(sim, "_road_terms", counted)
+    fitted = _count_fits(monkeypatch)
     path = base.road
     summaries = run_batch(base, 4, 0)[0]
-    selected = sorted(path._terms)
+    selected = sorted(path._roads)
     assert len(selected) > 1
-    assert sorted(map(id, roads)) == sorted(id(local_road(path, w)) for w in selected)
-    assert all(path._terms[w][1][0] is local_road(path, w) for w in selected)
-    # A second batch on the same path derives nothing; a fresh path derives its own.
-    assert run_batch(base, 4, 0)[0] == summaries and len(roads) == len(selected)
+    assert sorted(fitted) == sorted(path.points[w] for w in selected)
+    # A second batch on the same path fits nothing; a fresh path fits its own.
+    assert run_batch(base, 4, 0)[0] == summaries and len(fitted) == len(selected)
     fresh = replace(base, road=WaypointPath(path.points))
-    assert run_batch(fresh, 4, 0)[0] == summaries and len(roads) == 2 * len(selected)
-
-
-def _plan(scen: Scenario) -> tuple:
-    return scen._steered_pairs, scen._sigma_kernels
+    assert run_batch(fresh, 4, 0)[0] == summaries and len(fitted) == 2 * len(selected)
 
 
 def test_replace_rederives_the_step_plan(monkeypatch):
@@ -942,25 +1002,32 @@ def test_replace_rederives_the_step_plan(monkeypatch):
     variants = [replace(base, road=road) for road in roads] + [replace(base, noise=noise) for noise in noises]
     for scen in variants:
         fresh = Scenario(**{f.name: getattr(scen, f.name) for f in fields(Scenario) if f.init})
-        assert _plan(scen) == _plan(fresh)
+        assert scen._steered_pairs == fresh._steered_pairs
         cov = scen.noise.cov
         pairs = tuple((axis, i) for axis, i, var in (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw)) if var > 0.0)
         assert scen._steered_pairs == pairs
-        if not isinstance(scen.road, WaypointPath):
-            assert scen._sigma_kernels == (sim._road_terms(scen.road),) * 7
         calls[:] = [0, 0]
         step = step_utpp(pose, scen)
         assert calls[0] == 1 + 2 * len(pairs)
         assert step == step_utpp_oracle(pose, scen)
     # Every variant but the same-noise one steers differently from the base.
     assert sum(step_utpp(pose, scen) != before for scen in variants) == len(variants) - 1
+    # A replaced line derives its heading's terms again, as a line built from its fields does.
+    line = StraightLine(0.3, -0.2)
+    for moved in (replace(line, slope=-0.1), replace(line, intercept=0.4), replace(line)):
+        fresh = StraightLine(moved.slope, moved.intercept)
+        assert moved.heading == math.atan(moved.slope)
+        terms = ("heading", "sin_heading", "cos_heading")
+        assert [getattr(moved, t) for t in terms] == [getattr(fresh, t) for t in terms]
+        assert step_utpp(pose, replace(base, road=moved)) == step_utpp_oracle(pose, replace(base, road=fresh))
 
 
 def test_derived_fields_stay_out_of_equality_hash_and_repr():
     scen = make_scenario(STRAIGHT_ROAD, controller=Controller.UTPP, noise=reference_noise())
-    cov, ut = scen.noise.cov, scen.ut
+    road, cov, ut = scen.road, scen.noise.cov, scen.ut
     for obj, derived in (
-        (scen, ("lookahead", "_steered_pairs", "_sigma_kernels")),
+        (scen, ("lookahead", "_steered_pairs")),
+        (road, ("heading", "sin_heading", "cos_heading")),
         (cov, ("sd_x", "sd_y", "sd_yaw")),
         (ut, ("scale",)),
     ):
@@ -973,18 +1040,36 @@ def test_derived_fields_stay_out_of_equality_hash_and_repr():
         assert not any(f"{name}=" in repr(obj) for name in derived)
     assert (cov.sd_x, cov.sd_y, cov.sd_yaw) == tuple(map(math.sqrt, (cov.var_x, cov.var_y, cov.var_yaw)))
     assert ut.scale == math.sqrt(3 + ut.lam)
+    heading = math.atan(road.slope)
+    assert (road.heading, road.sin_heading, road.cos_heading) == (heading, math.sin(heading), math.cos(heading))
 
 
 @pytest.mark.parametrize("stem", ["straight", "circle", "waypoint_arc"])
 def test_a_scenario_survives_a_pickle_round_trip(stem):
     scen = replace(parse_config(str(CONFIG_DIR / f"{stem}.cfg")), controller=Controller.UTPP, steps=60)
     copy = pickle.loads(pickle.dumps(scen))
-    assert copy == scen and _plan(copy) == _plan(scen)
+    assert copy == scen and copy._steered_pairs == scen._steered_pairs
     cov = copy.noise.cov
     assert (cov.sd_x, cov.sd_y, cov.sd_yaw, copy.ut.scale) == (
         scen.noise.cov.sd_x, scen.noise.cov.sd_y, scen.noise.cov.sd_yaw, scen.ut.scale
     )
+    if isinstance(scen.road, StraightLine):
+        terms = ("heading", "sin_heading", "cos_heading")
+        assert [getattr(copy.road, t) for t in terms] == [getattr(scen.road, t) for t in terms]
     assert _records_digest(*run(copy)) == _records_digest(*run(scen))
+
+
+def test_a_waypoint_scenario_pickles_after_a_run():
+    # A run builds the path's index, whose memoryviews do not pickle: the
+    # pickle leaves the index out, and the copy builds its own on first use.
+    scen = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=Controller.UTPP, steps=60)
+    run(replace(scen, steps=5))
+    assert scen.road._index is not None
+    copy = pickle.loads(pickle.dumps(scen))
+    assert copy == scen and copy.road._index is None
+    assert copy.road._roads == scen.road._roads
+    assert _records_digest(*run(copy)) == _records_digest(*run(scen))
+    assert copy.road._index is not None and scen.road._index is not None
 
 
 @pytest.mark.parametrize("overflow", ["transform", "sigma pose"])
