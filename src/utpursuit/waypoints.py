@@ -51,18 +51,15 @@ d_c + 2h + reach[j], which holds every segment within D_c + 2h <= d_c + 2h
 of c; the foot from c of each of those then decides.  Both lists hold shared entry
 tuples, (x, y, j) and (x0, y0, dx, dy), which the loops unpack as they are.
 
-Lists are kept only where the grid's rings answer the scan of c: within
-_RING_CAP cells of the path, margin included, or, for a margin too wide for
-the rings (a path with one very long segment), where c's nearest waypoint
-lies within their reach.  A cell past that, such as the centre of a loop,
-keeps an empty marker instead, so its queries take the scan without
-building again.  All lists fit a budget of _LIST_BUDGET entries per
-waypoint, a marker counting as one (an entry is one slot pointing to a
-shared tuple: about 25 bytes, cell overheads included).  Every other query
-takes the scan: an index without a grid or without lists (fewer than 3
-points, or a segment no longer than MIN_WAYPOINT_SPACING, which a
-WaypointPath never has), a query outside the fine cells, a marked cell, or
-one past the budget.
+Every fine cell keeps its lists, however far c lies from the path: the scan
+of c is the same _near whether the rings or numpy answer it, so a cell past
+the rings' cap, such as the centre of a loop, pays its numpy scans once.
+All lists fit a budget of _LIST_BUDGET entries per waypoint (an entry is
+one slot pointing to a shared tuple: about 25 bytes, cell overheads
+included).  Every other query takes the scan: an index without a grid or
+without lists (fewer than 3 points, or a segment no longer than
+MIN_WAYPOINT_SPACING, which a WaypointPath never has), a query outside the
+fine cells, or one past the budget.
 
 nearest_group serves nearby probes, such as one step's sigma poses.  Each
 probe is decided over its own fine cell's waypoint list.  Where a probe's
@@ -250,16 +247,11 @@ class WaypointIndex:
         entry = self._segment_entries[k] = x0, y0, x1 - x0, y1 - y0
         return entry
 
-    def _near(
-        self, qx: float, qy: float, extra: float, segments: bool = False, capped: bool = False
-    ) -> tuple[float, list[int]] | None:
+    def _near(self, qx: float, qy: float, extra: float, segments: bool = False) -> tuple[float, list[int]]:
         """The nearest waypoint's distance d, times _SHORTLIST_REL, and the
         index of every waypoint within d + extra; with segments, the index,
         in order, of every segment with an end j within d + extra + reach[j]:
         from the grid's rings, or past their cap or without a grid, _numpy_near.
-        With capped, None where the query lies past the rings' cap: outside
-        their reach of the grid, or, for a margin too wide for the rings, with
-        its nearest waypoint farther than they reach.
         """
         cells = self._cells
         widest = extra + self._max_reach if segments else extra
@@ -291,12 +283,7 @@ class WaypointIndex:
                             # Waypoint j ends segment j - 1 and starts segment j, where those exist.
                             found = {k for j in ends for k in (j - 1, j)} - {-1, len(self.points) - 1}
                             return d, sorted(found)
-            if capped:
-                return None
-        found = self._numpy_near(qx, qy, extra, segments)
-        if capped and found[0] >= self._rings[-1][1]:
-            return None
-        return found
+        return self._numpy_near(qx, qy, extra, segments)
 
     def _numpy_near(self, qx: float, qy: float, extra: float, segments: bool = False) -> tuple[float, list[int]]:
         # _near against every waypoint, with numpy, in place but for the segments' margins.
@@ -346,11 +333,8 @@ class WaypointIndex:
         if centre is None:
             return None
         cx, cy, extra = centre
-        found = self._near(cx, cy, extra + _SHORTLIST_ABS, capped=True)
-        if found is None:
-            return self._keep(self._waypoint_lists, key, ())
         entries = self._waypoint_entries
-        near = sorted(found[1])
+        near = sorted(self._near(cx, cy, extra + _SHORTLIST_ABS)[1])
         return self._keep(self._waypoint_lists, key, tuple([entries[j] or self._waypoint_entry(j) for j in near]))
 
     def _build_segments(self, key: int) -> _Segments | None:
@@ -361,12 +345,9 @@ class WaypointIndex:
         if centre is None:
             return None
         cx, cy, extra = centre
-        found = self._near(cx, cy, extra, True, True)
-        if found is None:
-            return self._keep(self._segment_lists, key, ())
         entries = self._segment_entries
         feet = []
-        for k in found[1]:
+        for k in self._near(cx, cy, extra, True)[1]:
             entry = entries[k] or self._segment_entry(k)
             ax, ay, dx, dy = entry
             ex, ey = cx - ax, cy - ay
@@ -383,14 +364,12 @@ class WaypointIndex:
         return self._keep(self._segment_lists, key, tuple([segment for q2, segment in feet if q2 <= r]))
 
     def _keep(self, lists: dict, key: int, found: tuple) -> tuple | None:
-        # A list costs its entries, and the empty marker of a cell past the
-        # rings' cap one; a list that would overrun the budget is not kept,
-        # and no list is built after it.
-        cost = len(found) or 1
-        if cost > self._budget:
+        # A list costs its entries; a list that would overrun the budget is
+        # not kept, and no list is built after it.
+        if len(found) > self._budget:
             self._budget = 0
             return None
-        self._budget -= cost
+        self._budget -= len(found)
         lists[key] = found
         return found
 
@@ -435,11 +414,11 @@ class WaypointIndex:
         over all segments.  Where the cell keeps no list, the loop runs over
         the segments with an end on the scan's shortlist (see the module
         docstring).  Near the path a query costs a few us whatever the
-        path's length.  The worst case is a query that needs more rings than
-        _RING_CAP, such as the centre of a 10^4-point circle: it scans every
-        cell of the rings, then every waypoint with numpy, which applies the
-        reach rule, and every segment goes through the loop, about 4 ms
-        (Python 3.11 on a shared 2-core Xeon).
+        path's length.  The worst case is a cell whose list holds every
+        segment, such as the centre of a 10^4-point circle: its first query
+        scans every cell of the rings, then every waypoint with numpy, to
+        build the list, and each query there loops over every segment, about
+        3 ms (Python 3.11 on a shared 2-core Xeon).
         """
         px, py = point
         key = self._cell(px, py)

@@ -357,59 +357,103 @@ def test_grid_queries_around_the_stadium_match_the_scalar_oracles(monkeypatch):
 
 def test_loop_centre_query_takes_the_numpy_scan(monkeypatch):
     # The stadium's centre is 50 m from every point of its legs: past the
-    # grid's ring cap, so both queries scan every waypoint with numpy.
+    # grid's ring cap, so each query builds its fine cell's list from one
+    # numpy scan of the cell's centre; asked again, neither query scans.
     path = stadium_path()
     index = path.spatial_index()
     numpy_scans = _count_numpy_scans(monkeypatch, index)
     centre = (92.9 / 2, 50.0)
-    assert index.project(centre) == nearest_point_on_polyline_oracle(centre, path)
-    assert index.nearest_group([centre]) == [nearest_waypoint_oracle(centre, path.points)]
-    assert numpy_scans == [centre, centre]
+    c = index._centre(index._cell(*centre))[:2]
+    for _ in range(2):
+        assert index.project(centre) == nearest_point_on_polyline_oracle(centre, path)
+        assert index.nearest_group([centre]) == [nearest_waypoint_oracle(centre, path.points)]
+        assert numpy_scans == [c, c]
+        monkeypatch.setattr(index, "_near", _no_scan)
 
 
-def test_a_cell_past_the_rings_cap_keeps_an_empty_marker_and_scans_once(monkeypatch):
-    # The stadium's centre lies past the rings' cap: its fine cell keeps an
-    # empty marker for each query, built once, without a numpy scan of its
-    # own, and every later query there takes the one numpy scan of its own.
+def test_a_cell_past_the_rings_cap_keeps_its_lists_and_scans_once(monkeypatch):
+    # The stadium's centre lies past the rings' cap: its fine cell keeps a
+    # non-empty list of each kind, each built by one numpy scan of the
+    # cell's centre and charged its length, and no later query there scans.
     path = stadium_path()
     index = path.spatial_index()
     numpy_scans = _count_numpy_scans(monkeypatch, index)
     centre = (92.9 / 2, 50.0)
     key = index._cell(*centre)
+    c = index._centre(key)[:2]
     budget = index._budget
     for _ in range(3):
         assert index.project(centre) == nearest_point_on_polyline_oracle(centre, path)
         assert index.nearest_group([centre]) == [nearest_waypoint_oracle(centre, path.points)]
-    assert index._waypoint_lists == {key: ()} and index._segment_lists == {key: ()}
-    assert index._budget == budget - 2
-    assert numpy_scans == [centre] * 6
+    assert list(index._waypoint_lists) == [key] and list(index._segment_lists) == [key]
+    waypoint_list, segment_list = index._waypoint_lists[key], index._segment_lists[key]
+    assert waypoint_list and segment_list
+    assert index._budget == budget - len(waypoint_list) - len(segment_list)
+    assert numpy_scans == [c, c]
 
 
-@pytest.mark.parametrize("marked_first", [False, True])
-def test_a_group_that_meets_a_marked_cell_takes_one_group_scan(marked_first, monkeypatch):
-    # Two probes near the stadium's lower leg read their fine cells' lists;
-    # a third at its centre lands in a cell past the rings' cap, which keeps
-    # an empty marker, built by the group itself or beforehand.  Mixed, the
-    # three take exactly one _scan_group, whose shortlist answers each probe.
+@pytest.mark.parametrize("centre_first", [False, True])
+def test_a_group_that_meets_a_marked_cell_takes_one_group_scan(centre_first, monkeypatch):
+    # Two probes near the stadium's lower leg read their fine cells' lists.
+    # A third at its centre, past the rings' cap, reads its cell's list too,
+    # built by the group itself or beforehand, so the three take no group
+    # scan.  A third 2 m below the lower leg, more than 8 grid cells (1.6 m)
+    # below the grid, lies outside the fine cells: with it the three take
+    # exactly one _scan_group, whose shortlist answers each probe.
     path = stadium_path()
     index = path.spatial_index()
-    centre = (92.9 / 2, 50.0)
+    centre, outside = (92.9 / 2, 50.0), (40.0, -2.0)
+    assert index._cell(*outside) is None
     listed = [(40.0, 0.01), (40.05, -0.01)]
-    if marked_first:
+    if centre_first:
         index.nearest_group([centre])
-        assert index._waypoint_lists[index._cell(*centre)] == ()
+        assert index._waypoint_lists[index._cell(*centre)]
     assert index.nearest_group(listed) == [nearest_waypoint_oracle(q, path.points) for q in listed]
     assert all(index._waypoint_lists[index._cell(*q)] for q in listed)
     group_scans = []
     scan_group = index._scan_group
     monkeypatch.setattr(index, "_scan_group", lambda probes: group_scans.append(probes) or scan_group(probes))
-    probes = [listed[0], centre, listed[1]]
-    assert index.nearest_group(probes) == [nearest_waypoint_oracle(q, path.points) for q in probes]
+    for third in (centre, outside):
+        probes = [listed[0], third, listed[1]]
+        assert index.nearest_group(probes) == [nearest_waypoint_oracle(q, path.points) for q in probes]
     assert group_scans == [probes]
-    assert index._waypoint_lists[index._cell(*centre)] == ()
-    # Without the marked cell, the listed probes take no group scan.
+    assert index._waypoint_lists[index._cell(*centre)]
+    # Without the probe outside the fine cells, the listed probes take no group scan.
     assert index.nearest_group(listed) == [nearest_waypoint_oracle(q, path.points) for q in listed]
     assert group_scans == [probes]
+
+
+def test_queries_past_the_rings_cap_read_their_cells_lists_on_a_second_pass(monkeypatch):
+    # Queries scattered 3 m around the stadium's waypoints, so that many lie
+    # past the rings' cap, 1.6 m from the path, yet inside the fine cells.
+    # A second pass answers as a fresh index and the scalar oracles do, and
+    # no query whose cell kept its lists scans again.
+    path = stadium_path()
+    index = path.spatial_index()
+    cap = _RING_CAP * index._width
+    rng = np.random.default_rng(113)
+    queries = []
+    for _ in range(60):
+        x, y = path.points[rng.integers(len(path))]
+        queries.append((float(x + rng.normal(0.0, 3.0)), float(y + rng.normal(0.0, 3.0))))
+    for q in queries:
+        index.project(q)
+        index.nearest_group([q])
+    scans = []
+    near = index._near
+    monkeypatch.setattr(index, "_near", lambda qx, qy, *margin: scans.append((qx, qy)) or near(qx, qy, *margin))
+    past_cap = 0
+    for q in queries:
+        fresh = WaypointPath(path.points).spatial_index()
+        expected = nearest_waypoint_oracle(q, path.points)
+        assert index.nearest_group([q]) == fresh.nearest_group([q]) == [expected]
+        assert index.project(q) == fresh.project(q) == nearest_point_on_polyline_oracle(q, path)
+        key = index._cell(*q)
+        if key in index._waypoint_lists and key in index._segment_lists:
+            assert scans == [], (q, scans)
+            past_cap += math.dist(q, path.points[expected]) > cap
+        scans.clear()
+    assert past_cap >= 20
 
 
 def test_queries_outside_the_grid_within_the_rings_cap_read_lists(monkeypatch):
@@ -679,20 +723,9 @@ def test_fine_cell_edges_and_centres_match_fresh_indexes_and_the_scalar_oracles(
     if index._waypoint_lists is None:
         assert built == []
         return
-    # Each kept list, or empty marker, was built once, on the first query in its cell.
+    # Each kept list was built once, on the first query in its cell, and none is empty.
     assert all(built.count(b) == 1 for b in built if b[1] in kept[b[0]])
-    cap = _RING_CAP * index._width
-    for name, lists in kept.items():
-        # A list where the centre c's nearest waypoint lies within the rings'
-        # reach, an empty marker only where it lies about that far, margin
-        # included: 2h, and for the segments the longest segment's reach.
-        margin = math.sqrt(2.0) * index._fine * 1.01 + (index._max_reach if name == "_build_segments" else 0.0)
-        for key, found in lists.items():
-            i = (key + index._fine_pad) // index._fine_stride
-            j = key - i * index._fine_stride
-            c = (index._x0 + (i + 0.5) * index._fine, index._y0 + (j + 0.5) * index._fine)
-            d = math.dist(c, points[nearest_waypoint_oracle(c, points)])
-            assert d < cap if found else d + margin >= cap - index._width
+    assert all(found for lists in kept.values() for found in lists.values())
     # Each list holds the shared entries, in index order.
     segment_of = {id(e): k for k, e in enumerate(index._segment_entries) if e is not None}
     for found in index._waypoint_lists.values():
@@ -700,9 +733,9 @@ def test_fine_cell_edges_and_centres_match_fresh_indexes_and_the_scalar_oracles(
         assert [e[2] for e in found] == sorted({e[2] for e in found})
     for found in index._segment_lists.values():
         assert [segment_of[id(e)] for e in found] == sorted({segment_of[id(e)] for e in found})
-    # Within the budget, which every kept entry, and each marker, is counted against.
+    # Within the budget, which every kept entry is counted against.
     found = [*index._waypoint_lists.values(), *index._segment_lists.values()]
-    assert index._budget == _LIST_BUDGET * len(points) - sum(len(f) or 1 for f in found) >= 0
+    assert index._budget == _LIST_BUDGET * len(points) - sum(map(len, found)) >= 0
 
 
 def test_lists_stop_at_the_budget_and_later_queries_take_the_scan(monkeypatch):
