@@ -12,14 +12,17 @@ from __future__ import annotations
 import logging
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from itertools import repeat
 from numbers import Real
 from operator import attrgetter
+from types import UnionType
+from typing import get_args, get_type_hints
 
 from .errors import ConfigInvalid, RoadGeometryFault
-from .geometry import Circle, Pose, StraightLine, circle_to_vehicle, line_to_vehicle
+from .geometry import Pose, StraightLine, circle_to_vehicle, line_to_vehicle
 from .pursuit import DEFAULT_STEERING_LIMIT, cross_track_circle, cross_track_line, steering_angle
 from .roads import RoadModel, lateral_deviation
 from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
@@ -43,42 +46,7 @@ class Controller(Enum):
     UTPP = "utpp"
 
 
-# Every Scenario field, and the fields of its pose, noise and UT parameters,
-# with the types they must have, each object before its fields.  Nothing is
-# coerced, and a bool, which is an int, passes only where bool is named.
-_FIELD_TYPES = (
-    ("road", (StraightLine, Circle, WaypointPath)),
-    ("start_pose", (Pose,)),
-    ("start_pose.x", (Real,)),
-    ("start_pose.y", (Real,)),
-    ("start_pose.yaw", (Real,)),
-    ("speed", (Real,)),
-    ("wheelbase", (Real,)),
-    ("lookahead_gain", (Real,)),
-    ("dt", (Real,)),
-    ("steps", (int,)),
-    ("controller", (Controller,)),
-    ("noise", (NoiseModel,)),
-    ("noise.cov", (Covariance3,)),
-    ("noise.cov.var_x", (Real,)),
-    ("noise.cov.var_y", (Real,)),
-    ("noise.cov.var_yaw", (Real,)),
-    ("noise.max_lateral_dev", (Real,)),
-    ("noise.rng_seed", (int,)),
-    ("ut", (UtParams,)),
-    ("ut.alpha", (Real,)),
-    ("ut.kappa", (Real,)),
-    ("steering_limit", (Real,)),
-    ("paper_literal", (bool,)),
-)
 _TYPE_NAMES = {Real: "real number", int: "whole number"}
-# Each field's getter, and the exact types that pass without the full test:
-# float and int for a real number, the listed classes themselves otherwise.
-# bool, subclasses and every wrong type still take the full test below.
-_FIELD_CHECKS = tuple(
-    (name, kinds, attrgetter(name), frozenset((float, int) if kinds == (Real,) else kinds))
-    for name, kinds in _FIELD_TYPES
-)
 
 
 @dataclass(frozen=True)
@@ -151,6 +119,32 @@ class Scenario:
         cov = self.noise.cov
         axes = (("x", 1, cov.var_x), ("y", 3, cov.var_y), ("yaw", 5, cov.var_yaw))
         object.__setattr__(self, "_steered_pairs", tuple((axis, i) for axis, i, var in axes if var > 0.0))
+
+
+def _field_types(cls: type, prefix: str = "") -> Iterator[tuple[str, tuple[type, ...]]]:
+    """Each constructor field of the dataclass cls, named prefix + field, with
+    the types it must have: a float field takes any real number, a union field
+    any of its members, and a dataclass field is followed by its own fields."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.init:
+            name, hint = prefix + f.name, hints[f.name]
+            yield name, get_args(hint) if isinstance(hint, UnionType) else (Real if hint is float else hint,)
+            if is_dataclass(hint):
+                yield from _field_types(hint, name + ".")
+
+
+# Every Scenario field, and the fields of its pose, noise model, covariance
+# and UT parameters, each object before its fields, with its getter and the
+# exact types that pass without the full test: float and int for a real
+# number, the listed classes themselves otherwise.  Nothing is coerced; a
+# bool, which is an int, passes only where bool is named, and bool,
+# subclasses and every wrong type take the full test in
+# Scenario.__post_init__.
+_FIELD_CHECKS = tuple(
+    (name, kinds, attrgetter(name), frozenset((float, int) if kinds == (Real,) else kinds))
+    for name, kinds in _field_types(Scenario)
+)
 
 
 @dataclass(slots=True)

@@ -322,6 +322,32 @@ def test_waypoint_road_tracks_like_the_circle_it_samples():
     assert summary.convergence_time is not None
 
 
+@pytest.mark.parametrize("controller", [Controller.PP, Controller.UTPP])
+def test_a_perfect_sensor_circles_the_last_triple_past_the_end_of_an_open_path(controller):
+    # An open half-circle of radius 5: past its last waypoint the look-ahead
+    # stays clamped to N - 2, whose triple's circumcircle is the circle the
+    # path samples, so the vehicle follows it round and rejoins the path.
+    th = [math.radians(2.0 * k) for k in range(91)]
+    path = WaypointPath([(5.0 * math.sin(t), 5.0 - 5.0 * math.cos(t)) for t in th])
+    n = len(path)
+    scen = make_scenario(path, controller=controller, steps=400)
+    records, _ = run(scen)
+    assert all(r.fault is None for r in records)
+    picked = [select_lookahead_waypoint(path, r.measured_pose, scen.lookahead) for r in records]
+    stretch = [k for k, w in enumerate(picked) if w == n - 2]
+    assert stretch and stretch == list(range(stretch[0], stretch[-1] + 1))
+    circle = local_road(path, n - 2)
+    assert isinstance(circle, Circle)
+    for k in stretch:
+        x, y = records[k].true_pose.x, records[k].true_pose.y
+        assert abs(math.hypot(x - circle.cx, y - circle.cy) - circle.radius) < 0.05, k
+    off = [k for k, r in enumerate(records) if abs(r.lateral_error) >= 0.05]
+    # Round the circle's other half the vehicle is off the path; it then
+    # rejoins the path at its start and stays on it for over 2 s.
+    assert off[-1] > stretch[-1]
+    assert len(records) - 1 - off[-1] > sim.CONVERGENCE_HOLD / scen.dt
+
+
 def _rec(step, time, lat):
     pose = Pose(0.0, 0.0, 0.0)
     return TrajectoryRecord(step, time, pose, pose, 0.0, 0.0, lat, None)
