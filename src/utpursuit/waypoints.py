@@ -16,58 +16,55 @@ nearest waypoint's distance times _SHORTLIST_REL, and every waypoint within
 d + extra, or, for the segments, every segment with an end j within
 d + extra + reach[j] (see project, below).
 
-The grid's square cells are _CELL_SEGMENTS median segments wide.  A scan
-visits the query's cell, then the rings of cells around it, one ring
-further out at a time, and stops after ring R once d + extra, with d from
-the nearest waypoint seen so far, is under (R - _RING_SLACK) cell widths.
-That is exact: a waypoint outside rings 0..R lies in a cell whose column or
-row index differs from the query's by more than R.  Each index is the floor
-of the rounded (x - x_min) / width, which the two roundings move by at most
-2**-52 of its magnitude, under _MAX_CELLS + _RING_CAP cells, so by under
-2**-21 cells; such a waypoint is therefore more than R - 2**-20 cell widths
-from the query, farther than d + extra, and it is neither the nearest nor
-on the shortlist.  The nearest waypoint seen cannot get nearer after the
-stop, so d is final.  A query that needs more than _RING_CAP rings, such as
-the centre of a circular loop, or one whose path's extent is more than
-_MAX_CELLS widths, is scanned instead by numpy, against every waypoint.
+The grid's square cells are _CELL_SEGMENTS median segments wide, or, on a
+path more than _MAX_CELLS - 1 of those across, extent / (_MAX_CELLS - 1)
+wide, so that no column or row index reaches _MAX_CELLS.  A scan visits the
+query's cell, then the rings of cells around it, one ring further out at a
+time, and stops after ring R once d + extra, with d from the nearest
+waypoint seen so far, is under (R - _RING_SLACK) cell widths.  That is
+exact at any width: a waypoint outside rings 0..R lies in a cell whose
+column or row index differs from the query's by more than R.  Each index is
+the floor of the rounded (x - x_min) / width, which the two roundings move
+by at most 2**-52 of its magnitude, under _MAX_CELLS + _RING_CAP cells, so
+by under 2**-21 cells; such a waypoint is therefore more than R - 2**-20
+cell widths from the query, farther than d + extra, and it is neither the
+nearest nor on the shortlist.  The nearest waypoint seen cannot get nearer
+after the stop, so d is final.  A query that needs more than _RING_CAP
+rings, such as the centre of a circular loop, is scanned instead by numpy,
+against every waypoint.
 
 The candidate lists.  Each grid cell is tiled by _FINE_CELLS x _FINE_CELLS
-fine cells, one median segment wide.  A fine cell with centre c keeps two
-lists, each built by one scan of c when its query first lands in the cell:
-its waypoints, those within (d_c + 2h) * _SHORTLIST_REL + _SHORTLIST_ABS of
-c, where d_c is the distance from c to its nearest waypoint, and its
-segments, those within (D_c + 2h) * _SHORTLIST_REL of c, where D_c is the
-distance from c to the polyline.  h bounds the distance from c to any query
-that lands in the cell.  For such a query q, the nearest waypoint is within
-d_c + h of q, so within d_c + 2h of c; the closest point on the polyline
-likewise lies within D_c + 2h of c.  So each list holds the answer, and the
-scalar loop over it, in index order, returns what the loop over every
-waypoint or segment would.  This rests on the assumption the scans make
-too: that each scalar foot is within rounding of exact.  The fine indices
-are rounded as the grid's are, by under 2**-19 fine cells, so h is half the
-cell's diagonal widened by _RING_SLACK fine cells, plus a bound on what
-rounding moved c by.  The segment scan marks each end j within
-d_c + 2h + reach[j], which holds every segment within D_c + 2h <= d_c + 2h
-of c; the foot from c of each of those then decides.  Both lists hold shared entry
-tuples, (x, y, j) and (x0, y0, dx, dy), which the loops unpack as they are.
+fine cells, one median segment wide on a grid not widened.  A fine cell
+with centre c keeps two lists, each built by one scan of c when its query
+first lands in the cell: its waypoints, those within
+(d_c + 2h) * _SHORTLIST_REL + _SHORTLIST_ABS of c, where d_c is the
+distance from c to its nearest waypoint, and its segments, those within
+(D_c + 2h) * _SHORTLIST_REL of c, where D_c is the distance from c to the
+polyline.  h bounds the distance from c to any query that lands in the
+cell.  For such a query q, the nearest waypoint is within d_c + h of q, so
+within d_c + 2h of c; the closest point on the polyline likewise lies
+within D_c + 2h of c.  So each list holds the answer, and the scalar loop
+over it, in index order, returns what the loop over every waypoint or
+segment would.  This rests on the assumption the scans make too: that each
+scalar foot is within rounding of exact.  A query lands in a fine cell
+wherever its fine indices lie within _MAX_CELLS * _FINE_CELLS of the grid's
+corner; they are rounded as the grid's are, by at most 2**-52 of that, so
+by under 2**-19 fine cells, and h is half the cell's diagonal widened by
+_RING_SLACK fine cells, plus a bound on what rounding moved c by.  The
+segment scan marks each end j within d_c + 2h + reach[j], which holds
+every segment within D_c + 2h <= d_c + 2h of c; the foot from c of each of
+those then decides.  Both lists hold shared entry tuples, (x, y, j) and
+(x0, y0, dx, dy), which the loops unpack as they are.
 
 Every fine cell keeps its lists, however far c lies from the path: the scan
 of c is the same _near whether the rings or numpy answer it, so a cell past
 the rings' cap, such as the centre of a loop, pays its numpy scans once.
 All lists fit a budget of _LIST_BUDGET entries per waypoint (an entry is
 one slot pointing to a shared tuple: about 25 bytes, cell overheads
-included).  Every other query takes the scan: an index without a grid or
-without lists (fewer than 3 points, or a segment no longer than
-MIN_WAYPOINT_SPACING, which a WaypointPath never has), a query outside the
-fine cells, or one past the budget.
-
-nearest_group serves nearby probes, such as one step's sigma poses.  Each
-probe is decided over its own fine cell's waypoint list.  Where a probe's
-cell has none, the group takes one scan: each probe lies within delta of
-the first, so the first probe's nearest waypoint is within d0 + delta of
-it, and so is its own nearest waypoint, which thus lies within d0 + 2 delta
-of the first probe: extra is 2 delta, widened.  A one-waypoint shortlist
-answers every probe.
+included).  A query with no list, past the fine cells' bound or once the
+budget is spent, takes the scan of the query itself: nearest_group decides
+each such probe over the waypoints within its own d + _SHORTLIST_ABS, and
+project over the segments below.
 
 project's closest point is at most d0 away, and a segment holding a point
 within d0 has its nearer endpoint within d0 + L/2, where L is its length.  So
@@ -155,10 +152,10 @@ class WaypointIndex:
     """A path's waypoints in a grid of square cells, and as float64 arrays.
 
     Every query returns what a scalar loop over all waypoints or segments
-    with a strict < would: ties resolve to the lowest index.  The points are
-    (x, y) pairs of floats, which the scalar loops read as they are; they
-    must be finite, with squared distances that do not overflow; a
-    WaypointPath bounds its coordinates by 1e150 to that end.
+    with a strict < would: ties resolve to the lowest index.  The scalar
+    loops read the WaypointPath's points as they are, which its checks keep
+    at 3 or more, finite, bounded by 1e150 so that squared distances do not
+    overflow, and each more than MIN_WAYPOINT_SPACING from the next.
 
     The grid is compact: a dict from each occupied cell's key to its
     ordinal, and the waypoint indices ordered by cell, index order within
@@ -167,8 +164,8 @@ class WaypointIndex:
     their segment lists.
     """
 
-    def __init__(self, points: tuple[Point2, ...]):
-        self.points = points
+    def __init__(self, path: WaypointPath):
+        points = self.points = path.points
         xy = np.fromiter(chain.from_iterable(points), np.float64, 2 * len(points))
         self.xs, self.ys = xy[0::2].copy(), xy[1::2].copy()
         dx, dy = np.diff(self.xs), np.diff(self.ys)
@@ -178,29 +175,19 @@ class WaypointIndex:
         half = 0.5 * length
         self.reach = np.maximum(np.r_[half, 0.0], np.r_[0.0, half]) * _SHORTLIST_REL
         self._reach = memoryview(self.reach)
-        self._max_reach = float(self.reach.max(initial=0.0))
-        self._cells: dict[int, int] | None = None
-        # Each fine cell key's waypoint and segment lists, each built when its
-        # query first lands there; None where no lists are kept (see the module docstring).
-        self._waypoint_lists: dict[int, _Waypoints] | None = None
-        self._segment_lists: dict[int, _Segments] | None = None
+        self._max_reach = float(self.reach.max())
         # Each waypoint's and segment's list entry, made when first listed and
         # then shared by every list, and every scalar loop, that holds it.
         self._waypoint_entries: list[tuple[float, float, int] | None] = [None] * len(points)
         self._segment_entries: list[tuple[float, float, float, float] | None] = [None] * len(points)
-        if len(length):
-            # The median segment, the upper one of an even count.
-            self._build_grid(_CELL_SEGMENTS * float(np.partition(length, len(length) // 2)[len(length) // 2]))
-            if self._cells is not None and len(points) >= 3 and float(length.min()) > MIN_WAYPOINT_SPACING:
-                self._start_lists()
+        # The median segment, the upper one of an even count.
+        self._build_grid(_CELL_SEGMENTS * float(np.partition(length, len(length) // 2)[len(length) // 2]))
 
     def _build_grid(self, width: float) -> None:
-        # No grid for a zero or overflowing width, or one that would need an
-        # index past _MAX_CELLS: every query then takes the numpy scan.
+        # A path more than _MAX_CELLS - 1 widths across widens its cells to fit.
         x0, y0 = float(self.xs.min()), float(self.ys.min())
         extent = max(float(self.xs.max()) - x0, float(self.ys.max()) - y0)
-        if not (0.0 < width < math.inf and extent / width < _MAX_CELLS):
-            return
+        width = max(width, extent / (_MAX_CELLS - 1))
         ix = np.floor((self.xs - x0) / width).astype(np.int64)
         iy = np.floor((self.ys - y0) / width).astype(np.int64)
         self._columns, self._rows = int(ix.max()) + 1, int(iy.max()) + 1
@@ -222,17 +209,14 @@ class WaypointIndex:
         self._rings = [
             ([dx * stride + dy for dx, dy in ring], (r - _RING_SLACK) * width) for r, ring in enumerate(_RINGS)
         ]
-
-    def _start_lists(self) -> None:
-        # Fine cells cover the grid's columns and rows and the _RING_CAP
-        # cells around them that its rings reach; fine keys, unlike grid
-        # keys, name one cell each.
-        self._waypoint_lists, self._segment_lists = {}, {}
-        self._fine = self._width / _FINE_CELLS
-        self._fine_pad = _RING_CAP * _FINE_CELLS
-        self._fine_columns = (self._columns + _RING_CAP) * _FINE_CELLS
-        self._fine_rows = (self._rows + _RING_CAP) * _FINE_CELLS
-        self._fine_stride = (self._rows + 2 * _RING_CAP) * _FINE_CELLS
+        # Each fine cell's (column, row) waypoint and segment lists, each built
+        # when its first query lands there (see the module docstring).
+        self._waypoint_lists: dict[tuple[int, int], _Waypoints] = {}
+        self._segment_lists: dict[tuple[int, int], _Segments] = {}
+        self._fine = width / _FINE_CELLS
+        # A query's fine indices lie within this many fine cells of the
+        # grid's corner, or it has no fine cell (see the module docstring).
+        self._fine_bound = float(_MAX_CELLS * _FINE_CELLS)
         # Half a fine cell's diagonal, widened by the rounding of a query's fine indices.
         self._half_diagonal = (0.5 + _RING_SLACK) * math.sqrt(2.0) * self._fine
         # Entries the lists may still take.
@@ -251,11 +235,11 @@ class WaypointIndex:
         """The nearest waypoint's distance d, times _SHORTLIST_REL, and the
         index of every waypoint within d + extra; with segments, the index,
         in order, of every segment with an end j within d + extra + reach[j]:
-        from the grid's rings, or past their cap or without a grid, _numpy_near.
+        from the grid's rings, or past their cap, _numpy_near.
         """
         cells = self._cells
         widest = extra + self._max_reach if segments else extra
-        if cells is not None and widest < self._rings[-1][1]:
+        if widest < self._rings[-1][1]:
             fx, fy = (qx - self._x0) / self._width, (qy - self._y0) / self._width
             if -_RING_CAP <= fx < self._columns + _RING_CAP and -_RING_CAP <= fy < self._rows + _RING_CAP:
                 key = math.floor(fx) * self._stride + math.floor(fy)
@@ -302,32 +286,31 @@ class WaypointIndex:
             near = near[:-1] | near[1:]
         return d, near.nonzero()[0].tolist()
 
-    def _cell(self, qx: float, qy: float) -> int | None:
-        """The key of the fine cell that (qx, qy) lands in, or None where no lists are kept."""
-        if self._waypoint_lists is None:
-            return None
+    def _cell(self, qx: float, qy: float) -> tuple[int, int] | None:
+        """The (column, row) of the fine cell that (qx, qy) lands in, or None
+        past _MAX_CELLS * _FINE_CELLS fine cells from the grid's corner.
+        """
         gx, gy = (qx - self._x0) / self._fine, (qy - self._y0) / self._fine
-        if -self._fine_pad <= gx < self._fine_columns and -self._fine_pad <= gy < self._fine_rows:
-            return math.floor(gx) * self._fine_stride + math.floor(gy)
+        bound = self._fine_bound
+        if abs(gx) < bound and abs(gy) < bound:
+            return math.floor(gx), math.floor(gy)
         return None
 
-    def _centre(self, key: int) -> tuple[float, float, float] | None:
+    def _centre(self, key: tuple[int, int]) -> tuple[float, float, float] | None:
         """The centre c of the fine cell key, and 2h, widened, where h bounds
         the distance from c to any query in the cell; None once the budget
         is spent.
         """
         if self._budget <= 0:
             return None
-        stride = self._fine_stride
-        i = (key + self._fine_pad) // stride
-        j = key - i * stride
+        i, j = key
         x0, y0 = self._x0, self._y0
         cx, cy = x0 + (i + 0.5) * self._fine, y0 + (j + 0.5) * self._fine
         # Half the diagonal, widened, plus what rounding moved c by.
         h = self._half_diagonal + (abs(cx) + abs(cy) + abs(x0) + abs(y0)) * 2.0**-50
         return cx, cy, 2.0 * h * _SHORTLIST_REL
 
-    def _build_waypoints(self, key: int) -> _Waypoints | None:
+    def _build_waypoints(self, key: tuple[int, int]) -> _Waypoints | None:
         # The waypoints within (d_c + 2h) * _SHORTLIST_REL + _SHORTLIST_ABS of c, kept.
         centre = self._centre(key)
         if centre is None:
@@ -337,7 +320,7 @@ class WaypointIndex:
         near = sorted(self._near(cx, cy, extra + _SHORTLIST_ABS)[1])
         return self._keep(self._waypoint_lists, key, tuple([entries[j] or self._waypoint_entry(j) for j in near]))
 
-    def _build_segments(self, key: int) -> _Segments | None:
+    def _build_segments(self, key: tuple[int, int]) -> _Segments | None:
         # The segments within (D_c + 2h) * _SHORTLIST_REL of c, kept: of those
         # with an end j within d_c + 2h + reach[j] of c, which holds them all,
         # the ones whose foot from c, as the scalar loop finds it, is that near.
@@ -363,7 +346,7 @@ class WaypointIndex:
         r *= r
         return self._keep(self._segment_lists, key, tuple([segment for q2, segment in feet if q2 <= r]))
 
-    def _keep(self, lists: dict, key: int, found: tuple) -> tuple | None:
+    def _keep(self, lists: dict, key: tuple[int, int], found: tuple) -> tuple | None:
         # A list costs its entries; a list that would overrun the budget is
         # not kept, and no list is built after it.
         if len(found) > self._budget:
@@ -378,9 +361,8 @@ class WaypointIndex:
 
         Each probe is decided by the scalar loop, in index order with a
         strict < and Python's **, over its own fine cell's waypoint list.
-        Where a probe's cell keeps no list, the group takes one scan of
-        probes[0], by _near, and every probe is decided over the shortlist of
-        waypoints within d0 + 2 delta of probes[0] (see the module docstring).
+        Where its cell keeps no list, the loop runs over the probe's own
+        scan: the waypoints within d of it, widened (see the module docstring).
         """
         found = []
         for px, py in probes:
@@ -389,20 +371,11 @@ class WaypointIndex:
             if waypoints is None:
                 waypoints = self._build_waypoints(key)
             if not waypoints:
-                return self._scan_group(probes)
+                entries = self._waypoint_entries
+                near = sorted(self._near(px, py, _SHORTLIST_ABS)[1])
+                waypoints = [entries[j] or self._waypoint_entry(j) for j in near]
             found.append(_nearest(px, py, waypoints))
         return found
-
-    def _scan_group(self, probes: list[Point2]) -> list[int]:
-        # nearest_group from one scan of probes[0], where a probe's cell keeps no list.
-        qx, qy = probes[0]
-        spread = max([0.0] + [math.hypot(px - qx, py - qy) for px, py in probes[1:]])
-        shortlist = sorted(self._near(qx, qy, 2.0 * spread * _SHORTLIST_REL + _SHORTLIST_ABS)[1])
-        if len(shortlist) == 1:
-            return shortlist * len(probes)
-        entries = self._waypoint_entries
-        near = [entries[j] or self._waypoint_entry(j) for j in shortlist]
-        return [_nearest(px, py, near) for px, py in probes]
 
     def project(self, point: Point2) -> Point2:
         """Closest point on the polyline, segment interiors included.
@@ -490,7 +463,7 @@ class WaypointPath:
 
 def build_index(path: WaypointPath) -> WaypointIndex:
     """Build the nearest-waypoint and projection index over a path."""
-    return WaypointIndex(path.points)
+    return WaypointIndex(path)
 
 
 def select_lookahead_waypoint(path: WaypointPath, pose: Pose, d_l: float) -> int:

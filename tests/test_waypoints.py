@@ -15,7 +15,6 @@ from utpursuit import (
     StraightLine,
     TooFewWaypoints,
     VerticalRoad,
-    WaypointIndex,
     WaypointPath,
     build_index,
     load_waypoints,
@@ -25,7 +24,7 @@ from utpursuit import (
     select_lookahead_waypoint,
 )
 from utpursuit import waypoints
-from utpursuit.waypoints import _LIST_BUDGET, _RING_CAP, MIN_WAYPOINT_SPACING, circumcenter
+from utpursuit.waypoints import _LIST_BUDGET, _MAX_CELLS, _RING_CAP, MIN_WAYPOINT_SPACING, circumcenter
 
 from conftest import CONFIG_DIR, stadium_path
 from test_roads import nearest_point_on_polyline_oracle
@@ -205,10 +204,10 @@ def probe_groups(draw):
 
     Either random points with probes spread from 0 to 1e3 around an anchor,
     or an integer grid with half-integer probes, where exact ties abound.
-    Everything is then scaled, up to coordinates of 1e150 or down to ones
-    whose squares are subnormal or underflow.
+    Everything is then scaled, up to coordinates of 1e150 or down by 1e-3;
+    a path rejects waypoints closer than 1e-9 m, so no further.
     """
-    scale = draw(st.sampled_from([1.0, 1e-3, 1e147, 1e-157, 1e-161]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e147]))
     if draw(st.booleans()):
         cell = st.integers(-4, 4).map(float)
         points = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=30))
@@ -237,14 +236,17 @@ def probe_groups(draw):
 @example(([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [(1.0, 0.1), (1.0, 0.2), (1.1, 0.0)]))
 # Two identical probes, each exactly between waypoints 1 and 2.
 @example(([(0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (2.0, 0.0)], [(1.0, 0.0), (1.0, 0.0), (0.5, 0.0)]))
-# The second probe ties waypoints 0 and 1 exactly, and waypoint 0 sits exactly
-# d0 + 2 delta from the first probe, so an unwidened radius rounds it out ...
-@example(([(87.0, 227.0), (-51.0, -49.0)], [(-17.0, 19.0), (18.0, 89.0)]))
-# ... and with subnormal squares a relative widening alone is not enough.
-@example(([(2.4e-160, 1.65e-160), (1.8e-161, -5.7e-161)], [(2.7e-161, -4.8e-161), (1.29e-160, 5.4e-161)]))
+# The second probe ties waypoints 0 and 1 exactly; waypoint 2 is far from both.
+@example(([(87.0, 227.0), (-51.0, -49.0), (1e3, 1e3)], [(-17.0, 19.0), (18.0, 89.0)]))
+# Squares in the subnormal range: waypoints 0 and 2, 1e-160 m apart, are
+# not consecutive, so the path keeps both.
+@example(([(2.4e-160, 1.65e-160), (1.0, 0.0), (1.8e-161, -5.7e-161)], [(2.7e-161, -4.8e-161), (1.29e-160, 5.4e-161)]))
 def test_nearest_group_equals_nearest_per_probe(group):
     points, probes = group
-    index = WaypointIndex(points)
+    try:
+        index = WaypointPath(points).spatial_index()
+    except (TooFewWaypoints, ValueError):
+        assume(False)
     got = index.nearest_group(probes)
     assert got == [index.nearest_group([q])[0] for q in probes]
     assert got == [nearest_waypoint_oracle(q, points) for q in probes]
@@ -283,18 +285,15 @@ def grid_stress_paths(draw):
     """Waypoints that stress the index's cell table, and queries around them: (kind, points, queries).
 
     A unit-step walk with one segment 100 to 10^4 times longer; the same walk
-    on to a waypoint 3.7e19 m away, which no integer cell index reaches;
-    a zigzag between two spots, which puts every waypoint in one cell; or
-    one or two waypoints.  The queries sit around the waypoints at spreads
-    from 0 to 30 m, with one far off.
+    on to a waypoint 3.7e19 m away, more than _MAX_CELLS median segments
+    off, which widens the cells; or a zigzag between two spots, which puts
+    every waypoint in one cell.  The queries sit around the waypoints at
+    spreads from 0 to 30 m, with one far off.
     """
-    kind = draw(st.sampled_from(["long_segment", "wide", "one_cell", "few"]))
+    kind = draw(st.sampled_from(["long_segment", "wide", "one_cell"]))
     angle = st.floats(0.0, 2.0 * math.pi)
     jitter = st.floats(-0.1, 0.1)
-    if kind == "few":
-        coord = st.floats(-10.0, 10.0)
-        points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=2, unique=True))
-    elif kind == "one_cell":
+    if kind == "one_cell":
         points = [(i % 2 + draw(jitter), draw(jitter)) for i in range(draw(st.integers(3, 30)))]
     else:
         # The wide path has more unit segments than long ones, so its median segment is 1 m.
@@ -320,17 +319,18 @@ def grid_stress_paths(draw):
 @given(grid_stress_paths())
 def test_grid_queries_match_the_scalar_oracles(case):
     kind, points, queries = case
-    index = WaypointIndex(points) if kind == "few" else WaypointPath(points).spatial_index()
+    index = WaypointPath(points).spatial_index()
     # Each kind reaches the part of the cell table it is meant to stress.
-    if kind == "wide":
-        assert index._cells is None
-    elif kind == "one_cell":
+    if kind == "one_cell":
         assert len(index._cells) == 1
     for q in queries:
         assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, points)]
-        # The oracle reads only .points, so it takes the 1- and 2-point lists too.
         assert index.project(q) == nearest_point_on_polyline_oracle(q, SimpleNamespace(points=points))
     assert index.nearest_group(queries) == [nearest_waypoint_oracle(q, points) for q in queries]
+    if kind == "wide":
+        # Cells widened to span the path in _MAX_CELLS - 1 widths, and lists read as on any path.
+        assert index._columns <= _MAX_CELLS and index._rows <= _MAX_CELLS
+        assert index._waypoint_lists and index._segment_lists
 
 
 def _count_numpy_scans(monkeypatch, index):
@@ -395,32 +395,28 @@ def test_a_cell_past_the_rings_cap_keeps_its_lists_and_scans_once(monkeypatch):
 @pytest.mark.parametrize("centre_first", [False, True])
 def test_a_group_that_meets_a_marked_cell_takes_one_group_scan(centre_first, monkeypatch):
     # Two probes near the stadium's lower leg read their fine cells' lists.
-    # A third at its centre, past the rings' cap, reads its cell's list too,
-    # built by the group itself or beforehand, so the three take no group
-    # scan.  A third 2 m below the lower leg, more than 8 grid cells (1.6 m)
-    # below the grid, lies outside the fine cells: with it the three take
-    # exactly one _scan_group, whose shortlist answers each probe.
+    # A third, at the loop's centre or 2 m below the lower leg, lies past the
+    # rings' cap: its cell's waypoint list is built by one numpy scan, by the
+    # group itself or by a lone query beforehand, and kept.  Asked again, the
+    # group and project there scan nothing.
     path = stadium_path()
-    index = path.spatial_index()
-    centre, outside = (92.9 / 2, 50.0), (40.0, -2.0)
-    assert index._cell(*outside) is None
     listed = [(40.0, 0.01), (40.05, -0.01)]
-    if centre_first:
-        index.nearest_group([centre])
-        assert index._waypoint_lists[index._cell(*centre)]
-    assert index.nearest_group(listed) == [nearest_waypoint_oracle(q, path.points) for q in listed]
-    assert all(index._waypoint_lists[index._cell(*q)] for q in listed)
-    group_scans = []
-    scan_group = index._scan_group
-    monkeypatch.setattr(index, "_scan_group", lambda probes: group_scans.append(probes) or scan_group(probes))
-    for third in (centre, outside):
+    for third in [(92.9 / 2, 50.0), (40.0, -2.0)]:
+        index = WaypointPath(path.points).spatial_index()
+        numpy_scans = _count_numpy_scans(monkeypatch, index)
         probes = [listed[0], third, listed[1]]
-        assert index.nearest_group(probes) == [nearest_waypoint_oracle(q, path.points) for q in probes]
-    assert group_scans == [probes]
-    assert index._waypoint_lists[index._cell(*centre)]
-    # Without the probe outside the fine cells, the listed probes take no group scan.
-    assert index.nearest_group(listed) == [nearest_waypoint_oracle(q, path.points) for q in listed]
-    assert group_scans == [probes]
+        expected = [nearest_waypoint_oracle(q, path.points) for q in probes]
+        foot = nearest_point_on_polyline_oracle(third, path)
+        if centre_first:
+            assert index.nearest_group([third]) == [expected[1]]
+        assert index.nearest_group(probes) == expected
+        assert numpy_scans == [index._centre(index._cell(*third))[:2]]
+        assert all(index._waypoint_lists[index._cell(*q)] for q in probes)
+        assert index.project(third) == foot
+        assert index._segment_lists[index._cell(*third)]
+        monkeypatch.setattr(index, "_near", _no_scan)
+        assert index.nearest_group(probes) == expected
+        assert index.project(third) == foot
 
 
 def test_queries_past_the_rings_cap_read_their_cells_lists_on_a_second_pass(monkeypatch):
@@ -458,17 +454,21 @@ def test_queries_past_the_rings_cap_read_their_cells_lists_on_a_second_pass(monk
 
 def test_queries_outside_the_grid_within_the_rings_cap_read_lists(monkeypatch):
     # 0.5 m below the stadium's lower leg, 2.5 grid cells (0.2 m wide) below
-    # its lowest row: the rings still answer there, so both queries read
-    # their cell's lists, and asked again, scan nothing.
+    # its lowest row, the rings still answer; 2 m below it, past the rings'
+    # cap of 8 grid cells, numpy does.  Either way both queries read their
+    # cell's lists, and asked again, alone or in a group with two probes on
+    # the leg, scan nothing.
     path = stadium_path()
-    index = path.spatial_index()
-    q = (40.0, -0.5)
-    key = index._cell(*q)
-    for _ in range(2):
-        assert index.project(q) == nearest_point_on_polyline_oracle(q, path)
-        assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, path.points)]
-        monkeypatch.setattr(index, "_near", _no_scan)
-    assert index._segment_lists[key] and index._waypoint_lists[key]
+    for q in [(40.0, -0.5), (40.0, -2.0)]:
+        index = WaypointPath(path.points).spatial_index()
+        key = index._cell(*q)
+        group = [(40.0, 0.01), q, (40.05, -0.01)]
+        for _ in range(2):
+            assert index.project(q) == nearest_point_on_polyline_oracle(q, path)
+            assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, path.points)]
+            assert index.nearest_group(group) == [nearest_waypoint_oracle(p, path.points) for p in group]
+            monkeypatch.setattr(index, "_near", _no_scan)
+        assert index._segment_lists[key] and index._waypoint_lists[key]
 
 
 def _assert_grid_near_is_numpy_near(index, q):
@@ -494,9 +494,8 @@ def test_grid_near_returns_the_numpy_scans_radius_and_list_around_the_stadium(mo
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(grid_stress_paths())
 def test_grid_near_returns_the_numpy_scans_radius_and_list(case):
-    kind, points, queries = case
-    index = WaypointIndex(points) if kind == "few" else WaypointPath(points).spatial_index()
-    assume(index._cells is not None)
+    _, points, queries = case
+    index = WaypointPath(points).spatial_index()
     for q in queries:
         _assert_grid_near_is_numpy_near(index, q)
 
@@ -532,16 +531,15 @@ def memo_cases(draw):
     (ax, ay), (bx, by) = points[long], points[long + 1]
     queries.append(("long", ((ax + bx) / 2.0, (ay + by) / 2.0)))
     index = WaypointPath(points).spatial_index()
-    if index._cells is not None:
-        # Cells in the padding around the occupied columns and rows, by their column and row.
-        for _ in range(draw(st.integers(1, 6))):
-            i = draw(st.integers(-_RING_CAP, index._columns + _RING_CAP - 1))
-            j = draw(st.integers(-_RING_CAP, index._rows + _RING_CAP - 1))
-            if i * index._stride + j not in index._cells:
-                centre = (index._x0 + (i + 0.5) * index._width, index._y0 + (j + 0.5) * index._width)
-                queries.append(("empty cell", centre))
-        beyond = (_RING_CAP + 3) * index._width
-        queries.append(("outside", (index._x0 - beyond, index._y0 + draw(unit) * beyond)))
+    # Cells in the padding around the occupied columns and rows, by their column and row.
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(-_RING_CAP, index._columns + _RING_CAP - 1))
+        j = draw(st.integers(-_RING_CAP, index._rows + _RING_CAP - 1))
+        if i * index._stride + j not in index._cells:
+            centre = (index._x0 + (i + 0.5) * index._width, index._y0 + (j + 0.5) * index._width)
+            queries.append(("empty cell", centre))
+    beyond = (_RING_CAP + 3) * index._width
+    queries.append(("outside", (index._x0 - beyond, index._y0 + draw(unit) * beyond)))
     queries.append(("far", (draw(st.sampled_from([-1e4, 1e4])), draw(st.floats(-1e4, 1e4)))))
     return points, queries
 
@@ -688,18 +686,17 @@ def fine_cell_cases(draw):
         points, placed = draw(memo_cases())
         queries = [q for _, q in placed]
     else:
-        _, points, queries = draw(grid_stress_paths().filter(lambda case: case[0] != "few"))
+        _, points, queries = draw(grid_stress_paths())
     index = WaypointPath(points).spatial_index()
-    if index._waypoint_lists is not None:
-        fine = index._fine
-        for _ in range(draw(st.integers(1, 4))):
-            x, y = points[draw(st.integers(0, len(points) - 1))]
-            i = math.floor((x - index._x0) / fine) + draw(st.integers(-2, 2))
-            j = math.floor((y - index._y0) / fine) + draw(st.integers(-2, 2))
-            edge_x, edge_y = index._x0 + i * fine, index._y0 + j * fine
-            xs = [math.nextafter(edge_x, -math.inf), edge_x, math.nextafter(edge_x, math.inf), edge_x + fine / 2]
-            ys = [math.nextafter(edge_y, -math.inf), edge_y, math.nextafter(edge_y, math.inf), edge_y + fine / 2]
-            queries += [(qx, qy) for qx in xs for qy in ys]
+    fine = index._fine
+    for _ in range(draw(st.integers(1, 4))):
+        x, y = points[draw(st.integers(0, len(points) - 1))]
+        i = math.floor((x - index._x0) / fine) + draw(st.integers(-2, 2))
+        j = math.floor((y - index._y0) / fine) + draw(st.integers(-2, 2))
+        edge_x, edge_y = index._x0 + i * fine, index._y0 + j * fine
+        xs = [math.nextafter(edge_x, -math.inf), edge_x, math.nextafter(edge_x, math.inf), edge_x + fine / 2]
+        ys = [math.nextafter(edge_y, -math.inf), edge_y, math.nextafter(edge_y, math.inf), edge_y + fine / 2]
+        queries += [(qx, qy) for qx in xs for qy in ys]
     return points, queries
 
 
@@ -720,9 +717,6 @@ def test_fine_cell_edges_and_centres_match_fresh_indexes_and_the_scalar_oracles(
             assert index.project(q) == fresh.project(q) == expected
     assert index.nearest_group(queries) == [nearest_waypoint_oracle(q, points) for q in queries]
     kept = {"_build_waypoints": index._waypoint_lists, "_build_segments": index._segment_lists}
-    if index._waypoint_lists is None:
-        assert built == []
-        return
     # Each kept list was built once, on the first query in its cell, and none is empty.
     assert all(built.count(b) == 1 for b in built if b[1] in kept[b[0]])
     assert all(found for lists in kept.values() for found in lists.values())
@@ -755,6 +749,23 @@ def test_lists_stop_at_the_budget_and_later_queries_take_the_scan(monkeypatch):
     entries = sum(map(len, index._waypoint_lists.values())) + sum(map(len, index._segment_lists.values()))
     assert index._budget == 0 and entries <= len(path)
     assert len(index._waypoint_lists) < len(cells) and len(index._segment_lists) < len(cells)
+    # A group of five probes spread 0.3 m, some in cells without a list: each
+    # probe takes its own scan, and each answer is the oracle's.
+    x, y = path.points[90]
+    probes = [(float(x + u), float(y + v)) for u, v in rng.uniform(-0.3, 0.3, (5, 2))]
+    assert any(index._cell(*q) not in index._waypoint_lists for q in probes)
+    assert index.nearest_group(probes) == [nearest_waypoint_oracle(q, path.points) for q in probes]
+    # Once the budget is spent, a probe halfway between two waypoints of a
+    # zigzag ties them exactly, whichever grid cell each lies in, and takes
+    # the lower index; 1e-7 m towards the higher one, it takes that one.
+    # Alone or in a group, each probe is decided over its own scan.
+    line = WaypointPath([(float(40 - i), 0.5 * (i % 2)) for i in range(41)])
+    index = line.spatial_index()
+    index._budget = 0
+    probes = [(x + 0.5 - shift, 0.25) for x in range(40) for shift in (0.0, 1e-7)]
+    expected = [nearest_waypoint_oracle(q, line.points) for q in probes]
+    assert [index.nearest_group([q])[0] for q in probes] == index.nearest_group(probes) == expected
+    assert index._waypoint_lists == {}
 
 
 def test_circumcenter_rejects_collinear_points():
