@@ -10,61 +10,44 @@ the WaypointPath, which builds and keeps its own WaypointIndex.
 Both path queries follow one rule: a candidate list is made, and the
 scalar loop of the tests' oracle decides, over that list only, in index
 order.  A query takes its list from a table kept per fine cell; where there
-is none, from a scan.  The scan is WaypointIndex._near, the one place where
-the grid and numpy meet: for a query and a margin extra it returns d, the
+is none, from a scan.  The scan is WaypointIndex._near, which measures every
+waypoint with numpy: for a query and a margin extra it returns d, the
 nearest waypoint's distance times _SHORTLIST_REL, and every waypoint within
 d + extra, or, for the segments, every segment with an end j within
 d + extra + reach[j] (see project, below).
 
-The grid's square cells are _CELL_SEGMENTS median segments wide, or, on a
-path more than _MAX_CELLS - 1 of those across, extent / (_MAX_CELLS - 1)
-wide, so that no column or row index reaches _MAX_CELLS.  A scan visits the
-query's cell, then the rings of cells around it, one ring further out at a
-time, and stops after ring R once d + extra, with d from the nearest
-waypoint seen so far, is under (R - _RING_SLACK) cell widths.  That is
-exact at any width: a waypoint outside rings 0..R lies in a cell whose
-column or row index differs from the query's by more than R.  Each index is
-the floor of the rounded (x - x_min) / width, which the two roundings move
-by at most 2**-52 of its magnitude, under _MAX_CELLS + _RING_CAP cells, so
-by under 2**-21 cells; such a waypoint is therefore more than R - 2**-20
-cell widths from the query, farther than d + extra, and it is neither the
-nearest nor on the shortlist.  The nearest waypoint seen cannot get nearer
-after the stop, so d is final.  A query that needs more than _RING_CAP
-rings, such as the centre of a circular loop, is scanned instead by numpy,
-against every waypoint.
+The candidate lists.  Square fine cells tile the plane from the waypoints'
+lower-left corner, each one median segment wide, or, on a path more than
+_MAX_CELLS - 1 of those across, extent / (_MAX_CELLS - 1) wide, so that
+every waypoint lands in one.  A fine cell with centre c keeps two lists,
+each built by one scan of c when its query first lands in the cell: its
+waypoints, those within (d_c + 2h) * _SHORTLIST_REL + _SHORTLIST_ABS of c,
+where d_c is the distance from c to its nearest waypoint, and its segments,
+those within (D_c + 2h) * _SHORTLIST_REL of c, where D_c is the distance
+from c to the polyline.  h bounds the distance from c to any query that
+lands in the cell.  For such a query q, the nearest waypoint is within
+d_c + h of q, so within d_c + 2h of c; the closest point on the polyline
+likewise lies within D_c + 2h of c.  So each list holds the answer, and the
+scalar loop over it, in index order, returns what the loop over every
+waypoint or segment would.  This rests on the assumption the scan makes
+too: that each scalar foot is within rounding of exact.  A query lands in a
+fine cell wherever its fine indices, (q - corner) / width, lie within
+_MAX_CELLS of the corner; two roundings move each by at most 2**-52 of
+that, so by under 2**-19 fine cells, and h is half the cell's diagonal
+widened by _CELL_SLACK fine cells, plus a bound on what rounding moved c
+by.  The segment scan marks each end j within d_c + 2h + reach[j], which
+holds every segment within D_c + 2h <= d_c + 2h of c; the foot from c of
+each of those then decides.  Both lists hold shared entry tuples, (x, y, j)
+and (x0, y0, dx, dy), which the loops unpack as they are.
 
-The candidate lists.  Each grid cell is tiled by _FINE_CELLS x _FINE_CELLS
-fine cells, one median segment wide on a grid not widened.  A fine cell
-with centre c keeps two lists, each built by one scan of c when its query
-first lands in the cell: its waypoints, those within
-(d_c + 2h) * _SHORTLIST_REL + _SHORTLIST_ABS of c, where d_c is the
-distance from c to its nearest waypoint, and its segments, those within
-(D_c + 2h) * _SHORTLIST_REL of c, where D_c is the distance from c to the
-polyline.  h bounds the distance from c to any query that lands in the
-cell.  For such a query q, the nearest waypoint is within d_c + h of q, so
-within d_c + 2h of c; the closest point on the polyline likewise lies
-within D_c + 2h of c.  So each list holds the answer, and the scalar loop
-over it, in index order, returns what the loop over every waypoint or
-segment would.  This rests on the assumption the scans make too: that each
-scalar foot is within rounding of exact.  A query lands in a fine cell
-wherever its fine indices lie within _MAX_CELLS * _FINE_CELLS of the grid's
-corner; they are rounded as the grid's are, by at most 2**-52 of that, so
-by under 2**-19 fine cells, and h is half the cell's diagonal widened by
-_RING_SLACK fine cells, plus a bound on what rounding moved c by.  The
-segment scan marks each end j within d_c + 2h + reach[j], which holds
-every segment within D_c + 2h <= d_c + 2h of c; the foot from c of each of
-those then decides.  Both lists hold shared entry tuples, (x, y, j) and
-(x0, y0, dx, dy), which the loops unpack as they are.
-
-Every fine cell keeps its lists, however far c lies from the path: the scan
-of c is the same _near whether the rings or numpy answer it, so a cell past
-the rings' cap, such as the centre of a loop, pays its numpy scans once.
-All lists fit a budget of _LIST_BUDGET entries per waypoint (an entry is
-one slot pointing to a shared tuple: about 25 bytes, cell overheads
-included).  A query with no list, past the fine cells' bound or once the
-budget is spent, takes the scan of the query itself: nearest_group decides
-each such probe over the waypoints within its own d + _SHORTLIST_ABS, and
-project over the segments below.
+Every fine cell keeps its lists, however far c lies from the path, so a
+cell far off, such as the centre of a loop, pays its scans once.  All lists
+fit a budget of _LIST_BUDGET entries per waypoint (an entry is one slot
+pointing to a shared tuple: about 25 bytes, cell overheads included).  A
+query with no list, past the fine cells' bound or once the budget is spent,
+takes the scan of the query itself: nearest_group decides each such probe
+over the waypoints within its own d + _SHORTLIST_ABS, and project over the
+segments below.
 
 project's closest point is at most d0 away, and a segment holding a point
 within d0 has its nearer endpoint within d0 + L/2, where L is its length.  So
@@ -101,29 +84,24 @@ VERTICAL_COS_EPS = 1e-12
 LocalRoad = StraightLine | Circle
 
 
-# The shortlist radii, d0 + 2 delta and d0 + reach, and the candidate lists'
-# radii are widened by a relative margin for rounded distances and squares.
-# The scans square by an exact-rounded multiply, but the scalar loop's ** calls
-# libm pow, which rounds about one square in a thousand the other way; sums of
-# two squares then differ by under 2**-50 relative, far inside the margin.  The
-# waypoint radii also get an absolute one for squares rounded in the subnormal
-# range, whose error of a few 2**-1075 is up to about 2**-536 in distance; the
-# segment radii need none, since every segment of a WaypointPath is longer than
-# MIN_WAYPOINT_SPACING, which makes their relative margin at least 5e-16 m.
+# The scan's nearest distance d, and so every radius built on it, are widened
+# by a relative margin for rounded distances and squares.  The scan squares by
+# an exact-rounded multiply, but the scalar loop's ** calls libm pow, which
+# rounds about one square in a thousand the other way; sums of two squares
+# then differ by under 2**-50 relative, far inside the margin.  The waypoint
+# radii also get an absolute one for squares rounded in the subnormal range,
+# whose error of a few 2**-1075 is up to about 2**-536 in distance; the
+# segment radii need none, since every segment of a WaypointPath is longer
+# than MIN_WAYPOINT_SPACING, which makes their relative margin at least
+# 5e-16 m.
 _SHORTLIST_REL = 1.0 + 1e-6
 _SHORTLIST_ABS = 2.0**-530
 
-# The grid (see the module docstring): cell width in median segments, the
-# most rings a query scans, and the most cells along either axis.
-_CELL_SEGMENTS = 4.0
-_RING_CAP = 8
-_MAX_CELLS = 2**30
-# In cell widths: well over the 2**-20 that the cell indices' rounding can
-# take off a waypoint's distance outside the scanned rings.
-_RING_SLACK = 2.0**-16
-# Fine cells per grid cell along each axis, a power of two so that the fine
-# width is exact: 4 makes a fine cell one median segment wide.
-_FINE_CELLS = 4
+# The most fine cells (see the module docstring) along either axis.
+_MAX_CELLS = 2**32
+# In fine cells: well over the 2**-19 that the rounding of a query's fine
+# indices can move it by.
+_CELL_SLACK = 2.0**-16
 # The most list entries (waypoints and segments) one index keeps, per waypoint.
 _LIST_BUDGET = 128
 # A fine cell's candidate lists, in index order: (x, y, j) of each waypoint
@@ -131,11 +109,6 @@ _LIST_BUDGET = 128
 # segment that can hold its closest point.
 _Waypoints = tuple[tuple[float, float, int], ...]
 _Segments = tuple[tuple[float, float, float, float], ...]
-# Ring r of the grid: the (column, row) offsets at Chebyshev distance r.
-_RINGS = [
-    [(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1) if max(abs(dx), abs(dy)) == r]
-    for r in range(_RING_CAP + 1)
-]
 
 
 def _nearest(px: float, py: float, waypoints: _Waypoints | list[tuple[float, float, int]]) -> int:
@@ -149,17 +122,13 @@ def _nearest(px: float, py: float, waypoints: _Waypoints | list[tuple[float, flo
 
 
 class WaypointIndex:
-    """A path's waypoints in a grid of square cells, and as float64 arrays.
+    """A path's waypoints as float64 arrays, and candidate lists per fine cell.
 
     Every query returns what a scalar loop over all waypoints or segments
     with a strict < would: ties resolve to the lowest index.  The scalar
     loops read the WaypointPath's points as they are, which its checks keep
     at 3 or more, finite, bounded by 1e150 so that squared distances do not
-    overflow, and each more than MIN_WAYPOINT_SPACING from the next.
-
-    The grid is compact: a dict from each occupied cell's key to its
-    ordinal, and the waypoint indices ordered by cell, index order within
-    one, with each cell's bounds in that order, both numpy arrays.  Two
+    overflow, and each more than MIN_WAYPOINT_SPACING from the next.  Two
     dicts fill in as queries land in fine cells: their waypoint lists and
     their segment lists.
     """
@@ -174,53 +143,28 @@ class WaypointIndex:
         # is marked when it lies within (d0 + reach_i) * _SHORTLIST_REL.
         half = 0.5 * length
         self.reach = np.maximum(np.r_[half, 0.0], np.r_[0.0, half]) * _SHORTLIST_REL
-        self._reach = memoryview(self.reach)
-        self._max_reach = float(self.reach.max())
         # Each waypoint's and segment's list entry, made when first listed and
         # then shared by every list, and every scalar loop, that holds it.
         self._waypoint_entries: list[tuple[float, float, int] | None] = [None] * len(points)
         self._segment_entries: list[tuple[float, float, float, float] | None] = [None] * len(points)
-        # The median segment, the upper one of an even count.
-        self._build_grid(_CELL_SEGMENTS * float(np.partition(length, len(length) // 2)[len(length) // 2]))
-
-    def _build_grid(self, width: float) -> None:
-        # A path more than _MAX_CELLS - 1 widths across widens its cells to fit.
-        x0, y0 = float(self.xs.min()), float(self.ys.min())
+        # The fine cells' corner and width: the median segment, the upper one
+        # of an even count, widened on a path more than _MAX_CELLS - 1 of
+        # those across.
+        x0, y0 = self._x0, self._y0 = float(self.xs.min()), float(self.ys.min())
         extent = max(float(self.xs.max()) - x0, float(self.ys.max()) - y0)
-        width = max(width, extent / (_MAX_CELLS - 1))
-        ix = np.floor((self.xs - x0) / width).astype(np.int64)
-        iy = np.floor((self.ys - y0) / width).astype(np.int64)
-        self._columns, self._rows = int(ix.max()) + 1, int(iy.max()) + 1
-        # Keys run down each column, with room for every row a query's rings
-        # reach: a key that named a cell of another column would only cost
-        # time, since a scan measures every waypoint it finds.
-        stride = self._rows + 2 * _RING_CAP
-        keys = ix * stride + iy
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        self._cells = dict(zip(keys[np.r_[0, starts]].tolist(), range(len(starts) + 1)))
-        self._order = memoryview(order)
-        self._bounds = memoryview(np.r_[0, starts, len(keys)])
-        self._x0, self._y0, self._width, self._stride = x0, y0, width, stride
-        # Each ring's key offsets, and the distance within which it and the
-        # rings inside it hold every waypoint: negative for ring 0, which so
-        # never stops a scan.
-        self._rings = [
-            ([dx * stride + dy for dx, dy in ring], (r - _RING_SLACK) * width) for r, ring in enumerate(_RINGS)
-        ]
+        median = float(np.partition(length, len(length) // 2)[len(length) // 2])
+        self._fine = max(median, extent / (_MAX_CELLS - 1))
+        # A query's fine indices lie within this many fine cells of the
+        # corner, or it has no fine cell (see the module docstring).
+        self._fine_bound = float(_MAX_CELLS)
+        # Half a fine cell's diagonal, widened by the rounding of a query's fine indices.
+        self._half_diagonal = (0.5 + _CELL_SLACK) * math.sqrt(2.0) * self._fine
         # Each fine cell's (column, row) waypoint and segment lists, each built
         # when its first query lands there (see the module docstring).
         self._waypoint_lists: dict[tuple[int, int], _Waypoints] = {}
         self._segment_lists: dict[tuple[int, int], _Segments] = {}
-        self._fine = width / _FINE_CELLS
-        # A query's fine indices lie within this many fine cells of the
-        # grid's corner, or it has no fine cell (see the module docstring).
-        self._fine_bound = float(_MAX_CELLS * _FINE_CELLS)
-        # Half a fine cell's diagonal, widened by the rounding of a query's fine indices.
-        self._half_diagonal = (0.5 + _RING_SLACK) * math.sqrt(2.0) * self._fine
         # Entries the lists may still take.
-        self._budget = _LIST_BUDGET * len(self.points)
+        self._budget = _LIST_BUDGET * len(points)
 
     def _waypoint_entry(self, j: int) -> tuple[float, float, int]:
         entry = self._waypoint_entries[j] = (*self.points[j], j)
@@ -233,44 +177,10 @@ class WaypointIndex:
 
     def _near(self, qx: float, qy: float, extra: float, segments: bool = False) -> tuple[float, list[int]]:
         """The nearest waypoint's distance d, times _SHORTLIST_REL, and the
-        index of every waypoint within d + extra; with segments, the index,
-        in order, of every segment with an end j within d + extra + reach[j]:
-        from the grid's rings, or past their cap, _numpy_near.
+        index, in order, of every waypoint within d + extra; with segments,
+        of every segment with an end j within d + extra + reach[j].  One
+        numpy pass over every waypoint, in place but for the segments' margins.
         """
-        cells = self._cells
-        widest = extra + self._max_reach if segments else extra
-        if widest < self._rings[-1][1]:
-            fx, fy = (qx - self._x0) / self._width, (qy - self._y0) / self._width
-            if -_RING_CAP <= fx < self._columns + _RING_CAP and -_RING_CAP <= fy < self._rows + _RING_CAP:
-                key = math.floor(fx) * self._stride + math.floor(fy)
-                d2: list[float] = []
-                near: list[int] = []
-                points, order, bounds = self.points, self._order, self._bounds
-                for ring, reach in self._rings:
-                    for offset in ring:
-                        c = cells.get(key + offset)
-                        if c is not None:
-                            for j in order[bounds[c] : bounds[c + 1]]:
-                                x, y = points[j]
-                                d2.append((x - qx) * (x - qx) + (y - qy) * (y - qy))
-                                near.append(j)
-                    if d2:
-                        d = math.sqrt(min(d2)) * _SHORTLIST_REL
-                        r = d + widest
-                        if r < reach:
-                            r *= r
-                            if not segments:
-                                return d, [j for q2, j in zip(d2, near) if q2 <= r]
-                            # Within d + the widest margin first: the cheaper test, which the second implies.
-                            margins, base = self._reach, d + extra
-                            ends = [j for q2, j in zip(d2, near) if q2 <= r and q2 <= (m := margins[j] + base) * m]
-                            # Waypoint j ends segment j - 1 and starts segment j, where those exist.
-                            found = {k for j in ends for k in (j - 1, j)} - {-1, len(self.points) - 1}
-                            return d, sorted(found)
-        return self._numpy_near(qx, qy, extra, segments)
-
-    def _numpy_near(self, qx: float, qy: float, extra: float, segments: bool = False) -> tuple[float, list[int]]:
-        # _near against every waypoint, with numpy, in place but for the segments' margins.
         d2 = self.xs - qx
         d2 *= d2
         dy2 = self.ys - qy
@@ -288,7 +198,7 @@ class WaypointIndex:
 
     def _cell(self, qx: float, qy: float) -> tuple[int, int] | None:
         """The (column, row) of the fine cell that (qx, qy) lands in, or None
-        past _MAX_CELLS * _FINE_CELLS fine cells from the grid's corner.
+        past _MAX_CELLS fine cells from the corner.
         """
         gx, gy = (qx - self._x0) / self._fine, (qy - self._y0) / self._fine
         bound = self._fine_bound
@@ -317,7 +227,7 @@ class WaypointIndex:
             return None
         cx, cy, extra = centre
         entries = self._waypoint_entries
-        near = sorted(self._near(cx, cy, extra + _SHORTLIST_ABS)[1])
+        near = self._near(cx, cy, extra + _SHORTLIST_ABS)[1]
         return self._keep(self._waypoint_lists, key, tuple([entries[j] or self._waypoint_entry(j) for j in near]))
 
     def _build_segments(self, key: tuple[int, int]) -> _Segments | None:
@@ -372,7 +282,7 @@ class WaypointIndex:
                 waypoints = self._build_waypoints(key)
             if not waypoints:
                 entries = self._waypoint_entries
-                near = sorted(self._near(px, py, _SHORTLIST_ABS)[1])
+                near = self._near(px, py, _SHORTLIST_ABS)[1]
                 waypoints = [entries[j] or self._waypoint_entry(j) for j in near]
             found.append(_nearest(px, py, waypoints))
         return found
@@ -389,9 +299,8 @@ class WaypointIndex:
         docstring).  Near the path a query costs a few us whatever the
         path's length.  The worst case is a cell whose list holds every
         segment, such as the centre of a 10^4-point circle: its first query
-        scans every cell of the rings, then every waypoint with numpy, to
-        build the list, and each query there loops over every segment, about
-        3 ms (Python 3.11 on a shared 2-core Xeon).
+        scans every waypoint to build the list, and each query there loops
+        over every segment, about 3 ms (Python 3.11 on a shared 2-core Xeon).
         """
         px, py = point
         key = self._cell(px, py)
@@ -453,8 +362,8 @@ class WaypointPath:
         return self._index
 
     def __getstate__(self) -> dict:
-        # The index holds memoryviews, which do not pickle; it is derived from
-        # the points alone, so a copy builds its own on first use.
+        # The index, its arrays and kept lists, is derived from the points
+        # alone: a pickle leaves it out, and a copy builds its own on first use.
         return {**self.__dict__, "_index": None}
 
     def __len__(self) -> int:

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import multiprocessing
 import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import pytest
@@ -1086,7 +1088,7 @@ def test_a_scenario_survives_a_pickle_round_trip(stem):
 
 
 def test_a_waypoint_scenario_pickles_after_a_run():
-    # A run builds the path's index, whose memoryviews do not pickle: the
+    # A run builds the path's index, which is derived from the points: the
     # pickle leaves the index out, and the copy builds its own on first use.
     scen = replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), controller=Controller.UTPP, steps=60)
     run(replace(scen, steps=5))
@@ -1096,6 +1098,20 @@ def test_a_waypoint_scenario_pickles_after_a_run():
     assert copy.road._roads == scen.road._roads
     assert _records_digest(*run(copy)) == _records_digest(*run(scen))
     assert copy.road._index is not None and scen.road._index is not None
+
+
+def test_a_warm_waypoint_scenario_pickles_into_spawned_workers():
+    # Each seeded copy of a scenario whose batch has run shares its warm path,
+    # which the pool pickles without the index: each of 2 spawned workers
+    # builds its own, and the 6 runs reproduce the serial batch.
+    base = parse_config(str(CONFIG_DIR / "waypoint_arc.cfg"))
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for controller in (Controller.PP, Controller.UTPP):
+            scen = replace(base, controller=controller)
+            serial, _ = run_batch(scen, 6, 5)
+            assert scen.road._index is not None
+            seeded = [replace(scen, noise=replace(scen.noise, rng_seed=5 + i)) for i in range(6)]
+            assert [summary for _, summary in pool.map(run, seeded, timeout=300)] == serial, controller
 
 
 @pytest.mark.parametrize("overflow", ["transform", "sigma pose"])

@@ -11,20 +11,31 @@ from hypothesis import strategies as st
 from utpursuit import (
     Circle,
     CoincidentPoints,
+    Controller,
     Pose,
     StraightLine,
     TooFewWaypoints,
     VerticalRoad,
+    WaypointIndex,
     WaypointPath,
     build_index,
     load_waypoints,
     local_road,
     menger_curvature,
     reduce_to_local_road,
+    run_batch,
     select_lookahead_waypoint,
 )
 from utpursuit import waypoints
-from utpursuit.waypoints import _LIST_BUDGET, _MAX_CELLS, _RING_CAP, MIN_WAYPOINT_SPACING, circumcenter
+from utpursuit.config import parse_config
+from utpursuit.waypoints import (
+    _LIST_BUDGET,
+    _MAX_CELLS,
+    _SHORTLIST_ABS,
+    _SHORTLIST_REL,
+    MIN_WAYPOINT_SPACING,
+    circumcenter,
+)
 
 from conftest import CONFIG_DIR, stadium_path
 from test_roads import nearest_point_on_polyline_oracle
@@ -282,18 +293,18 @@ def test_waypoint_path_rejects_a_string_and_names_the_first_bad_row():
 
 @st.composite
 def grid_stress_paths(draw):
-    """Waypoints that stress the index's cell table, and queries around them: (kind, points, queries).
+    """Waypoints that stress the index's fine cells, and queries around them: (kind, points, queries).
 
     A unit-step walk with one segment 100 to 10^4 times longer; the same walk
     on to a waypoint 3.7e19 m away, more than _MAX_CELLS median segments
-    off, which widens the cells; or a zigzag between two spots, which puts
-    every waypoint in one cell.  The queries sit around the waypoints at
-    spreads from 0 to 30 m, with one far off.
+    off, which widens the fine cells; or a zigzag between two spots, which
+    puts every waypoint in two fine cells.  The queries sit around the
+    waypoints at spreads from 0 to 30 m, with one far off.
     """
-    kind = draw(st.sampled_from(["long_segment", "wide", "one_cell"]))
+    kind = draw(st.sampled_from(["long_segment", "wide", "zigzag"]))
     angle = st.floats(0.0, 2.0 * math.pi)
     jitter = st.floats(-0.1, 0.1)
-    if kind == "one_cell":
+    if kind == "zigzag":
         points = [(i % 2 + draw(jitter), draw(jitter)) for i in range(draw(st.integers(3, 30)))]
     else:
         # The wide path has more unit segments than long ones, so its median segment is 1 m.
@@ -320,64 +331,64 @@ def grid_stress_paths(draw):
 def test_grid_queries_match_the_scalar_oracles(case):
     kind, points, queries = case
     index = WaypointPath(points).spatial_index()
-    # Each kind reaches the part of the cell table it is meant to stress.
-    if kind == "one_cell":
-        assert len(index._cells) == 1
+    # Each kind reaches the part of the fine cells it is meant to stress.
+    if kind == "zigzag":
+        assert {index._cell(*p) for p in points} <= {(0, 0), (1, 0)}
     for q in queries:
         assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, points)]
         assert index.project(q) == nearest_point_on_polyline_oracle(q, SimpleNamespace(points=points))
     assert index.nearest_group(queries) == [nearest_waypoint_oracle(q, points) for q in queries]
     if kind == "wide":
-        # Cells widened to span the path in _MAX_CELLS - 1 widths, and lists read as on any path.
-        assert index._columns <= _MAX_CELLS and index._rows <= _MAX_CELLS
+        # Fine cells widened to span the path in _MAX_CELLS - 1 widths, so
+        # every waypoint lands in one, and lists read as on any path.
+        assert index._fine >= 3.7e19 / _MAX_CELLS and None not in {index._cell(*p) for p in points}
         assert index._waypoint_lists and index._segment_lists
 
 
-def _count_numpy_scans(monkeypatch, index):
+def _count_scans(monkeypatch, index):
     calls = []
-    scan = index._numpy_near
-    monkeypatch.setattr(index, "_numpy_near", lambda qx, qy, *margin: calls.append((qx, qy)) or scan(qx, qy, *margin))
+    scan = index._near
+    monkeypatch.setattr(index, "_near", lambda qx, qy, *margin: calls.append((qx, qy)) or scan(qx, qy, *margin))
     return calls
 
 
 def test_grid_queries_around_the_stadium_match_the_scalar_oracles(monkeypatch):
     path = stadium_path()
     index = path.spatial_index()
-    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    scans = _count_scans(monkeypatch, index)
     rng = np.random.default_rng(101)
     for _ in range(200):
         x, y = path.points[rng.integers(len(path))]
         q = (float(x + rng.normal(0.0, 0.5)), float(y + rng.normal(0.0, 0.5)))
         assert index.nearest_group([q]) == [nearest_waypoint_oracle(q, path.points)]
         assert index.project(q) == nearest_point_on_polyline_oracle(q, path)
-    # The grid answered almost all of them: a query 0.5 m off the path needs
-    # 3 of the 8 rings, and only one beyond about 1.6 m takes the numpy scan.
-    assert len(numpy_scans) <= 8
+    # Every scan built a list that its fine cell kept: no query scanned itself.
+    assert len(scans) == len(index._waypoint_lists) + len(index._segment_lists)
 
 
 def test_loop_centre_query_takes_the_numpy_scan(monkeypatch):
-    # The stadium's centre is 50 m from every point of its legs: past the
-    # grid's ring cap, so each query builds its fine cell's list from one
-    # numpy scan of the cell's centre; asked again, neither query scans.
+    # The stadium's centre is 50 m, 10^4 median segments, from every point
+    # of its legs: each query builds its fine cell's list from one scan of
+    # the cell's centre; asked again, neither query scans.
     path = stadium_path()
     index = path.spatial_index()
-    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    scans = _count_scans(monkeypatch, index)
     centre = (92.9 / 2, 50.0)
     c = index._centre(index._cell(*centre))[:2]
     for _ in range(2):
         assert index.project(centre) == nearest_point_on_polyline_oracle(centre, path)
         assert index.nearest_group([centre]) == [nearest_waypoint_oracle(centre, path.points)]
-        assert numpy_scans == [c, c]
+        assert scans == [c, c]
         monkeypatch.setattr(index, "_near", _no_scan)
 
 
 def test_a_cell_past_the_rings_cap_keeps_its_lists_and_scans_once(monkeypatch):
-    # The stadium's centre lies past the rings' cap: its fine cell keeps a
-    # non-empty list of each kind, each built by one numpy scan of the
-    # cell's centre and charged its length, and no later query there scans.
+    # The stadium's centre lies 50 m from the path: its fine cell keeps a
+    # non-empty list of each kind, each built by one scan of the cell's
+    # centre and charged its length, and no later query there scans.
     path = stadium_path()
     index = path.spatial_index()
-    numpy_scans = _count_numpy_scans(monkeypatch, index)
+    scans = _count_scans(monkeypatch, index)
     centre = (92.9 / 2, 50.0)
     key = index._cell(*centre)
     c = index._centre(key)[:2]
@@ -389,28 +400,30 @@ def test_a_cell_past_the_rings_cap_keeps_its_lists_and_scans_once(monkeypatch):
     waypoint_list, segment_list = index._waypoint_lists[key], index._segment_lists[key]
     assert waypoint_list and segment_list
     assert index._budget == budget - len(waypoint_list) - len(segment_list)
-    assert numpy_scans == [c, c]
+    assert scans == [c, c]
 
 
 @pytest.mark.parametrize("centre_first", [False, True])
 def test_a_group_that_meets_a_marked_cell_takes_one_group_scan(centre_first, monkeypatch):
     # Two probes near the stadium's lower leg read their fine cells' lists.
-    # A third, at the loop's centre or 2 m below the lower leg, lies past the
-    # rings' cap: its cell's waypoint list is built by one numpy scan, by the
-    # group itself or by a lone query beforehand, and kept.  Asked again, the
-    # group and project there scan nothing.
+    # A third, at the loop's centre or 2 m below the lower leg, lies far from
+    # the path: its cell's waypoint list is built by one scan, by the group
+    # itself or by a lone query beforehand, and kept, as every new cell's
+    # is.  Asked again, the group and project there scan nothing.
     path = stadium_path()
     listed = [(40.0, 0.01), (40.05, -0.01)]
     for third in [(92.9 / 2, 50.0), (40.0, -2.0)]:
         index = WaypointPath(path.points).spatial_index()
-        numpy_scans = _count_numpy_scans(monkeypatch, index)
+        scans = _count_scans(monkeypatch, index)
         probes = [listed[0], third, listed[1]]
         expected = [nearest_waypoint_oracle(q, path.points) for q in probes]
         foot = nearest_point_on_polyline_oracle(third, path)
         if centre_first:
             assert index.nearest_group([third]) == [expected[1]]
         assert index.nearest_group(probes) == expected
-        assert numpy_scans == [index._centre(index._cell(*third))[:2]]
+        # One scan of each new fine cell's centre, in the order its first probe came.
+        cells = dict.fromkeys(index._cell(*q) for q in [third] * centre_first + probes)
+        assert scans == [index._centre(key)[:2] for key in cells]
         assert all(index._waypoint_lists[index._cell(*q)] for q in probes)
         assert index.project(third) == foot
         assert index._segment_lists[index._cell(*third)]
@@ -421,12 +434,12 @@ def test_a_group_that_meets_a_marked_cell_takes_one_group_scan(centre_first, mon
 
 def test_queries_past_the_rings_cap_read_their_cells_lists_on_a_second_pass(monkeypatch):
     # Queries scattered 3 m around the stadium's waypoints, so that many lie
-    # past the rings' cap, 1.6 m from the path, yet inside the fine cells.
-    # A second pass answers as a fresh index and the scalar oracles do, and
-    # no query whose cell kept its lists scans again.
+    # over 32 median segments, 1.6 m, from the path.  A second pass answers
+    # as a fresh index and the scalar oracles do, and no query whose cell
+    # kept its lists scans again.
     path = stadium_path()
     index = path.spatial_index()
-    cap = _RING_CAP * index._width
+    far = 32 * index._fine
     rng = np.random.default_rng(113)
     queries = []
     for _ in range(60):
@@ -435,10 +448,8 @@ def test_queries_past_the_rings_cap_read_their_cells_lists_on_a_second_pass(monk
     for q in queries:
         index.project(q)
         index.nearest_group([q])
-    scans = []
-    near = index._near
-    monkeypatch.setattr(index, "_near", lambda qx, qy, *margin: scans.append((qx, qy)) or near(qx, qy, *margin))
-    past_cap = 0
+    scans = _count_scans(monkeypatch, index)
+    far_off = 0
     for q in queries:
         fresh = WaypointPath(path.points).spatial_index()
         expected = nearest_waypoint_oracle(q, path.points)
@@ -447,17 +458,16 @@ def test_queries_past_the_rings_cap_read_their_cells_lists_on_a_second_pass(monk
         key = index._cell(*q)
         if key in index._waypoint_lists and key in index._segment_lists:
             assert scans == [], (q, scans)
-            past_cap += math.dist(q, path.points[expected]) > cap
+            far_off += math.dist(q, path.points[expected]) > far
         scans.clear()
-    assert past_cap >= 20
+    assert far_off >= 20
 
 
 def test_queries_outside_the_grid_within_the_rings_cap_read_lists(monkeypatch):
-    # 0.5 m below the stadium's lower leg, 2.5 grid cells (0.2 m wide) below
-    # its lowest row, the rings still answer; 2 m below it, past the rings'
-    # cap of 8 grid cells, numpy does.  Either way both queries read their
-    # cell's lists, and asked again, alone or in a group with two probes on
-    # the leg, scan nothing.
+    # 0.5 m and 2 m below the stadium's lower leg, 10 and 40 median segments
+    # outside the waypoints' bounding box: both queries read their cell's
+    # lists, and asked again, alone or in a group with two probes on the leg,
+    # scan nothing.
     path = stadium_path()
     for q in [(40.0, -0.5), (40.0, -2.0)]:
         index = WaypointPath(path.points).spatial_index()
@@ -471,33 +481,68 @@ def test_queries_outside_the_grid_within_the_rings_cap_read_lists(monkeypatch):
         assert index._segment_lists[key] and index._waypoint_lists[key]
 
 
-def _assert_grid_near_is_numpy_near(index, q):
-    # The margins the queries ask for: a lone probe's (about 0), a group's, project's.
-    for extra in (0.0, 0.6, index._max_reach):
-        d, near = index._near(*q, extra)
-        numpy_d, numpy_near = index._numpy_near(*q, extra)
-        assert (d, sorted(near)) == (numpy_d, sorted(numpy_near))
+def near_oracle(points, q, extra, segments=False):
+    """_near by its definition, in plain Python: (d, indices).
+
+    d is the least squared distance's square root times _SHORTLIST_REL; the
+    waypoints within d + extra are those whose square is at most the
+    square of d + extra, and a segment is listed when an end j is within
+    d + extra + reach[j], where reach[j] is half the longer segment at j,
+    times _SHORTLIST_REL.  Every square is a multiply, as the scan's are.
+    """
+    qx, qy = q
+    d2 = [(x - qx) * (x - qx) + (y - qy) * (y - qy) for x, y in points]
+    d = math.sqrt(min(d2)) * _SHORTLIST_REL
+    if not segments:
+        return d, [j for j, q2 in enumerate(d2) if q2 <= (d + extra) * (d + extra)]
+    steps = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(points, points[1:])]
+    half = [0.5 * math.sqrt(dx * dx + dy * dy) for dx, dy in steps]
+    reach = [max(a, b) * _SHORTLIST_REL for a, b in zip([0.0] + half, half + [0.0])]
+    marked = [q2 <= (d + extra + r) * (d + extra + r) for q2, r in zip(d2, reach)]
+    return d, [k for k in range(len(points) - 1) if marked[k] or marked[k + 1]]
 
 
-def test_grid_near_returns_the_numpy_scans_radius_and_list_around_the_stadium(monkeypatch):
-    path = stadium_path()
-    index = path.spatial_index()
-    numpy_scans = _count_numpy_scans(monkeypatch, index)
-    rng = np.random.default_rng(103)
-    for _ in range(200):
-        x, y = path.points[rng.integers(len(path))]
-        _assert_grid_near_is_numpy_near(index, (float(x + rng.normal(0.0, 0.5)), float(y + rng.normal(0.0, 0.5))))
-    # Past the 600 direct calls, the numpy scan answered only a few _near calls.
-    assert len(numpy_scans) - 200 * 3 <= 8
+@st.composite
+def near_cases(draw):
+    """A path, queries and margins for _near: (points, queries, extras).
+
+    Random points, or a circle of 3 to 60 waypoints closed on itself, its
+    last waypoint its first, queried at its centre and at the seam.  The
+    queries sit on and around the waypoints at spreads from 0 to 100 m, with
+    one far off; the margins are 0, _SHORTLIST_ABS, a random one and the
+    longest reach.
+    """
+    coord = st.floats(-1e3, 1e3)
+    if draw(st.booleans()):
+        n, radius, cx, cy = draw(st.integers(3, 60)), draw(st.floats(0.1, 100.0)), draw(coord), draw(coord)
+        angles = [2.0 * math.pi * k / n for k in range(n)]
+        points = [(cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in angles]
+        points.append(points[0])
+        queries = [(cx, cy), points[0]]
+    else:
+        points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=40))
+        queries = []
+    spread = draw(st.sampled_from([0.0, 1e-3, 1.0, 100.0]))
+    unit = st.floats(-1.0, 1.0)
+    for _ in range(draw(st.integers(1, 6))):
+        x, y = points[draw(st.integers(0, len(points) - 1))]
+        queries.append((x + spread * draw(unit), y + spread * draw(unit)))
+    queries.append((draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))))
+    return points, queries, [0.0, _SHORTLIST_ABS, draw(st.floats(0.0, 10.0))]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(grid_stress_paths())
-def test_grid_near_returns_the_numpy_scans_radius_and_list(case):
-    _, points, queries = case
-    index = WaypointPath(points).spatial_index()
+@given(near_cases())
+def test_near_equals_its_definition(case):
+    points, queries, extras = case
+    try:
+        index = WaypointPath(points).spatial_index()
+    except ValueError:
+        assume(False)
     for q in queries:
-        _assert_grid_near_is_numpy_near(index, q)
+        for extra in extras + [float(index.reach.max())]:
+            assert index._near(*q, extra) == near_oracle(points, q, extra)
+            assert index._near(*q, extra, True) == near_oracle(points, q, extra, True)
 
 
 @st.composite
@@ -506,9 +551,9 @@ def memo_cases(draw):
 
     The path is a random walk of steps from 0.05 to 2 m, evenly spaced or
     not, with one step 20 to 500 times the shortest among the others.  The
-    queries sit near waypoints, at the centres of empty cells inside the
-    grid's padding (some of them past the ring cap), on the long segment's
-    midpoint, far from every waypoint, and outside the padded grid.
+    queries sit near waypoints, at the centres of empty fine cells up to 32
+    cells outside the waypoints' bounding box, on the long segment's
+    midpoint, far from every waypoint, and 44 fine cells left of the box.
     """
     n = draw(st.integers(3, 40))
     if draw(st.booleans()):
@@ -531,15 +576,17 @@ def memo_cases(draw):
     (ax, ay), (bx, by) = points[long], points[long + 1]
     queries.append(("long", ((ax + bx) / 2.0, (ay + by) / 2.0)))
     index = WaypointPath(points).spatial_index()
-    # Cells in the padding around the occupied columns and rows, by their column and row.
+    x0, y0, fine = index._x0, index._y0, index._fine
+    # Fine cells around the waypoints' bounding box, by their column and row.
+    occupied = {index._cell(*p) for p in points}
+    columns = math.floor((max(x for x, _ in points) - x0) / fine) + 1
+    rows = math.floor((max(y for _, y in points) - y0) / fine) + 1
     for _ in range(draw(st.integers(1, 6))):
-        i = draw(st.integers(-_RING_CAP, index._columns + _RING_CAP - 1))
-        j = draw(st.integers(-_RING_CAP, index._rows + _RING_CAP - 1))
-        if i * index._stride + j not in index._cells:
-            centre = (index._x0 + (i + 0.5) * index._width, index._y0 + (j + 0.5) * index._width)
-            queries.append(("empty cell", centre))
-    beyond = (_RING_CAP + 3) * index._width
-    queries.append(("outside", (index._x0 - beyond, index._y0 + draw(unit) * beyond)))
+        i, j = draw(st.integers(-32, columns + 31)), draw(st.integers(-32, rows + 31))
+        if (i, j) not in occupied:
+            queries.append(("empty cell", (x0 + (i + 0.5) * fine, y0 + (j + 0.5) * fine)))
+    beyond = 44 * fine
+    queries.append(("outside", (x0 - beyond, y0 + draw(unit) * beyond)))
     queries.append(("far", (draw(st.sampled_from([-1e4, 1e4])), draw(st.floats(-1e4, 1e4)))))
     return points, queries
 
@@ -553,10 +600,8 @@ def test_warm_queries_equal_fresh_ones_and_the_scalar_oracles(case):
     for _ in range(2):
         for _, q in queries:
             fresh = WaypointPath(points).spatial_index()
-            for extra in (0.0, 0.6, index._max_reach):
-                d, near = index._near(*q, extra)
-                fresh_d, fresh_near = fresh._near(*q, extra)
-                assert (d, sorted(near)) == (fresh_d, sorted(fresh_near))
+            for extra in (0.0, 0.6, float(index.reach.max())):
+                assert index._near(*q, extra) == fresh._near(*q, extra)
             assert index._near(*q, 0.0, True) == fresh._near(*q, 0.0, True)
             assert index.nearest_group([q]) == fresh.nearest_group([q]) == [nearest_waypoint_oracle(q, points)]
             assert index.project(q) == fresh.project(q) == nearest_point_on_polyline_oracle(q, warm)
@@ -575,26 +620,22 @@ def test_warm_queries_equal_fresh_ones_and_the_scalar_oracles(case):
         assert again is kept if w in warm._roads else isinstance(kept, type)
 
 
-def test_both_scans_apply_each_waypoints_reach_margin(monkeypatch):
+def test_both_scans_apply_each_waypoints_reach_margin():
     # 100 unit segments, then one of 100 m: within d + the longest reach, 50 m,
-    # lie waypoints 0 to 55, past the grid's ring cap, so numpy scans them;
-    # within d + each one's own reach lie only 5 and 6, the ends of segments 4 to 6.
+    # lie waypoints 0 to 55; within d + each one's own reach lie only 5 and 6,
+    # the ends of segments 4 to 6.
     q = (5.3, 0.2)
     points = [(float(i), 0.0) for i in range(101)] + [(200.0, 0.0)]
     index = WaypointPath(points).spatial_index()
-    numpy_scans = _count_numpy_scans(monkeypatch, index)
     d, near = index._near(*q, 0.0, True)
-    assert near == [4, 5, 6] and numpy_scans == [q]
-    assert index._numpy_near(*q, 0.0, True) == (d, near)
-    assert sorted(index._numpy_near(*q, index._max_reach)[1]) == list(range(56))
-    # With a last segment of 10 m, the grid's rings hold the waypoints within
-    # d + 5 m, 0 to 10, and the same two are within their own reach.
+    assert near == [4, 5, 6]
+    assert index._near(*q, float(index.reach.max()))[1] == list(range(56))
+    # With a last segment of 10 m, the waypoints within d + 5 m are 0 to 10,
+    # and the same two are within their own reach.
     points[-1] = (110.0, 0.0)
     index = WaypointPath(points).spatial_index()
-    numpy_scans = _count_numpy_scans(monkeypatch, index)
     assert index._near(*q, 0.0, True) == (d, [4, 5, 6])
-    assert sorted(index._near(*q, index._max_reach)[1]) == list(range(11))
-    assert numpy_scans == []
+    assert index._near(*q, float(index.reach.max()))[1] == list(range(11))
 
 
 class _CountingPoints(tuple):
@@ -613,6 +654,36 @@ class _CountingPoints(tuple):
 
 def _no_scan(*args):
     raise AssertionError(f"scanned at {args}")
+
+
+def test_a_second_batch_on_a_dense_arc_builds_no_list_and_scans_nothing(monkeypatch):
+    # configs/waypoint_arc.txt's circle sampled every 0.02 degrees, 18,001
+    # waypoints written to 9 decimals, under waypoint_arc.cfg's vehicle and
+    # noise: a second batch of 3 seeds per controller on the same path gives
+    # the first batch's rows, builds no list and makes no _near call.
+    builds, scans = [], []
+    for name in ("_build_waypoints", "_build_segments"):
+        build = getattr(WaypointIndex, name)
+        monkeypatch.setattr(WaypointIndex, name, lambda self, key, build=build: builds.append(key) or build(self, key))
+    near = WaypointIndex._near
+
+    def counted(self, qx, qy, *margin):
+        scans.append((qx, qy))
+        return near(self, qx, qy, *margin)
+
+    monkeypatch.setattr(WaypointIndex, "_near", counted)
+    arc = [math.radians(i * 0.02) for i in range(18001)]
+    path = WaypointPath([(float(f"{5.0 * math.sin(t):.9f}"), float(f"{5.0 - 5.0 * math.cos(t):.9f}")) for t in arc])
+    base = dataclasses.replace(parse_config(str(CONFIG_DIR / "waypoint_arc.cfg")), road=path)
+    batches = []
+    for _ in range(2):
+        before, scanned = len(builds), len(scans)
+        rows = [run_batch(dataclasses.replace(base, controller=c), 3, 5)[0] for c in (Controller.PP, Controller.UTPP)]
+        batches.append((rows, len(builds) - before, len(scans) - scanned))
+    (first, first_builds, _), (second, second_builds, second_scans) = batches
+    assert second == first
+    assert first_builds > 0 and second_builds == 0, (first_builds, second_builds)
+    assert second_scans == 0
 
 
 def test_project_loops_only_over_the_segments_near_the_query(monkeypatch):
@@ -756,7 +827,7 @@ def test_lists_stop_at_the_budget_and_later_queries_take_the_scan(monkeypatch):
     assert any(index._cell(*q) not in index._waypoint_lists for q in probes)
     assert index.nearest_group(probes) == [nearest_waypoint_oracle(q, path.points) for q in probes]
     # Once the budget is spent, a probe halfway between two waypoints of a
-    # zigzag ties them exactly, whichever grid cell each lies in, and takes
+    # zigzag ties them exactly, whichever fine cell each lies in, and takes
     # the lower index; 1e-7 m towards the higher one, it takes that one.
     # Alone or in a group, each probe is decided over its own scan.
     line = WaypointPath([(float(40 - i), 0.5 * (i % 2)) for i in range(41)])
