@@ -25,7 +25,6 @@ from .geometry import (
     Pose,
     StraightLine,
     circle_to_vehicle,
-    global_to_vehicle,
     line_to_vehicle,
     normalize_angle,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "cross_track_line",
     "derive_ut_params",
     "generate_sigma_points",
-    "global_to_vehicle",
     "lateral_deviation",
     "line_to_vehicle",
     "load_waypoints",

@@ -32,6 +32,21 @@ def normalize_angle(angle: float) -> float:
     return r
 
 
+def checked_pose(x: float, y: float, yaw: float) -> tuple[float, float, float]:
+    """The pose (x, y, yaw) as a Pose holds it: every field finite, else
+    ValueError, and a yaw outside (-pi, pi] wrapped into it.
+
+    normalize_angle returns an in-range float unchanged, so only a yaw
+    outside the range is wrapped; a bool yaw stays a bool for Scenario to
+    reject.  The simulation loop keeps its poses as these triples.
+    """
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw)):
+        raise ValueError(f"pose fields must be finite, got {(x, y, yaw)}")
+    if not -math.pi < yaw <= math.pi:
+        yaw = normalize_angle(yaw)
+    return x, y, yaw
+
+
 @dataclass(frozen=True, slots=True)
 class Pose:
     """Rear-axle position and heading in the global frame (m, m, rad)."""
@@ -40,16 +55,12 @@ class Pose:
     y: float
     yaw: float
 
-    # Written by hand, since the loop builds two poses per step (dataclass keeps
-    # a class's own __init__): the slots' descriptors store the fields at about
-    # half the cost of the generated __init__'s object.__setattr__ calls.
+    # Written by hand (dataclass keeps a class's own __init__): the slots'
+    # descriptors store the checked fields at about half the cost of the
+    # generated __init__'s object.__setattr__ calls, which counts where a
+    # run's records are built, one true and one measured pose per step.
     def __init__(self, x: float, y: float, yaw: float) -> None:
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw)):
-            raise ValueError(f"pose fields must be finite, got {(x, y, yaw)}")
-        # normalize_angle returns an in-range float unchanged, so only a yaw
-        # outside (-pi, pi] is wrapped; a bool yaw stays a bool for Scenario to reject.
-        if not -math.pi < yaw <= math.pi:
-            yaw = normalize_angle(yaw)
+        x, y, yaw = checked_pose(x, y, yaw)
         _SET_X(self, x)
         _SET_Y(self, y)
         _SET_YAW(self, yaw)
@@ -103,13 +114,6 @@ def _check_circle(cx: float, cy: float, radius: float) -> None:
         raise ValueError(f"circle radius must be positive, got {radius}")
 
 
-def global_to_vehicle(point: Point2, x: float, y: float, yaw: float) -> Point2:
-    """Map a global-frame point into the vehicle frame of the pose (x, y, yaw)."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    dx, dy = point[0] - x, point[1] - y
-    return (c * dx + s * dy, -s * dx + c * dy)
-
-
 def line_to_vehicle(line: StraightLine, x: float, y: float, yaw: float) -> tuple[float, float]:
     """Express a global slope-intercept line in the vehicle frame of (x, y, yaw).
 
@@ -139,8 +143,8 @@ def circle_to_vehicle(circle: Circle, x: float, y: float, yaw: float) -> Point2:
     Returns the vehicle-frame (cx, cy); the radius is invariant.  Raises
     ValueError when the center overflows.
     """
-    # global_to_vehicle of the centre, inline, as every steered pose on a
-    # circle comes through here; the checker is called only to raise.
+    # The centre's offset turned by -yaw; every steered pose on a circle
+    # comes through here, so the checker is called only to raise.
     c, s = math.cos(yaw), math.sin(yaw)
     dx, dy = circle.cx - x, circle.cy - y
     cx, cy = c * dx + s * dy, -s * dx + c * dy

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import statistics
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from itertools import repeat
@@ -154,8 +154,9 @@ class TrajectoryRecord:
     y_e is None on faulted steps.  lateral_error is the true pose's
     deviation from the road (signed for lines and circles).  Records are
     not to be mutated.  They are left unfrozen, and so unhashable, because
-    run builds one per step and a frozen slots __init__ costs about 2.5 us
-    more; the poses inside are frozen and checked finite.
+    a run's records, once read, are built one per step (Trajectory), and a
+    frozen slots __init__ costs about 2.5 us more; the poses inside are
+    frozen and checked finite.
     """
 
     step: int
@@ -166,6 +167,51 @@ class TrajectoryRecord:
     delta: float
     lateral_error: float
     fault: str | None
+
+
+class Trajectory(Sequence):
+    """A run's records as a read-only sequence over the run's columns.
+
+    run keeps each step's true and measured (x, y, yaw), y_e, command,
+    lateral error and fault in columns; len reads them as they are, and the
+    TrajectoryRecords are built, all of them, the first time a record is
+    read (by index, iteration or ==).  A Trajectory equals another, or a
+    list, that holds equal records.
+    """
+
+    __slots__ = ("_dt", "_columns", "_records")
+
+    def __init__(self, dt: float, true: list, measured: list, y_e: list, delta: list, lateral: list, fault: list):
+        self._dt = dt
+        self._columns = (true, measured, y_e, delta, lateral, fault)
+        self._records: list[TrajectoryRecord] | None = None
+
+    def _built(self) -> list[TrajectoryRecord]:
+        if self._records is None:
+            dt = self._dt
+            self._records = [
+                TrajectoryRecord(k, k * dt, Pose(*true), Pose(*measured), y_e, delta, lateral, fault)
+                for k, (true, measured, y_e, delta, lateral, fault) in enumerate(zip(*self._columns))
+            ]
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[TrajectoryRecord]:
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Trajectory):
+            other = other._built()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._built() == other
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,16 +250,17 @@ def _steer(
     return steering_angle(y_e, d_l, wheelbase, limit), y_e
 
 
-def step_pp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
-    """One conventional pure-pursuit decision from the measured pose: (delta, y_e)."""
+def step_pp(pose: tuple[float, float, float], scenario: Scenario) -> tuple[float, float]:
+    """One conventional pure-pursuit decision from the measured pose (x, y, yaw): (delta, y_e)."""
     road = scenario.road
     if isinstance(road, WaypointPath):
         road = reduce_to_local_road(road, pose, scenario.lookahead)
-    return _steer(road, pose.x, pose.y, pose.yaw, scenario.lookahead, scenario.wheelbase, scenario.steering_limit)
+    x, y, yaw = pose
+    return _steer(road, x, y, yaw, scenario.lookahead, scenario.wheelbase, scenario.steering_limit)
 
 
-def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
-    """One unscented pure-pursuit decision from the measured pose: (delta, y_e).
+def step_utpp(pose: tuple[float, float, float], scenario: Scenario) -> tuple[float, float]:
+    """One unscented pure-pursuit decision from the measured pose (x, y, yaw): (delta, y_e).
 
     The mean sigma pose and the two poses of each axis with variance > 0
     are steered by _steer, as step_pp steers its one pose, and the seven
@@ -256,18 +303,19 @@ def step_utpp(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     return max(-limit, min(limit, weighted_steering(deltas, scenario.ut))), y_e
 
 
-def convergence_time(records: list[TrajectoryRecord], dt: float) -> float | None:
-    """Earliest record time after which |lateral_error| < 0.05 m holds 2 s.
+def convergence_time(lateral_errors: Sequence[float], dt: float) -> float | None:
+    """Earliest step time, k * dt, after which |lateral error| < 0.05 m holds 2 s.
 
-    The full hold window must fit inside the run; otherwise returns None.
+    lateral_errors holds one run's errors in step order.  The full hold
+    window must fit inside the run; otherwise returns None.
     """
     window = math.ceil(CONVERGENCE_HOLD / dt - 1e-9)
-    held = 0  # consecutive in-band records up to and including records[i]
-    for i, r in enumerate(records):
-        if abs(r.lateral_error) < CONVERGENCE_THRESHOLD:
+    held = 0  # consecutive in-band steps up to and including step i
+    for i, error in enumerate(lateral_errors):
+        if abs(error) < CONVERGENCE_THRESHOLD:
             held += 1
             if held > window:
-                return records[i - window].time
+                return (i - window) * dt
         else:
             held = 0
     return None
@@ -282,23 +330,16 @@ def _mean(values: list[float]) -> float:
         return math.fsum(v / n for v in values)
 
 
-def _summarize(records: list[TrajectoryRecord], scenario: Scenario, seed: int) -> RunSummary:
-    return RunSummary(
-        convergence_time=convergence_time(records, scenario.dt),
-        mean_abs_lateral_error=_mean([abs(r.lateral_error) for r in records]),
-        max_abs_delta=max(abs(r.delta) for r in records),
-        fault_count=sum(1 for r in records if r.fault is not None),
-        seed=seed,
-    )
-
-
-def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
+def run(scenario: Scenario) -> tuple[Trajectory, RunSummary]:
     """Simulate one scenario; identical scenarios reproduce records exactly.
 
     Each record holds the poses the controller acted on at time step * dt
     together with the command it produced; the motion update happens after
     the record is taken.  The noise of the whole run is drawn before the
     first step (NoiseModel.draws), and step k's measured pose takes triple k.
+    The loop carries each pose as an (x, y, yaw) triple and fills one
+    column per record field; the records are built only when read (see
+    Trajectory), and the summary comes from the columns.
     """
     road, speed, dt, wheelbase = scenario.road, scenario.speed, scenario.dt, scenario.wheelbase
     if isinstance(road, WaypointPath):
@@ -309,44 +350,46 @@ def run(scenario: Scenario) -> tuple[list[TrajectoryRecord], RunSummary]:
     step = step_utpp if scenario.controller is Controller.UTPP else step_pp
     paper_literal = scenario.paper_literal
     noise = scenario.noise
-    draws = noise.draws(scenario.steps)
-    true_pose = measured_pose = scenario.start_pose
-    records: list[TrajectoryRecord] = []
-    append = records.append
+    n = scenario.steps
+    draws = noise.draws(n)
+    start = scenario.start_pose
+    true = measured = (start.x, start.y, start.yaw)
+    trues: list = [None] * n
+    measureds: list = [None] * n
+    y_es: list[float | None] = [None] * n
+    deltas = [0.0] * n
+    faults: list[str | None] = [None] * n
     delta = 0.0
-    for k, draw in enumerate(repeat(None, scenario.steps) if draws is None else draws):
-        fault: str | None = None
+    for k, draw in enumerate(repeat(None, n) if draws is None else draws):
+        trues[k] = true
+        measureds[k] = measured
         try:
-            delta, y_e = step(measured_pose, scenario)
+            delta, y_es[k] = step(measured, scenario)
         except RoadGeometryFault as exc:
-            y_e = None
-            fault = type(exc).__name__
-            logger.debug("step %d faulted (%s), holding delta=%.6f", k, fault, delta)
-        # step, time, true_pose, measured_pose, y_e, delta, lateral_error, fault
-        append(
-            TrajectoryRecord(
-                k,
-                k * dt,
-                true_pose,
-                measured_pose,
-                y_e,
-                delta,
-                lateral_deviation((true_pose.x, true_pose.y), road),
-                fault,
-            )
-        )
-        true_pose = advance_pose(true_pose, delta, speed, dt, wheelbase)
-        measured_pose = sample_measured_pose(true_pose, noise, road, draw)
+            faults[k] = type(exc).__name__
+            logger.debug("step %d faulted (%s), holding delta=%.6f", k, faults[k], delta)
+        deltas[k] = delta
+        true = advance_pose(true, delta, speed, dt, wheelbase)
+        measured = sample_measured_pose(true, noise, road, draw)
         if paper_literal:
-            true_pose = measured_pose
-    return records, _summarize(records, scenario, noise.rng_seed)
+            true = measured
+    lateral = [lateral_deviation((x, y), road) for x, y, _ in trues]
+    summary = RunSummary(
+        convergence_time=convergence_time(lateral, dt),
+        mean_abs_lateral_error=_mean(list(map(abs, lateral))),
+        max_abs_delta=max(map(abs, deltas)),
+        fault_count=n - faults.count(None),
+        seed=noise.rng_seed,
+    )
+    return Trajectory(dt, trues, measureds, y_es, deltas, lateral, faults), summary
 
 
 def run_batch(scenario: Scenario, n_runs: int, base_seed: int) -> tuple[list[RunSummary], BatchStats]:
     """Run n_runs independent copies of a scenario, seeded base_seed + i.
 
     The summaries come back in seed order; the aggregates do not depend on
-    that order (see aggregate).
+    that order (see aggregate).  Each run's records are never read, so
+    none is built.
     """
     if n_runs < 1:
         raise ConfigInvalid(f"n_runs must be >= 1, got {n_runs}")

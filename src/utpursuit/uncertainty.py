@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DegenerateScaling
-from .geometry import Pose, normalize_angle
+from .geometry import checked_pose
 
 WEIGHT_SUM_TOL = 1e-9
 POSE_DIM = 3  # x, y and yaw
@@ -102,41 +102,32 @@ DEFAULT_UT = UtParams(0.001, 0.0)
 
 
 def generate_sigma_points(
-    mean: Pose, cov: Covariance3, params: UtParams
+    mean: tuple[float, float, float], cov: Covariance3, params: UtParams
 ) -> tuple[tuple[float, float, float], ...]:
     """Place seven sigma points around a mean pose for a diagonal covariance.
 
+    The mean is a pose's (x, y, yaw): finite, with its yaw in (-pi, pi].
     Returns the seven points as (x, y, yaw) triples.  Point 0 is the mean
     itself.  Points (1, 2), (3, 4), (5, 6) perturb x, y and yaw by
-    +/- sqrt(3 + lambda) * sigma along each axis.  Each triple holds what a
-    Pose of the unwrapped values would: a perturbation that overflows raises
-    Pose's ValueError, and the perturbed yaws wrap into (-pi, pi] (the mean's
-    yaw is already wrapped, and wrapping leaves it as it is).
+    +/- sqrt(3 + lambda) * sigma along each axis.  Each perturbed triple is
+    checked and wrapped as a Pose is (checked_pose): a perturbation that
+    overflows raises Pose's ValueError, and a perturbed yaw outside
+    (-pi, pi] wraps into it.
     """
     scale = params.scale
     sx = scale * cov.sd_x
     sy = scale * cov.sd_y
     syaw = scale * cov.sd_yaw
-    x, y, yaw = mean.x, mean.y, mean.yaw
-    points = (
+    x, y, yaw = mean
+    return (
         (x, y, yaw),
-        (x + sx, y, yaw),
-        (x - sx, y, yaw),
-        (x, y + sy, yaw),
-        (x, y - sy, yaw),
-        (x, y, yaw + syaw),
-        (x, y, yaw - syaw),
+        checked_pose(x + sx, y, yaw),
+        checked_pose(x - sx, y, yaw),
+        checked_pose(x, y + sy, yaw),
+        checked_pose(x, y - sy, yaw),
+        checked_pose(x, y, yaw + syaw),
+        checked_pose(x, y, yaw - syaw),
     )
-    # The mean is a finite, wrapped Pose, so only the perturbed field of a
-    # point can overflow, and only the perturbed yaws need wrapping.
-    for axis, point in zip((0, 0, 1, 1, 2, 2), points[1:]):
-        if not math.isfinite(point[axis]):
-            raise ValueError(f"pose fields must be finite, got {point}")
-    yaw_plus, yaw_minus = points[5][2], points[6][2]
-    # normalize_angle returns a yaw in (-pi, pi] unchanged, as Pose relies on too.
-    if -math.pi < yaw_plus <= math.pi and -math.pi < yaw_minus <= math.pi:
-        return points
-    return (*points[:5], (x, y, normalize_angle(yaw_plus)), (x, y, normalize_angle(yaw_minus)))
 
 
 def weighted_steering(deltas: Sequence[float], params: UtParams) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Pose
+from .geometry import checked_pose
 from .roads import RoadModel, clamp_to_road
 from .uncertainty import Covariance3
 
@@ -52,43 +52,50 @@ class NoiseModel:
         return self.make_rng().standard_normal((steps, 3)).tolist()
 
 
-def advance_pose(pose: Pose, delta: float, speed: float, dt: float, wheelbase: float) -> Pose:
+def advance_pose(
+    pose: tuple[float, float, float], delta: float, speed: float, dt: float, wheelbase: float
+) -> tuple[float, float, float]:
     """One bicycle-model step of duration dt under steering angle delta.
 
-    The heading change is beta = (speed * dt / wheelbase) * tan(delta); the
-    body-frame translation speed * dt * (cos beta, sin beta) is rotated into
-    the global frame by the pre-update yaw.  delta must stay inside
-    (-pi/2, pi/2), which the steering clamp guarantees upstream.
+    The pose is an (x, y, yaw) triple, and so is the result, checked and
+    wrapped as a Pose is (geometry.checked_pose).  The heading change is
+    beta = (speed * dt / wheelbase) * tan(delta); the body-frame translation
+    speed * dt * (cos beta, sin beta) is rotated into the global frame by
+    the pre-update yaw.  delta must stay inside (-pi/2, pi/2), which the
+    steering clamp guarantees upstream.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    x, y, yaw = pose
     arc = speed * dt
     beta = (arc / wheelbase) * math.tan(delta)
     tx = arc * math.cos(beta)
     ty = arc * math.sin(beta)
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    return Pose(pose.x + c * tx - s * ty, pose.y + s * tx + c * ty, pose.yaw + beta)
+    c, s = math.cos(yaw), math.sin(yaw)
+    return checked_pose(x + c * tx - s * ty, y + s * tx + c * ty, yaw + beta)
 
 
 def sample_measured_pose(
-    true_pose: Pose, noise: NoiseModel, road: RoadModel, draw: Sequence[float] | None
-) -> Pose:
-    """The measured pose around the true one, from one step's triple of NoiseModel.draws.
+    true_pose: tuple[float, float, float], noise: NoiseModel, road: RoadModel, draw: Sequence[float] | None
+) -> tuple[float, float, float]:
+    """The measured (x, y, yaw) around the true one, from one step's triple of NoiseModel.draws.
 
     Each axis adds its standard deviation times its standard normal, in
     numpy's normal(0.0, sigma) operation order, 0.0 + sigma * g, so the value
     and the sign of a zero equal a scalar draw's.  The position is then
     clamped so its lateral deviation from the road stays within
-    noise.max_lateral_dev, and the yaw wraps like any Pose.  No draw (None)
-    is a perfect sensor: the true pose comes back untouched, with no
-    corridor clamp (the clamp bounds what noise may do, so with none it must
-    not distort the measurement).
+    noise.max_lateral_dev, and the result is checked and wrapped as a Pose
+    is.  No draw (None) is a perfect sensor: the true pose comes back
+    untouched, the very triple given, with no corridor clamp (the clamp
+    bounds what noise may do, so with none it must not distort the
+    measurement).
     """
     if draw is None:
         return true_pose
+    x, y, yaw = true_pose
     cov = noise.cov
-    x = true_pose.x + (0.0 + cov.sd_x * draw[0])
-    y = true_pose.y + (0.0 + cov.sd_y * draw[1])
-    yaw = true_pose.yaw + (0.0 + cov.sd_yaw * draw[2])
+    x = x + (0.0 + cov.sd_x * draw[0])
+    y = y + (0.0 + cov.sd_y * draw[1])
+    yaw = yaw + (0.0 + cov.sd_yaw * draw[2])
     x, y = clamp_to_road((x, y), road, noise.max_lateral_dev)
-    return Pose(x, y, yaw)
+    return checked_pose(x, y, yaw)

@@ -70,7 +70,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CoincidentPoints, TooFewWaypoints, VerticalRoad
-from .geometry import Circle, Point2, Pose, StraightLine
+from .geometry import Circle, Point2, StraightLine
 
 # Anything closer than this is treated as the same physical point.
 MIN_WAYPOINT_SPACING = 1e-9
@@ -375,13 +375,14 @@ def build_index(path: WaypointPath) -> WaypointIndex:
     return WaypointIndex(path)
 
 
-def select_lookahead_waypoint(path: WaypointPath, pose: Pose, d_l: float) -> int:
+def select_lookahead_waypoint(path: WaypointPath, pose: tuple[float, float, float], d_l: float) -> int:
     """Pick the waypoint nearest to the probe point one look-ahead ahead.
 
-    The probe sits at pose + d_l (cos yaw, sin yaw); the returned index is
-    clamped into [1, len - 2] so it always has both neighbors.
+    The probe sits at (x, y) + d_l (cos yaw, sin yaw) of the pose (x, y,
+    yaw); the returned index is clamped into [1, len - 2] so it always has
+    both neighbors.
     """
-    return select_lookahead_waypoints(path, [(pose.x, pose.y, pose.yaw)], d_l)[0]
+    return select_lookahead_waypoints(path, [pose], d_l)[0]
 
 
 def select_lookahead_waypoints(
@@ -440,8 +441,8 @@ def _fit_line(a: Point2, b: Point2, c: Point2) -> StraightLine:
     return StraightLine(slope, float(centroid[1]) - slope * float(centroid[0]))
 
 
-def reduce_to_local_road(path: WaypointPath, pose: Pose, d_l: float) -> LocalRoad:
-    """Collapse the waypoints around the look-ahead into a line or circle."""
+def reduce_to_local_road(path: WaypointPath, pose: tuple[float, float, float], d_l: float) -> LocalRoad:
+    """Collapse the waypoints around the look-ahead of the pose (x, y, yaw) into a line or circle."""
     return local_road(path, select_lookahead_waypoint(path, pose, d_l))
 
 

@@ -12,10 +12,15 @@ from utpursuit import (
     Covariance3,
     NoiseModel,
     Pose,
+    RoadGeometryFault,
     Scenario,
     StraightLine,
     TrajectoryRecord,
     WaypointPath,
+    clamp_to_road,
+    lateral_deviation,
+    step_pp,
+    step_utpp,
 )
 from utpursuit.config import parse_config
 from utpursuit.output import CSV_HEADER
@@ -109,6 +114,64 @@ def vehicle_to_global(point: tuple[float, float], frame: Pose) -> tuple[float, f
     c, s = math.cos(frame.yaw), math.sin(frame.yaw)
     px, py = point
     return (c * px - s * py + frame.x, s * px + c * py + frame.y)
+
+
+def global_to_vehicle(point: tuple[float, float], x: float, y: float, yaw: float) -> tuple[float, float]:
+    """Map a global-frame point into the vehicle frame of the pose (x, y, yaw).
+
+    The oracle for the frame transforms: circle_to_vehicle turns a circle's
+    centre with this arithmetic, in this order, and a line's points land on
+    line_to_vehicle's line.
+    """
+    c, s = math.cos(yaw), math.sin(yaw)
+    dx, dy = point[0] - x, point[1] - y
+    return (c * dx + s * dy, -s * dx + c * dy)
+
+
+def xyz(pose: Pose) -> tuple[float, float, float]:
+    """A Pose as the (x, y, yaw) triple that the per-step functions take."""
+    return (pose.x, pose.y, pose.yaw)
+
+
+def run_oracle(scenario: Scenario) -> list[TrajectoryRecord]:
+    """sim.run's records, from a loop that builds two checked Poses and one record per step.
+
+    Each step steers the measured pose with the scenario's controller (step_pp
+    or step_utpp), takes the record, then advances the true pose with the
+    bicycle model and samples the next measured pose, each written out here
+    on Pose objects, so that Pose's own checks and wrap apply at every step.
+    """
+    road, speed, dt, wheelbase = scenario.road, scenario.speed, scenario.dt, scenario.wheelbase
+    step = step_utpp if scenario.controller is Controller.UTPP else step_pp
+    noise = scenario.noise
+    draws = noise.draws(scenario.steps)
+    true_pose = measured_pose = scenario.start_pose
+    records = []
+    delta = 0.0
+    for k in range(scenario.steps):
+        fault = None
+        try:
+            delta, y_e = step(xyz(measured_pose), scenario)
+        except RoadGeometryFault as exc:
+            y_e, fault = None, type(exc).__name__
+        lateral = lateral_deviation((true_pose.x, true_pose.y), road)
+        records.append(TrajectoryRecord(k, k * dt, true_pose, measured_pose, y_e, delta, lateral, fault))
+        arc = speed * dt
+        beta = (arc / wheelbase) * math.tan(delta)
+        tx, ty = arc * math.cos(beta), arc * math.sin(beta)
+        c, s = math.cos(true_pose.yaw), math.sin(true_pose.yaw)
+        true_pose = Pose(true_pose.x + c * tx - s * ty, true_pose.y + s * tx + c * ty, true_pose.yaw + beta)
+        if draws is not None:
+            g, cov = draws[k], noise.cov
+            x = true_pose.x + (0.0 + cov.sd_x * g[0])
+            y = true_pose.y + (0.0 + cov.sd_y * g[1])
+            yaw = true_pose.yaw + (0.0 + cov.sd_yaw * g[2])
+            measured_pose = Pose(*clamp_to_road((x, y), road, noise.max_lateral_dev), yaw)
+        else:
+            measured_pose = true_pose
+        if scenario.paper_literal:
+            true_pose = measured_pose
+    return records
 
 
 def read_csv(path: str) -> list[TrajectoryRecord]:

@@ -24,7 +24,6 @@ from utpursuit import (
     cross_track_line,
     derive_ut_params,
     generate_sigma_points,
-    global_to_vehicle,
     line_to_vehicle,
     run,
     run_batch,
@@ -34,7 +33,7 @@ from utpursuit.cli import main
 from utpursuit.config import parse_config
 from utpursuit.waypoints import build_index, reduce_to_local_road
 
-from conftest import ACCEPTANCE_RESULTS, CONFIG_DIR, noise_free, vehicle_to_global
+from conftest import ACCEPTANCE_RESULTS, CONFIG_DIR, global_to_vehicle, noise_free, vehicle_to_global, xyz
 from test_pursuit import line_circle_intersections, two_circle_intersections
 
 STRAIGHT_CFG = str(CONFIG_DIR / "straight.cfg")
@@ -164,7 +163,7 @@ def test_criterion_04_ut_weights_and_mean_recovery():
 
     mean = Pose(1.0, 0.5, 0.1)
     cov = Covariance3(0.01**2, 0.1**2, math.radians(10.0) ** 2)
-    pts = generate_sigma_points(mean, cov, ut)
+    pts = generate_sigma_points(xyz(mean), cov, ut)
     for k, axis in enumerate(("x", "y", "yaw")):
         recovered = math.fsum([ut.w0 * pts[0][k]] + [ut.wi * p[k] for p in pts[1:]])
         if abs(recovered - getattr(mean, axis)) > 1e-9:
@@ -254,7 +253,7 @@ def test_criterion_09_waypoint_reduction_and_index():
     failures = []
     scen = parse_config(str(CONFIG_DIR / "waypoint_arc.cfg"))
     path = scen.road
-    local = reduce_to_local_road(path, Pose(0.0, 0.5, 0.0), 1.0)
+    local = reduce_to_local_road(path, (0.0, 0.5, 0.0), 1.0)
     if not isinstance(local, Circle):
         failures.append(f"expected a circle reduction, got {type(local).__name__}")
     else:

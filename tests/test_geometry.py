@@ -14,12 +14,12 @@ from utpursuit import (
     Pose,
     StraightLine,
     circle_to_vehicle,
-    global_to_vehicle,
     line_to_vehicle,
     normalize_angle,
 )
+from utpursuit.geometry import checked_pose
 
-from conftest import vehicle_to_global
+from conftest import global_to_vehicle, vehicle_to_global
 
 
 def test_normalize_angle_range_and_boundaries():
@@ -95,6 +95,22 @@ def _built(cls, args, by_name):
 @example(args=(1, 2, 4), by_name=True)
 def test_pose_init_builds_what_the_post_init_oracle_builds(args, by_name):
     assert _built(Pose, args, by_name) == _built(PostInitPose, args, by_name)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(args=st.tuples(pose_field, pose_field, pose_field))
+@example(args=(0.0, 0.5, True))
+@example(args=(math.inf, 0.0, 4.0))
+def test_checked_pose_holds_what_the_post_init_oracle_holds(args):
+    # The one finiteness check and yaw wrap, which Pose and the float-state
+    # loop (advance_pose, sample_measured_pose, generate_sigma_points) share.
+    try:
+        triple = checked_pose(*args)
+    except (ValueError, TypeError, OverflowError) as exc:
+        got = type(exc), str(exc)
+    else:
+        got = [(repr(v), type(v)) for v in triple]
+    assert got == _built(PostInitPose, args, False)
 
 
 def _frozen_error(obj, action) -> str:

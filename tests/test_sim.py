@@ -35,7 +35,6 @@ from utpursuit import (
     cross_track_line,
     derive_ut_params,
     generate_sigma_points,
-    global_to_vehicle,
     line_to_vehicle,
     local_road,
     reduce_to_local_road,
@@ -57,9 +56,12 @@ from conftest import (
     CIRCLE_ROAD,
     CONFIG_DIR,
     STRAIGHT_ROAD,
+    global_to_vehicle,
     make_scenario,
     reference_noise,
+    run_oracle,
     stadium_path,
+    xyz,
 )
 
 
@@ -165,7 +167,7 @@ def test_lookahead_is_derived_from_gain_and_speed():
 
 def test_first_straight_road_command_is_quarter_lock():
     scen = make_scenario(STRAIGHT_ROAD)
-    delta, y_e = step_pp(scen.start_pose, scen)
+    delta, y_e = step_pp(xyz(scen.start_pose), scen)
     assert delta == -math.pi / 4
     assert y_e == -0.5
 
@@ -185,9 +187,9 @@ def test_step_utpp_clamps_the_combined_command_to_the_limit():
     noise = NoiseModel(Covariance3(0.0, (0.4 / math.sqrt(3e-6)) ** 2, 0.0))
     for sign in (1.0, -1.0):
         scen = make_scenario(STRAIGHT_ROAD, controller=Controller.UTPP, noise=noise, steering_limit=limit)
-        pose = Pose(0.0, 0.1 * sign, 0.0)
+        pose = (0.0, 0.1 * sign, 0.0)
         sigma = generate_sigma_points(pose, noise.cov, scen.ut)
-        deltas = [step_pp(Pose(*p), scen)[0] for p in sigma]
+        deltas = [step_pp(p, scen)[0] for p in sigma]
         assert all(abs(d) <= limit for d in deltas) and sign * weighted_steering(deltas, scen.ut) > limit
         assert step_utpp(pose, scen)[0] == sign * limit
 
@@ -285,13 +287,13 @@ def test_utpp_sigma_point_fallback_is_not_a_step_fault():
             steps=1,
         )
         d_l = scen.lookahead
-        sigma = generate_sigma_points(scen.start_pose, noise.cov, scen.ut)
+        sigma = generate_sigma_points(xyz(scen.start_pose), noise.cov, scen.ut)
         cross_track_circle(*circle_to_vehicle(scen.road, *sigma[3]), scen.road.radius, d_l)
         with pytest.raises(NoIntersection):
             cross_track_circle(*circle_to_vehicle(scen.road, *sigma[4]), scen.road.radius, d_l)
-        delta, y_e = step_utpp(scen.start_pose, scen)
-        assert (delta, y_e) == step_pp(scen.start_pose, scen)
-        assert (delta, y_e) == step_utpp(scen.start_pose, without_variance(scen, "var_y"))
+        delta, y_e = step_utpp(xyz(scen.start_pose), scen)
+        assert (delta, y_e) == step_pp(xyz(scen.start_pose), scen)
+        assert (delta, y_e) == step_utpp(xyz(scen.start_pose), without_variance(scen, "var_y"))
         assert delta == pytest.approx(1.1071, abs=1e-4)
         records, summary = run(scen)
         assert records[0].fault is None
@@ -335,7 +337,7 @@ def test_a_perfect_sensor_circles_the_last_triple_past_the_end_of_an_open_path(c
     scen = make_scenario(path, controller=controller, steps=400)
     records, _ = run(scen)
     assert all(r.fault is None for r in records)
-    picked = [select_lookahead_waypoint(path, r.measured_pose, scen.lookahead) for r in records]
+    picked = [select_lookahead_waypoint(path, xyz(r.measured_pose), scen.lookahead) for r in records]
     stretch = [k for k, w in enumerate(picked) if w == n - 2]
     assert stretch and stretch == list(range(stretch[0], stretch[-1] + 1))
     circle = local_road(path, n - 2)
@@ -358,13 +360,10 @@ def _rec(step, time, lat):
 def test_convergence_time_definition():
     dt = 1.0  # hold window of 2 s = 2 steps beyond the entry record
     lat = [0.1, 0.04, 0.04, 0.04, 0.1, 0.01, 0.01, 0.01, 0.01]
-    records = [_rec(i, i * dt, v) for i, v in enumerate(lat)]
-    assert convergence_time(records, dt) == 1.0
+    assert convergence_time(lat, dt) == 1.0
     # Entry at the tail without a full window does not count.
-    records = [_rec(i, i * dt, v) for i, v in enumerate([0.1, 0.1, 0.1, 0.01, 0.01])]
-    assert convergence_time(records, dt) is None
-    records = [_rec(i, i * dt, v) for i, v in enumerate([0.1] * 5)]
-    assert convergence_time(records, dt) is None
+    assert convergence_time([0.1, 0.1, 0.1, 0.01, 0.01], dt) is None
+    assert convergence_time([0.1] * 5, dt) is None
 
 
 def _sliced_convergence_time(records, dt):
@@ -391,7 +390,7 @@ def test_convergence_time_matches_the_sliced_definition(dt, data):
         cycle = {"in": (0.01,), "out": (0.1,), "alternating": (0.01, 0.1)}[shape]
         lat = [cycle[i % len(cycle)] for i in range(n)]
     records = [_rec(i, i * dt, v) for i, v in enumerate(lat)]
-    assert convergence_time(records, dt) == _sliced_convergence_time(records, dt)
+    assert convergence_time(lat, dt) == _sliced_convergence_time(records, dt)
 
 
 def test_run_batch_seeds_and_order_invariance():
@@ -440,7 +439,7 @@ def test_means_whose_sums_pass_the_float_range_are_still_taken():
     assert stats.mean_fault_count == 3.0
 
 
-def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
+def step_utpp_oracle(pose: tuple[float, float, float], scenario: Scenario) -> tuple[float, float]:
     """step_utpp as seven independent poses, each with its own waypoint scan and reduction.
 
     A fault on either pose of a +/- pair puts the mean's command in both of its slots.
@@ -451,7 +450,7 @@ def step_utpp_oracle(pose: Pose, scenario: Scenario) -> tuple[float, float]:
     def cross(p):
         road = scenario.road
         if isinstance(road, WaypointPath):
-            road = reduce_to_local_road(road, Pose(*p), d_l)
+            road = reduce_to_local_road(road, p, d_l)
         if isinstance(road, StraightLine):
             return cross_track_line(*line_to_vehicle(road, *p), d_l)
         return cross_track_circle(*circle_to_vehicle(road, *p), road.radius, d_l)
@@ -496,11 +495,11 @@ def test_step_utpp_matches_per_pose_oracle_on_waypoint_roads(where):
         i = rng.randrange(1, len(points) - 1)
         (ax, ay), (bx, by) = points[i - 1], points[i + 1]
         heading = math.atan2(by - ay, bx - ax)
-        pose = Pose(
+        pose = xyz(Pose(
             points[i][0] + rng.uniform(-0.3, 0.3),
             points[i][1] + rng.uniform(-0.3, 0.3),
             heading + rng.uniform(-0.5, 0.5),
-        )
+        ))
         for scen in variants:
             assert _outcome(step_utpp, pose, scen) == _outcome(step_utpp_oracle, pose, scen)
 
@@ -542,7 +541,7 @@ def test_step_utpp_matches_per_pose_oracle_on_zero_axes_and_signed_zeros():
         for road in roads:
             # -0.0 + z is z for every z, signed zeros included.
             x, y = rng.choice(road.points) if isinstance(road, WaypointPath) else (-0.0, -0.0)
-            pose = Pose(x + field(rng.uniform(-1.0, 1.0)), y + field(rng.uniform(-1.0, 1.0)), field(rng.uniform(-3.2, 3.2)))
+            pose = xyz(Pose(x + field(rng.uniform(-1.0, 1.0)), y + field(rng.uniform(-1.0, 1.0)), field(rng.uniform(-3.2, 3.2))))
             cov = Covariance3(*(rng.choice((0.0, rng.uniform(0.0, 0.3) ** 2)) for _ in range(3)))
             for ut in uts:
                 scen = make_scenario(road, controller=Controller.UTPP, noise=NoiseModel(cov), ut=ut)
@@ -558,27 +557,27 @@ def _check_sigma_fallback(path, start, var_x, fault, alpha):
     ut = derive_ut_params(3, alpha, 0.0)
     scen = make_scenario(path, start_pose=start, controller=Controller.UTPP, noise=noise, ut=ut, steps=1)
     d_l = scen.lookahead
-    sigma = generate_sigma_points(scen.start_pose, noise.cov, ut)
+    sigma = generate_sigma_points(xyz(scen.start_pose), noise.cov, ut)
     with pytest.raises(fault):
-        local_road(path, select_lookahead_waypoint(path, Pose(*sigma[1]), d_l))
+        local_road(path, select_lookahead_waypoint(path, sigma[1], d_l))
     deltas = []
     for i, pose in enumerate(sigma):
         if i in (1, 2):
             deltas.append(deltas[0])
         else:
-            road = local_road(path, select_lookahead_waypoint(path, Pose(*pose), d_l))
+            road = local_road(path, select_lookahead_waypoint(path, pose, d_l))
             y_e = cross_track_line(*line_to_vehicle(road, *pose), d_l)[0]
             deltas.append(steering_angle(y_e, d_l, scen.wheelbase, scen.steering_limit))
     assert len(set(deltas)) > 1
-    delta, y_e = step_utpp(scen.start_pose, scen)
+    delta, y_e = step_utpp(xyz(scen.start_pose), scen)
     limit = scen.steering_limit
     assert (delta, y_e) == (max(-limit, min(limit, weighted_steering(deltas, ut))), -start.y)
-    assert (delta, y_e) == step_utpp(scen.start_pose, without_variance(scen, "var_x"))
+    assert (delta, y_e) == step_utpp(xyz(scen.start_pose), without_variance(scen, "var_x"))
     records, summary = run(scen)
     assert records[0].fault is None and summary.fault_count == 0
     # The same triple under the mean pose faults the step.
     with pytest.raises(fault):
-        step_utpp(Pose(*sigma[1]), scen)
+        step_utpp(sigma[1], scen)
 
 
 def test_vertical_triple_on_a_sigma_pose_falls_back_to_the_mean():
@@ -681,7 +680,7 @@ def _count_cross_tracks(monkeypatch) -> list[int]:
 def test_sigma_poses_equal_to_the_mean_are_not_steered_again(road, monkeypatch):
     if road == "waypoints":
         road = WaypointPath([(0.1 * k, 0.0) for k in range(40)])
-    pose = Pose(0.5, 0.3, 0.1)
+    pose = (0.5, 0.3, 0.1)
     calls = _count_cross_tracks(monkeypatch)
     for noise, expected in ((zero_noise(), 1), (reference_noise(), 5)):
         scen = make_scenario(road, controller=Controller.UTPP, noise=noise)
@@ -703,14 +702,14 @@ def test_a_zero_variance_axis_is_not_steered_even_across_a_zero_sign(monkeypatch
         ut=derive_ut_params(3, 1.0, 0.0),
     )
     calls = _count_cross_tracks(monkeypatch)
-    delta, y_e = step_utpp(scen.start_pose, scen)
+    delta, y_e = step_utpp(xyz(scen.start_pose), scen)
     assert calls[0] == 1
     assert calls[1] == calls[0]
-    assert (delta, y_e) == step_utpp_oracle(scen.start_pose, scen)
+    assert (delta, y_e) == step_utpp_oracle(xyz(scen.start_pose), scen)
     # The centre sits straight behind the axle: an exact tie, which goes left
     # whichever sign the zero has.
-    mean, *others = generate_sigma_points(scen.start_pose, scen.noise.cov, scen.ut)
-    assert step_pp(Pose(*mean), scen)[0] == step_pp(Pose(*others[4]), scen)[0] > 0.0
+    mean, *others = generate_sigma_points(xyz(scen.start_pose), scen.noise.cov, scen.ut)
+    assert step_pp(mean, scen)[0] == step_pp(others[4], scen)[0] > 0.0
 
 
 def _bits_or_error(call):
@@ -822,15 +821,15 @@ def test_steer_matches_the_frame_transform_oracle_bit_for_bit(road, pose, spread
         speed=vehicle[0],
         wheelbase=vehicle[1],
     )
-    sigma = generate_sigma_points(scen.start_pose, cov, scen.ut)
+    sigma = generate_sigma_points(xyz(scen.start_pose), cov, scen.ut)
     law = (scen.lookahead, scen.wheelbase, scen.steering_limit)
     axes = ((1, cov.var_x), (3, cov.var_y), (5, cov.var_yaw))
     outcomes = {}
     for i in [0, *(j for i, var in axes if var > 0.0 for j in (i, i + 1))]:
         outcomes[i] = _bits_or_error(lambda: sim._steer(road, *sigma[i], *law))
         assert outcomes[i] == _bits_or_error(lambda: _steer_oracle(road, *sigma[i], *law))
-    step = _bits_or_error(lambda: step_utpp(scen.start_pose, scen))
-    assert step == _bits_or_error(lambda: step_utpp_oracle(scen.start_pose, scen))
+    step = _bits_or_error(lambda: step_utpp(xyz(scen.start_pose), scen))
+    assert step == _bits_or_error(lambda: step_utpp_oracle(xyz(scen.start_pose), scen))
     if fault is not None:
         i, kind = fault
         assert outcomes[i] is kind
@@ -863,7 +862,7 @@ def test_a_reach_test_whose_squares_overflow_faults_the_step(road, speed, fault)
     for controller, step in ((Controller.PP, step_pp), (Controller.UTPP, step_utpp)):
         scen = replace(base, controller=controller)
         with pytest.raises(fault):
-            step(scen.start_pose, scen)
+            step(xyz(scen.start_pose), scen)
         records, summary = run(scen)
         assert records[0].fault == fault.__name__ and summary.fault_count == 1
 
@@ -908,11 +907,11 @@ def test_a_yaw_sigma_pose_does_not_overflow_while_its_mean_steers(kind, position
         road, start_pose=Pose(x, y, yaw), speed=d_l, noise=noise, ut=derive_ut_params(3, 1.0, 0.0), steps=1
     )
     try:
-        step_pp(scen.start_pose, scen)
+        step_pp(xyz(scen.start_pose), scen)
     except (RoadGeometryFault, ValueError):
         assume(False)
-    step = step_utpp(scen.start_pose, scen)
-    assert step == step_utpp_oracle(scen.start_pose, scen)
+    step = step_utpp(xyz(scen.start_pose), scen)
+    assert step == step_utpp_oracle(xyz(scen.start_pose), scen)
 
 
 def _count_fits(monkeypatch) -> list[Point2]:
@@ -951,9 +950,9 @@ def test_waypoint_utpp_fits_one_local_road_per_selected_waypoint(monkeypatch):
     )
     fitted = _count_fits(monkeypatch)
     for scen, pose, selected, fits in (
-        (arc, arc.start_pose, [6, 6, 6, 6, 6], [6]),
-        (straight, Pose(0.3, 0.0, 0.0), [1, 2, 1, 1, 1, 1, 1], [1, 2]),
-        (hairpin, Pose(1.0, -0.4, 0.0), [2, 5, 1, 2, 2], [2]),
+        (arc, xyz(arc.start_pose), [6, 6, 6, 6, 6], [6]),
+        (straight, (0.3, 0.0, 0.0), [1, 2, 1, 1, 1, 1, 1], [1, 2]),
+        (hairpin, (1.0, -0.4, 0.0), [2, 5, 1, 2, 2], [2]),
     ):
         cov = scen.noise.cov
         sigma = generate_sigma_points(pose, cov, scen.ut)
@@ -1022,7 +1021,7 @@ def test_replace_rederives_the_step_plan(monkeypatch):
     base = make_scenario(
         STRAIGHT_ROAD, controller=Controller.UTPP, noise=WIDE_NOISE, ut=derive_ut_params(3, 1.0, 0.0)
     )
-    pose = Pose(0.2, 0.3, 0.1)
+    pose = (0.2, 0.3, 0.1)
     roads = (CIRCLE_ROAD, StraightLine(0.3, -0.2), Circle(-1.0, -4.0, 4.5), WaypointPath([(0.5 * k, 0.1) for k in range(30)]))
     noises = (reference_noise(), zero_noise(), NoiseModel(Covariance3(0.04, 0.0, 0.0)), WIDE_NOISE)
     calls = _count_cross_tracks(monkeypatch)
@@ -1126,9 +1125,9 @@ def test_a_sigma_pose_that_overflows_raises_from_run(overflow):
     start = Pose(0.0, 0.0 if overflow == "transform" else 1e308, 1.2)
     road = StraightLine(0.0, start.y)
     scen = make_scenario(road, start_pose=start, controller=Controller.UTPP, noise=noise, ut=ut, steps=3)
-    sigma = generate_sigma_points(start, noise.cov, ut) if overflow == "transform" else None
+    sigma = generate_sigma_points(xyz(start), noise.cov, ut) if overflow == "transform" else None
     if sigma is not None:
-        step_pp(start, scen)
+        step_pp(xyz(start), scen)
         with pytest.raises(ValueError, match="line coefficients must be finite"):
             line_to_vehicle(road, *sigma[3])
     with pytest.raises(ValueError, match="must be finite"):
@@ -1304,3 +1303,126 @@ def test_far_start_records_are_bit_identical_to_the_pinned_digests(circle_scenar
     assert all(r.delta == 0.0 and r.y_e is None for r in records[:11])
     assert summary.fault_count == 11
     assert _records_digest(records, summary) == FAR_START_DIGESTS[controller]
+
+
+# The float-state loop against run_oracle (conftest), which builds two checked
+# Poses and one record per step.  repr tells every float apart, and the sign
+# of a zero, so the records must match bit for bit.
+
+
+def _record_reprs(records) -> list[str]:
+    return [repr(r) for r in records]
+
+
+def _check_against_the_oracle(scen: Scenario) -> None:
+    records, summary = run(scen)
+    oracle = run_oracle(scen)
+    assert len(records) == len(oracle) == scen.steps
+    assert _record_reprs(records) == _record_reprs(oracle)
+    lateral = [r.lateral_error for r in oracle]
+    assert summary.convergence_time == _sliced_convergence_time(oracle, scen.dt)
+    assert summary.mean_abs_lateral_error == math.fsum(map(abs, lateral)) / len(lateral)
+    assert summary.max_abs_delta == max(abs(r.delta) for r in oracle)
+    assert summary.fault_count == sum(r.fault is not None for r in oracle)
+    assert summary.seed == scen.noise.rng_seed
+
+
+@pytest.mark.parametrize("sensor", ["noisy", "perfect", "paper_literal"])
+@pytest.mark.parametrize("controller", [Controller.PP, Controller.UTPP])
+@pytest.mark.parametrize("stem", ["straight", "circle", "waypoint_arc"])
+def test_run_records_equal_the_pose_per_step_oracle(stem, controller, sensor):
+    base = parse_config(str(CONFIG_DIR / f"{stem}.cfg"))
+    scen = replace(base, controller=controller, noise=replace(base.noise, rng_seed=3))
+    if sensor == "perfect":
+        scen = replace(scen, noise=replace(scen.noise, cov=Covariance3(0.0, 0.0, 0.0)))
+    elif sensor == "paper_literal":
+        scen = replace(scen, paper_literal=True)
+    _check_against_the_oracle(scen)
+
+
+@pytest.mark.parametrize("controller", [Controller.PP, Controller.UTPP])
+def test_faulted_run_records_equal_the_pose_per_step_oracle(circle_scenario, controller):
+    # The far start of FAR_START_DIGESTS: the first 11 steps miss the circle.
+    scen = replace(
+        circle_scenario,
+        controller=controller,
+        start_pose=Pose(0.0, -2.0, math.pi / 2),
+        noise=replace(circle_scenario.noise, max_lateral_dev=5.0),
+    )
+    assert run(scen)[1].fault_count == 11
+    _check_against_the_oracle(scen)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    road=st.sampled_from((STRAIGHT_ROAD, StraightLine(0.3, 0.7), CIRCLE_ROAD, Circle(1.2, 5.6, 5.0))),
+    start=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(-math.pi, math.pi)),
+    seed=st.integers(0, 2**32 - 1),
+    controller=st.sampled_from((Controller.PP, Controller.UTPP)),
+    paper_literal=st.booleans(),
+)
+def test_run_records_equal_the_pose_per_step_oracle_from_any_start(road, start, seed, controller, paper_literal):
+    # Starts up to 1.5 m off the road, heading anywhere: some steps fault,
+    # some clamp the measured position to the corridor.
+    scen = make_scenario(
+        road,
+        start_pose=Pose(*start),
+        controller=controller,
+        noise=reference_noise(seed),
+        paper_literal=paper_literal,
+        steps=60,
+    )
+    _check_against_the_oracle(scen)
+
+
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Count every Pose and TrajectoryRecord built from here on."""
+    built = {"Pose": 0, "TrajectoryRecord": 0}
+    for cls in (Pose, TrajectoryRecord):
+        original = cls.__init__
+
+        def counted(self, *args, _name=cls.__name__, _init=original, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("stem", ["straight", "circle", "waypoint_arc"])
+def test_run_batch_builds_no_record_and_no_pose(stem, monkeypatch):
+    base = parse_config(str(CONFIG_DIR / f"{stem}.cfg"))
+    scenarios = [replace(base, controller=c, steps=80) for c in (Controller.PP, Controller.UTPP)]
+    built = _count_builds(monkeypatch)
+    for scen in scenarios:
+        run_batch(scen, 3, 0)
+    assert built == {"Pose": 0, "TrajectoryRecord": 0}
+    # run's records are built when first read, not before: len reads the columns.
+    records, _ = run(scenarios[1])
+    assert len(records) == scenarios[1].steps
+    assert built == {"Pose": 0, "TrajectoryRecord": 0}
+    first = records[0]
+    assert built["TrajectoryRecord"] == scenarios[1].steps and built["Pose"] > 0
+    before = dict(built)
+    assert records[0] is first and list(records)[-1] is records[-1]
+    assert built == before
+
+
+def test_run_records_are_a_read_only_sequence():
+    scen = make_scenario(STRAIGHT_ROAD, noise=reference_noise(seed=4), steps=25)
+    records, _ = run(scen)
+    again, _ = run(scen)
+    listed = run_oracle(scen)
+    assert len(records) == 25
+    assert records == again == listed and listed == records
+    assert records != run(replace(scen, steps=24))[0] and records != listed[:-1]
+    assert records != tuple(listed) and records != "records"
+    assert records[-1] == listed[-1] and records[5:8] == listed[5:8]
+    assert [r.step for r in records] == list(range(25)) and records[3] in records
+    assert pickle.loads(pickle.dumps(records)) == records
+    with pytest.raises(IndexError):
+        records[25]
+    with pytest.raises(TypeError):
+        records[0] = listed[1]
+    with pytest.raises(TypeError):
+        hash(records)

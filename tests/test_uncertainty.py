@@ -21,7 +21,7 @@ from utpursuit import (
 )
 from utpursuit.config import parse_config
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, xyz
 
 REF = derive_ut_params(3, 0.001, 0.0)
 
@@ -70,7 +70,7 @@ def test_degenerate_scaling_raises():
 
 
 def test_sigma_points_lateral_only_covariance():
-    points = generate_sigma_points(Pose(0.0, 0.0, 0.0), Covariance3(0.0, 0.01, 0.0), REF)
+    points = generate_sigma_points((0.0, 0.0, 0.0), Covariance3(0.0, 0.01, 0.0), REF)
     assert len(points) == 7
     step = math.sqrt(3.0 + REF.lam) * 0.1
     assert step == pytest.approx(1.7320508e-4, rel=1e-7)
@@ -83,7 +83,7 @@ def test_sigma_points_lateral_only_covariance():
 
 def test_sigma_points_zero_covariance_all_coincide():
     mean = Pose(3.0, -2.0, 0.7)
-    points = generate_sigma_points(mean, Covariance3(0.0, 0.0, 0.0), REF)
+    points = generate_sigma_points(xyz(mean), Covariance3(0.0, 0.0, 0.0), REF)
     assert all(p == (mean.x, mean.y, mean.yaw) for p in points)
 
 
@@ -92,7 +92,7 @@ def test_sigma_points_symmetric_pairs_and_mean_recovery():
     for _ in range(500):
         mean = Pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-3.0, 3.0))
         cov = Covariance3(*rng.uniform(0.0, 0.05, size=3))
-        pts = generate_sigma_points(mean, cov, REF)
+        pts = generate_sigma_points(xyz(mean), cov, REF)
         assert pts[0] == (mean.x, mean.y, mean.yaw)
         for lo, hi, k, axis in ((1, 2, 0, "x"), (3, 4, 1, "y"), (5, 6, 2, "yaw")):
             a, b = pts[lo], pts[hi]
@@ -155,7 +155,7 @@ def test_sigma_points_hold_the_fields_of_poses_built_from_their_unwrapped_values
         (mean.x, mean.y, mean.yaw - syaw),
     ]
     expected = [_bits(p.x, p.y, p.yaw) for p in (Pose(*u) for u in unwrapped)]
-    assert [_bits(*point) for point in generate_sigma_points(mean, cov, params)] == expected
+    assert [_bits(*point) for point in generate_sigma_points(xyz(mean), cov, params)] == expected
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -167,7 +167,7 @@ def test_sigma_points_raise_on_a_perturbation_that_overflows(axis, sign, big):
     mean = Pose(sign * big if axis == "x" else 0.0, sign * big if axis == "y" else 0.0, 0.0)
     cov = Covariance3(big if axis == "x" else 0.0, big if axis == "y" else 0.0, 0.0)
     with pytest.raises(ValueError, match="pose fields must be finite"):
-        generate_sigma_points(mean, cov, UtParams(1e153, 0.0))
+        generate_sigma_points(xyz(mean), cov, UtParams(1e153, 0.0))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -221,12 +221,12 @@ def utpp_to_pp_distance_ratio(scenario, n_samples=4000, every=10):
         commands = []
         for x, y, yaw in rng.normal((pose.x, pose.y, pose.yaw), sd, size=(n_samples, 3)).tolist():
             try:
-                commands.append(step_pp(Pose(x, y, yaw), scenario)[0])
+                commands.append(step_pp(xyz(Pose(x, y, yaw)), scenario)[0])
             except RoadGeometryFault:
                 faulted += 1
         mc = math.fsum(commands) / len(commands)
         ut_err.append(abs(r.delta - mc))
-        pp_err.append(abs(step_pp(pose, scenario)[0] - mc))
+        pp_err.append(abs(step_pp(xyz(pose), scenario)[0] - mc))
     return math.fsum(ut_err) / math.fsum(pp_err), faulted / (n_samples * len(ut_err))
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from utpursuit import (
     Circle,
@@ -15,6 +17,8 @@ from utpursuit import (
     lateral_deviation,
     sample_measured_pose,
 )
+
+from conftest import xyz
 
 
 def fit_center(p0, p1, p2):
@@ -34,24 +38,23 @@ def fit_center(p0, p1, p2):
 
 
 def test_advance_pose_straight_and_quarter_lock():
-    p = advance_pose(Pose(0.0, 0.0, 0.0), 0.0, 1.0, 0.1, 1.0)
-    assert (p.x, p.y, p.yaw) == (0.1, 0.0, 0.0)
-    q = advance_pose(Pose(0.0, 0.0, 0.0), math.pi / 4, 1.0, 0.1, 1.0)
-    assert q.x == pytest.approx(0.0995004, abs=1e-7)
-    assert q.y == pytest.approx(0.0099833, abs=1e-7)
-    assert q.yaw == pytest.approx(0.1, rel=1e-12)
+    assert advance_pose((0.0, 0.0, 0.0), 0.0, 1.0, 0.1, 1.0) == (0.1, 0.0, 0.0)
+    x, y, yaw = advance_pose((0.0, 0.0, 0.0), math.pi / 4, 1.0, 0.1, 1.0)
+    assert x == pytest.approx(0.0995004, abs=1e-7)
+    assert y == pytest.approx(0.0099833, abs=1e-7)
+    assert yaw == pytest.approx(0.1, rel=1e-12)
 
 
 def test_advance_pose_uses_pre_update_yaw():
     # From a 90-degree heading the straight step moves along +y only.
-    p = advance_pose(Pose(1.0, 1.0, math.pi / 2), 0.0, 2.0, 0.5, 1.0)
-    assert p.x == pytest.approx(1.0, abs=1e-12)
-    assert p.y == pytest.approx(2.0, rel=1e-12)
+    x, y, _ = advance_pose((1.0, 1.0, math.pi / 2), 0.0, 2.0, 0.5, 1.0)
+    assert x == pytest.approx(1.0, abs=1e-12)
+    assert y == pytest.approx(2.0, rel=1e-12)
 
 
 def test_advance_pose_rejects_non_positive_dt():
     with pytest.raises(ValueError):
-        advance_pose(Pose(0.0, 0.0, 0.0), 0.0, 1.0, 0.0, 1.0)
+        advance_pose((0.0, 0.0, 0.0), 0.0, 1.0, 0.0, 1.0)
 
 
 def test_constant_steering_traces_a_circle():
@@ -60,10 +63,10 @@ def test_constant_steering_traces_a_circle():
     delta = math.atan(0.2)
     speed, dt, wheelbase = 1.0, 0.1, 1.0
     beta = (speed * dt / wheelbase) * math.tan(delta)
-    poses = [Pose(0.0, 0.0, 0.3)]
+    poses = [(0.0, 0.0, 0.3)]
     for _ in range(200):
         poses.append(advance_pose(poses[-1], delta, speed, dt, wheelbase))
-    pts = [(p.x, p.y) for p in poses]
+    pts = [(x, y) for x, y, _ in poses]
     center = fit_center(*pts[:3])
     radii = [math.hypot(x - center[0], y - center[1]) for x, y in pts]
     chord_radius = speed * dt / (2.0 * math.sin(beta / 2.0))
@@ -77,12 +80,11 @@ def test_constant_steering_closes_the_loop():
     speed, dt, wheelbase = 1.0, 0.1, 1.0
     beta = 2.0 * math.pi / 64.0
     delta = math.atan(beta * wheelbase / (speed * dt))
-    pose = Pose(1.0, -2.0, 0.25)
-    start = pose
+    pose = start = (1.0, -2.0, 0.25)
     for _ in range(64):
         pose = advance_pose(pose, delta, speed, dt, wheelbase)
-    assert math.hypot(pose.x - start.x, pose.y - start.y) < 1e-3
-    assert math.isclose(pose.yaw, start.yaw, abs_tol=1e-9)
+    assert math.hypot(pose[0] - start[0], pose[1] - start[1]) < 1e-3
+    assert math.isclose(pose[2], start[2], abs_tol=1e-9)
 
 
 def test_advance_pose_is_rigid_motion_equivariant():
@@ -94,19 +96,56 @@ def test_advance_pose_is_rigid_motion_equivariant():
         tx, ty = rng.uniform(-10, 10, size=2)
         c, s = math.cos(theta), math.sin(theta)
         moved = Pose(c * pose.x - s * pose.y + tx, s * pose.x + c * pose.y + ty, pose.yaw + theta)
-        a = advance_pose(pose, delta, 1.0, 0.1, 1.0)
-        b = advance_pose(moved, delta, 1.0, 0.1, 1.0)
+        a = Pose(*advance_pose(xyz(pose), delta, 1.0, 0.1, 1.0))
+        b = Pose(*advance_pose(xyz(moved), delta, 1.0, 0.1, 1.0))
         assert b.x == pytest.approx(c * a.x - s * a.y + tx, abs=1e-9)
         assert b.y == pytest.approx(s * a.x + c * a.y + ty, abs=1e-9)
         assert math.isclose(math.sin(b.yaw - a.yaw - theta), 0.0, abs_tol=1e-12)
 
 
+def _outcome(call):
+    """call()'s (x, y, yaw) by repr, or the type and message of the ValueError it raised."""
+    try:
+        return [repr(v) for v in call()]
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    pose=st.tuples(st.floats(-1.7e308, 1.7e308), st.floats(-1.7e308, 1.7e308), st.floats(-math.pi, math.pi)),
+    # tan(delta) < 1.6, so that the heading change arc * tan(delta) stays
+    # finite, as Scenario makes it for every command the clamp lets through.
+    delta=st.floats(-1.0, 1.0),
+    arc=st.sampled_from((0.1, 2.0, 1e308)),
+)
+@example(pose=(0.0, 0.0, math.pi - 0.01), delta=math.pi / 4, arc=0.1)
+@example(pose=(1.7e308, 0.0, 0.0), delta=0.0, arc=1e308)
+def test_advance_pose_holds_what_a_pose_of_its_unwrapped_values_holds(pose, delta, arc):
+    # A step across the yaw seam wraps, and one that overflows raises Pose's
+    # ValueError, message and all.
+    x, y, yaw = pose
+    beta = arc * math.tan(delta)
+    tx, ty = arc * math.cos(beta), arc * math.sin(beta)
+    c, s = math.cos(yaw), math.sin(yaw)
+    expected = _outcome(lambda: xyz(Pose(x + c * tx - s * ty, y + s * tx + c * ty, yaw + beta)))
+    assert _outcome(lambda: advance_pose(pose, delta, arc, 1.0, 1.0)) == expected
+
+
 ROAD = StraightLine(0.0, 0.0)
+
+
+def test_a_measured_pose_that_is_not_finite_raises_poses_error():
+    noise = NoiseModel(cov=Covariance3(1.0, 0.0, 0.0), max_lateral_dev=0.3)
+    draw = [math.inf, 0.0, 0.0]
+    expected = _outcome(lambda: xyz(Pose(*clamp_to_road((math.inf, 0.0), ROAD, 0.3), 0.0)))
+    assert expected[0] is ValueError
+    assert _outcome(lambda: sample_measured_pose((0.0, 0.0, 0.0), noise, ROAD, draw)) == expected
 
 
 def test_sampling_is_reproducible_and_seed_sensitive():
     noise = NoiseModel(cov=Covariance3(0.01, 0.01, 0.01), rng_seed=7)
-    true = Pose(1.0, 0.1, 0.05)
+    true = (1.0, 0.1, 0.05)
     seq1 = [sample_measured_pose(true, noise, ROAD, draw) for draw in noise.draws(50)]
     seq2 = [sample_measured_pose(true, noise, ROAD, draw) for draw in noise.draws(50)]
     assert seq1 == seq2
@@ -121,13 +160,13 @@ def test_sampling_statistics_match_the_covariance():
     noise = NoiseModel(
         cov=Covariance3(0.0, sigma_y**2, sigma_yaw**2), max_lateral_dev=1e9, rng_seed=12345
     )
-    true = Pose(0.0, 0.0, 0.0)
+    true = (0.0, 0.0, 0.0)
     xs, ys, yaws = [], [], []
     for draw in noise.draws(100_000):
-        p = sample_measured_pose(true, noise, ROAD, draw)
-        xs.append(p.x)
-        ys.append(p.y)
-        yaws.append(p.yaw)
+        x, y, yaw = sample_measured_pose(true, noise, ROAD, draw)
+        xs.append(x)
+        ys.append(y)
+        yaws.append(yaw)
     assert np.std(xs) == 0.0
     assert abs(np.std(ys) - sigma_y) <= 0.02 * sigma_y
     assert abs(np.std(yaws) - sigma_yaw) <= 0.02 * sigma_yaw
@@ -135,14 +174,14 @@ def test_sampling_statistics_match_the_covariance():
 
 def test_lateral_clamp_saturates_exactly():
     noise = NoiseModel(cov=Covariance3(0.0, 100.0, 0.0), max_lateral_dev=0.3, rng_seed=1)
-    true = Pose(0.0, 0.0, 0.0)
+    true = (0.0, 0.0, 0.0)
     saturated = 0
     for draw in noise.draws(100):
-        p = sample_measured_pose(true, noise, ROAD, draw)
-        assert abs(p.y) <= 0.3
-        if abs(p.y) == 0.3:
+        x, y, _ = sample_measured_pose(true, noise, ROAD, draw)
+        assert abs(y) <= 0.3
+        if abs(y) == 0.3:
             saturated += 1
-        assert p.x == 0.0
+        assert x == 0.0
     assert saturated > 90  # sigma_y = 10 m, nearly every draw clamps
 
 
@@ -185,8 +224,8 @@ def test_measured_pose_equals_the_scalar_draw_formula():
         expected = Pose(
             true.x + rng.normal(0.0, sx), true.y + rng.normal(0.0, sy), true.yaw + rng.normal(0.0, syaw)
         )
-        measured = sample_measured_pose(true, noise, ROAD, draw)
-        assert [v.hex() for v in (measured.x, measured.y, measured.yaw)] == [
+        measured = sample_measured_pose(xyz(true), noise, ROAD, draw)
+        assert [v.hex() for v in measured] == [
             v.hex() for v in (expected.x, expected.y, expected.yaw)
         ]
 
@@ -195,7 +234,7 @@ def test_a_perfect_sensor_draws_nothing(monkeypatch):
     noise = NoiseModel(cov=Covariance3(0.0, 0.0, 0.0), rng_seed=4)
     monkeypatch.setattr(NoiseModel, "make_rng", lambda self: pytest.fail("a zero covariance built a generator"))
     assert noise.draws(300) is None
-    true = Pose(8.0, 3.0, 0.5)
+    true = (8.0, 3.0, 0.5)
     assert sample_measured_pose(true, noise, ROAD, None) is true
 
 

@@ -12,7 +12,6 @@ from utpursuit import (
     Circle,
     CoincidentPoints,
     Controller,
-    Pose,
     StraightLine,
     TooFewWaypoints,
     VerticalRoad,
@@ -206,7 +205,7 @@ def test_loop_seam_resolves_to_first_waypoint_and_clamps():
     assert index.nearest_group([(0.0, -0.1)])[0] == 0
     # The probe (-1 + 1, -0.1) lands on the same seam query and clamps to 1,
     # so the local triple never wraps across the seam.
-    assert select_lookahead_waypoint(path, Pose(-1.0, -0.1, 0.0), 1.0) == 1
+    assert select_lookahead_waypoint(path, (-1.0, -0.1, 0.0), 1.0) == 1
 
 
 @st.composite
@@ -854,11 +853,11 @@ def test_load_waypoints_names_the_line_of_an_unparsable_row(tmp_path):
 
 def test_select_lookahead_waypoint_probes_ahead_and_clamps():
     path = WaypointPath([(float(i), 0.0) for i in range(10)])
-    assert select_lookahead_waypoint(path, Pose(3.1, 0.0, 0.0), 1.0) == 4
+    assert select_lookahead_waypoint(path, (3.1, 0.0, 0.0), 1.0) == 4
     # Probing backwards from the start clamps to index 1.
-    assert select_lookahead_waypoint(path, Pose(0.0, 0.0, math.pi), 1.0) == 1
+    assert select_lookahead_waypoint(path, (0.0, 0.0, math.pi), 1.0) == 1
     # Probing past the end clamps to len-2.
-    assert select_lookahead_waypoint(path, Pose(9.0, 0.0, 0.0), 3.0) == 8
+    assert select_lookahead_waypoint(path, (9.0, 0.0, 0.0), 3.0) == 8
 
 
 def test_menger_curvature_signs_and_collinear():
@@ -905,7 +904,7 @@ def test_circumcenter_against_bisector_oracle():
 
 def test_reduce_collinear_path_gives_matching_line():
     path = WaypointPath([(float(i), 2.0 * i + 1.0) for i in range(8)])
-    road = reduce_to_local_road(path, Pose(2.0, 5.0, math.atan(2.0)), 1.0)
+    road = reduce_to_local_road(path, (2.0, 5.0, math.atan(2.0)), 1.0)
     assert isinstance(road, StraightLine)
     assert road.slope == pytest.approx(2.0, abs=1e-12)
     assert road.intercept == pytest.approx(1.0, abs=1e-12)
@@ -913,7 +912,7 @@ def test_reduce_collinear_path_gives_matching_line():
 
 def test_reduce_arc_path_recovers_circle():
     path = arc_path()
-    road = reduce_to_local_road(path, Pose(0.0, 0.5, 0.0), 1.0)
+    road = reduce_to_local_road(path, (0.0, 0.5, 0.0), 1.0)
     assert isinstance(road, Circle)
     assert road.cx == pytest.approx(0.0, abs=1e-6)
     assert road.cy == pytest.approx(5.0, abs=1e-6)
@@ -923,14 +922,14 @@ def test_reduce_arc_path_recovers_circle():
 def test_reduce_huge_radius_arc_falls_back_to_line():
     # Curvature 5e-4 sits below the default straight threshold of 1e-3.
     path = arc_path(radius=2000.0, cy=2000.0, step_deg=0.02, n=20)
-    road = reduce_to_local_road(path, Pose(0.0, 0.1, 0.0), 1.0)
+    road = reduce_to_local_road(path, (0.0, 0.1, 0.0), 1.0)
     assert isinstance(road, StraightLine)
 
 
 def test_reduce_is_rigid_motion_equivariant():
     rng = np.random.default_rng(71)
     base = arc_path()
-    base_road = reduce_to_local_road(base, Pose(0.0, 0.5, 0.0), 1.0)
+    base_road = reduce_to_local_road(base, (0.0, 0.5, 0.0), 1.0)
     assert isinstance(base_road, Circle)
     for _ in range(50):
         theta = rng.uniform(-math.pi, math.pi)
@@ -941,7 +940,7 @@ def test_reduce_is_rigid_motion_equivariant():
             return (c * p[0] - s * p[1] + tx, s * p[0] + c * p[1] + ty)
 
         moved = WaypointPath([move(p) for p in base.points])
-        pose = Pose(*move((0.0, 0.5)), theta)
+        pose = (*move((0.0, 0.5)), theta)
         road = reduce_to_local_road(moved, pose, 1.0)
         assert isinstance(road, Circle)
         ex, ey = move((base_road.cx, base_road.cy))
@@ -954,7 +953,7 @@ def test_reduce_line_fit_is_rigid_motion_equivariant():
     # Near-collinear points: the orthogonal fit must move with the frame.
     pts = [(0.0, 0.0), (1.0, 1e-5), (2.0, 0.0), (3.0, 1e-5), (4.0, 0.0)]
     base = WaypointPath(pts)
-    pose = Pose(1.0, 0.1, 0.0)
+    pose = (1.0, 0.1, 0.0)
     base_road = reduce_to_local_road(base, pose, 1.0)
     assert isinstance(base_road, StraightLine)
     rng = np.random.default_rng(73)
@@ -967,7 +966,7 @@ def test_reduce_line_fit_is_rigid_motion_equivariant():
             return (c * p[0] - s * p[1] + tx, s * p[0] + c * p[1] + ty)
 
         moved = WaypointPath([move(p) for p in pts])
-        road = reduce_to_local_road(moved, Pose(*move((1.0, 0.1)), theta), 1.0)
+        road = reduce_to_local_road(moved, (*move((1.0, 0.1)), theta), 1.0)
         assert isinstance(road, StraightLine)
         # Compare the lines geometrically: moved base-line points must sit on it.
         for x in (-1.0, 1.0, 3.0):
