@@ -61,17 +61,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = replace(scenario, noise=replace(scenario.noise, rng_seed=args.seed))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, summary = run(scenario)
+    trajectory, summary = run(scenario)
     stem = f"{Path(args.config).stem}_{scenario.controller.value}_{summary.seed}"
     written = [out_dir / f"{stem}_trajectory.csv", out_dir / f"{stem}_summary.json"]
-    emit_csv(records, str(written[0]))
+    emit_csv(trajectory, str(written[0]))
     emit_summary_json(summary, scenario, str(written[1]))
     if args.svg:
         written.append(out_dir / f"{stem}.svg")
-        emit_svg(records, scenario.road, str(written[2]))
+        emit_svg(trajectory, scenario.road, str(written[2]))
     conv = "none" if summary.convergence_time is None else f"{format_float(summary.convergence_time)} s"
     print(
-        f"{scenario.controller.value}: {len(records)} steps, convergence {conv}, "
+        f"{scenario.controller.value}: {len(trajectory)} steps, convergence {conv}, "
         f"mean |lateral error| {format_float(summary.mean_abs_lateral_error)} m, "
         f"{summary.fault_count} faults"
     )

@@ -7,16 +7,22 @@ included, and the SVG contains no timestamps, random ids or external
 assets.  Plot geometry is emitted in data coordinates under a fixed affine
 transform so readers (and tests) can match polyline points against the
 records directly.
+
+A run's CSV and SVG are written from the Trajectory that sim.run returns,
+read through its columns, so no record or Pose is built to write them; a
+list of records is not accepted.  Each CSV row and each polyline is one %
+over a template built from the one float format, _FLOAT.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import asdict
 
 from .geometry import Circle, StraightLine
 from .roads import RoadModel
-from .sim import BatchStats, RunSummary, Scenario, TrajectoryRecord
+from .sim import BatchStats, RunSummary, Scenario, Trajectory
 from .vehicle import RNG_NAME
 from .waypoints import WaypointPath
 
@@ -35,9 +41,17 @@ TRUE_COLOR = "#1f77b4"
 MEAS_COLOR = "#ff7f0e"
 
 
+# The 9-significant-digit float format of every emitter ("inf" and "-inf" included).
+_FLOAT = "%.9g"
+# A trajectory CSV row: step, time, the true and measured poses, y_e, delta, lateral error, fault.
+_CSV_ROW = ",".join(("%d", *[_FLOAT] * 7, "%s", _FLOAT, _FLOAT, "%s"))
+# One polyline point.
+_POINT = f"{_FLOAT},{_FLOAT}"
+
+
 def format_float(value: float) -> str:
-    """The 9-significant-digit float format used by every emitter ("inf" and "-inf" included)."""
-    return format(value, ".9g")
+    """One float in the emitters' format, _FLOAT."""
+    return _FLOAT % value
 
 
 def _optional(value: float | None) -> str:
@@ -49,28 +63,14 @@ def _write_lines(lines: list[str], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_csv(records: list[TrajectoryRecord], path: str) -> None:
-    """Write the per-step log; y_e and fault cells are empty when absent."""
+def emit_csv(trajectory: Trajectory, path: str) -> None:
+    """Write the per-step log, one row per step at time k * dt; y_e and fault cells are empty when absent."""
+    dt, true, measured, y_es, deltas, lateral, faults = trajectory.columns
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.step),
-                    format_float(r.time),
-                    format_float(r.true_pose.x),
-                    format_float(r.true_pose.y),
-                    format_float(r.true_pose.yaw),
-                    format_float(r.measured_pose.x),
-                    format_float(r.measured_pose.y),
-                    format_float(r.measured_pose.yaw),
-                    _optional(r.y_e),
-                    format_float(r.delta),
-                    format_float(r.lateral_error),
-                    r.fault or "",
-                )
-            )
-        )
+    lines += [
+        _CSV_ROW % (k, k * dt, *t, *m, "" if y_e is None else _FLOAT % y_e, delta, lat, fault or "")
+        for k, (t, m, y_e, delta, lat, fault) in enumerate(zip(true, measured, y_es, deltas, lateral, faults))
+    ]
     _write_lines(lines, path)
 
 
@@ -122,8 +122,11 @@ def _panel_transform(panel, x0, x1, y0, y1, uniform):
     return f"translate({format_float(tx)},{format_float(ty)}) scale({format_float(sx)},{format_float(-sy)})"
 
 
-def _polyline(points: list[tuple[float, float]], color: str, width: float = 1.5) -> str:
-    coords = " ".join(f"{format_float(x)},{format_float(y)}" for x, y in points)
+def _polyline(xs: Sequence[float], ys: Sequence[float], color: str, width: float = 1.5) -> str:
+    """The polyline through the points (xs[i], ys[i])."""
+    flat = [0.0] * (2 * len(xs))
+    flat[::2], flat[1::2] = xs, ys
+    coords = " ".join([_POINT] * len(xs)) % tuple(flat)
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="{width}" vector-effect="non-scaling-stroke"/>'
@@ -132,15 +135,15 @@ def _polyline(points: list[tuple[float, float]], color: str, width: float = 1.5)
 
 def _road_element(road: RoadModel, x0: float, x1: float) -> str:
     if isinstance(road, StraightLine):
-        pts = [(x0, road.slope * x0 + road.intercept), (x1, road.slope * x1 + road.intercept)]
-        return _polyline(pts, ROAD_COLOR, 2.0)
+        ys = (road.slope * x0 + road.intercept, road.slope * x1 + road.intercept)
+        return _polyline((x0, x1), ys, ROAD_COLOR, 2.0)
     if isinstance(road, Circle):
         return (
             f'<circle cx="{format_float(road.cx)}" cy="{format_float(road.cy)}" '
             f'r="{format_float(road.radius)}" '
             f'fill="none" stroke="{ROAD_COLOR}" stroke-width="2" vector-effect="non-scaling-stroke"/>'
         )
-    return _polyline(road.points, ROAD_COLOR, 2.0)
+    return _polyline(*zip(*road.points), ROAD_COLOR, 2.0)
 
 
 def _text(x: float, y: float, s: str, anchor: str = "middle") -> str:
@@ -150,18 +153,20 @@ def _text(x: float, y: float, s: str, anchor: str = "middle") -> str:
     )
 
 
-def emit_svg(records: list[TrajectoryRecord], road: RoadModel, path: str) -> None:
+def emit_svg(trajectory: Trajectory, road: RoadModel, path: str) -> None:
     """Write the two-panel plot: xy trajectories over the road, and delta(t)."""
-    true_xy = [(r.true_pose.x, r.true_pose.y) for r in records]
-    meas_xy = [(r.measured_pose.x, r.measured_pose.y) for r in records]
-    xs = [p[0] for p in true_xy + meas_xy]
-    ys = [p[1] for p in true_xy + meas_xy]
+    dt, true, measured, _, deltas, _, _ = trajectory.columns
+    true_xs, true_ys, _ = zip(*true)
+    meas_xs, meas_ys, _ = zip(*measured)
+    xs = [*true_xs, *meas_xs]
+    ys = [*true_ys, *meas_ys]
     if isinstance(road, Circle):
         xs += [road.cx - road.radius, road.cx + road.radius]
         ys += [road.cy - road.radius, road.cy + road.radius]
     elif isinstance(road, WaypointPath):
-        xs += [p[0] for p in road.points]
-        ys += [p[1] for p in road.points]
+        road_xs, road_ys = zip(*road.points)
+        xs += road_xs
+        ys += road_ys
     x0, x1 = _bounds(xs)
     ys_with_road = ys + (
         [road.slope * x0 + road.intercept, road.slope * x1 + road.intercept]
@@ -170,8 +175,7 @@ def emit_svg(records: list[TrajectoryRecord], road: RoadModel, path: str) -> Non
     )
     y0, y1 = _bounds(ys_with_road)
 
-    times = [r.time for r in records]
-    deltas = [r.delta for r in records]
+    times = [k * dt for k in range(len(deltas))]
     t0, t1 = _bounds(times, 0.02)
     d0, d1 = _bounds(deltas)
 
@@ -183,11 +187,11 @@ def emit_svg(records: list[TrajectoryRecord], road: RoadModel, path: str) -> Non
         f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<g transform="{_panel_transform(left, x0, x1, y0, y1, uniform=True)}">',
         _road_element(road, x0, x1),
-        _polyline(meas_xy, MEAS_COLOR, 1.0),
-        _polyline(true_xy, TRUE_COLOR),
+        _polyline(meas_xs, meas_ys, MEAS_COLOR, 1.0),
+        _polyline(true_xs, true_ys, TRUE_COLOR),
         "</g>",
         f'<g transform="{_panel_transform(right, t0, t1, d0, d1, uniform=False)}">',
-        _polyline(list(zip(times, deltas)), TRUE_COLOR),
+        _polyline(times, deltas, TRUE_COLOR),
         "</g>",
     ]
     for (px0, py0, px1, py1), title in zip(_PANELS, ("trajectory [m]", "steering angle [rad]")):

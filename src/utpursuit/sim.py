@@ -19,7 +19,7 @@ from itertools import repeat
 from numbers import Real
 from operator import attrgetter
 from types import UnionType
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .errors import ConfigInvalid, RoadGeometryFault
 from .geometry import Pose, StraightLine, circle_to_vehicle, line_to_vehicle
@@ -169,34 +169,55 @@ class TrajectoryRecord:
     fault: str | None
 
 
+class TrajectoryColumns(NamedTuple):
+    """A run's columns, one entry per step: the true and measured (x, y, yaw)
+    triples, y_e (None on faulted steps), the command, the true pose's
+    lateral error and the fault's name (None on clean steps), and the step
+    length dt; step k's time is k * dt.  The lists are the run's own, not
+    copies, and are not to be mutated."""
+
+    dt: float
+    true: list[tuple[float, float, float]]
+    measured: list[tuple[float, float, float]]
+    y_e: list[float | None]
+    delta: list[float]
+    lateral: list[float]
+    fault: list[str | None]
+
+
 class Trajectory(Sequence):
     """A run's records as a read-only sequence over the run's columns.
 
     run keeps each step's true and measured (x, y, yaw), y_e, command,
-    lateral error and fault in columns; len reads them as they are, and the
-    TrajectoryRecords are built, all of them, the first time a record is
-    read (by index, iteration or ==).  A Trajectory equals another, or a
-    list, that holds equal records.
+    lateral error and fault in columns.  columns and len read them as they
+    are, which is how the emitters write a run; the TrajectoryRecords are
+    built, all of them, the first time a record is read (by index,
+    iteration or ==).  A Trajectory equals another, or a list, that holds
+    equal records.
     """
 
-    __slots__ = ("_dt", "_columns", "_records")
+    __slots__ = ("_columns", "_records")
 
     def __init__(self, dt: float, true: list, measured: list, y_e: list, delta: list, lateral: list, fault: list):
-        self._dt = dt
-        self._columns = (true, measured, y_e, delta, lateral, fault)
+        self._columns = TrajectoryColumns(dt, true, measured, y_e, delta, lateral, fault)
         self._records: list[TrajectoryRecord] | None = None
+
+    @property
+    def columns(self) -> TrajectoryColumns:
+        """The run's columns themselves: no copy, and no record built."""
+        return self._columns
 
     def _built(self) -> list[TrajectoryRecord]:
         if self._records is None:
-            dt = self._dt
+            dt, *columns = self._columns
             self._records = [
                 TrajectoryRecord(k, k * dt, Pose(*true), Pose(*measured), y_e, delta, lateral, fault)
-                for k, (true, measured, y_e, delta, lateral, fault) in enumerate(zip(*self._columns))
+                for k, (true, measured, y_e, delta, lateral, fault) in enumerate(zip(*columns))
             ]
         return self._records
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._columns.delta)
 
     def __getitem__(self, index):
         return self._built()[index]

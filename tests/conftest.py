@@ -23,7 +23,18 @@ from utpursuit import (
     step_utpp,
 )
 from utpursuit.config import parse_config
-from utpursuit.output import CSV_HEADER
+from utpursuit.output import (
+    _PANELS,
+    _SVG_H,
+    _SVG_W,
+    CSV_HEADER,
+    MEAS_COLOR,
+    ROAD_COLOR,
+    TRUE_COLOR,
+    _bounds,
+    _panel_transform,
+    _text,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -215,3 +226,133 @@ def read_svg_polylines(path: str) -> list[list[tuple[float, float]]]:
         pairs = text[start:end].split()
         out.append([tuple(map(float, p.split(","))) for p in pairs])
         pos = end
+
+
+def _format_oracle(value: float) -> str:
+    """The emitters' float format in format()'s spelling, which output.py spells with %."""
+    return format(value, ".9g")
+
+
+def _write_lines_oracle(lines: list[str], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def emit_csv_oracle(records: list[TrajectoryRecord], path: str) -> None:
+    """emit_csv's file, written from records, one format() call per cell."""
+    lines = [CSV_HEADER]
+    for r in records:
+        lines.append(
+            ",".join(
+                (
+                    str(r.step),
+                    _format_oracle(r.time),
+                    _format_oracle(r.true_pose.x),
+                    _format_oracle(r.true_pose.y),
+                    _format_oracle(r.true_pose.yaw),
+                    _format_oracle(r.measured_pose.x),
+                    _format_oracle(r.measured_pose.y),
+                    _format_oracle(r.measured_pose.yaw),
+                    "" if r.y_e is None else _format_oracle(r.y_e),
+                    _format_oracle(r.delta),
+                    _format_oracle(r.lateral_error),
+                    r.fault or "",
+                )
+            )
+        )
+    _write_lines_oracle(lines, path)
+
+
+def _polyline_oracle(points: list[tuple[float, float]], color: str, width: float = 1.5) -> str:
+    coords = " ".join(f"{_format_oracle(x)},{_format_oracle(y)}" for x, y in points)
+    return (
+        f'<polyline points="{coords}" fill="none" stroke="{color}" '
+        f'stroke-width="{width}" vector-effect="non-scaling-stroke"/>'
+    )
+
+
+def _road_element_oracle(road, x0: float, x1: float) -> str:
+    if isinstance(road, StraightLine):
+        pts = [(x0, road.slope * x0 + road.intercept), (x1, road.slope * x1 + road.intercept)]
+        return _polyline_oracle(pts, ROAD_COLOR, 2.0)
+    if isinstance(road, Circle):
+        return (
+            f'<circle cx="{_format_oracle(road.cx)}" cy="{_format_oracle(road.cy)}" '
+            f'r="{_format_oracle(road.radius)}" '
+            f'fill="none" stroke="{ROAD_COLOR}" stroke-width="2" vector-effect="non-scaling-stroke"/>'
+        )
+    return _polyline_oracle(road.points, ROAD_COLOR, 2.0)
+
+
+def emit_svg_oracle(records: list[TrajectoryRecord], road, path: str) -> None:
+    """emit_svg's file, written from records, one format() call per coordinate.
+
+    The panel frames, transforms and labels come from output.py's own
+    helpers, which take a handful of values per file; the points, the
+    bounds they span and the road element are written out here.
+    """
+    true_xy = [(r.true_pose.x, r.true_pose.y) for r in records]
+    meas_xy = [(r.measured_pose.x, r.measured_pose.y) for r in records]
+    xs = [p[0] for p in true_xy + meas_xy]
+    ys = [p[1] for p in true_xy + meas_xy]
+    if isinstance(road, Circle):
+        xs += [road.cx - road.radius, road.cx + road.radius]
+        ys += [road.cy - road.radius, road.cy + road.radius]
+    elif isinstance(road, WaypointPath):
+        xs += [p[0] for p in road.points]
+        ys += [p[1] for p in road.points]
+    x0, x1 = _bounds(xs)
+    ys_with_road = ys + (
+        [road.slope * x0 + road.intercept, road.slope * x1 + road.intercept]
+        if isinstance(road, StraightLine)
+        else []
+    )
+    y0, y1 = _bounds(ys_with_road)
+
+    times = [r.time for r in records]
+    deltas = [r.delta for r in records]
+    t0, t1 = _bounds(times, 0.02)
+    d0, d1 = _bounds(deltas)
+
+    left, right = _PANELS
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_SVG_W}" '
+        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<g transform="{_panel_transform(left, x0, x1, y0, y1, uniform=True)}">',
+        _road_element_oracle(road, x0, x1),
+        _polyline_oracle(meas_xy, MEAS_COLOR, 1.0),
+        _polyline_oracle(true_xy, TRUE_COLOR),
+        "</g>",
+        f'<g transform="{_panel_transform(right, t0, t1, d0, d1, uniform=False)}">',
+        _polyline_oracle(list(zip(times, deltas)), TRUE_COLOR),
+        "</g>",
+    ]
+    for (px0, py0, px1, py1), title in zip(_PANELS, ("trajectory [m]", "steering angle [rad]")):
+        parts.append(
+            f'<rect x="{_format_oracle(px0)}" y="{_format_oracle(py0)}" width="{_format_oracle(px1 - px0)}" '
+            f'height="{_format_oracle(py1 - py0)}" fill="none" stroke="black"/>'
+        )
+        parts.append(_text(0.5 * (px0 + px1), py0 - 14.0, title))
+    parts.append(_text(0.5 * (left[0] + left[2]), left[3] + 24.0, f"x: {x0:.4g} to {x1:.4g} m"))
+    parts.append(_text(0.5 * (right[0] + right[2]), right[3] + 24.0, f"time: 0 to {max(times):.4g} s"))
+    parts.append(
+        _text(right[0] - 6.0, 0.5 * (right[1] + right[3]), f"{d0:.4g} to {d1:.4g} rad", anchor="end")
+    )
+    parts.append("</svg>")
+    _write_lines_oracle(parts, path)
+
+
+def count_builds(monkeypatch) -> dict[str, int]:
+    """Count every Pose and TrajectoryRecord built from here on."""
+    built = {"Pose": 0, "TrajectoryRecord": 0}
+    for cls in (Pose, TrajectoryRecord):
+        original = cls.__init__
+
+        def counted(self, *args, _name=cls.__name__, _init=original, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built

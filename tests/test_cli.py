@@ -6,12 +6,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utpursuit import (
     Circle,
     ConfigInvalid,
     Controller,
     Pose,
+    RoadGeometryFault,
     StraightLine,
     WaypointPath,
     derive_ut_params,
@@ -28,8 +31,18 @@ from utpursuit.output import (
     emit_svg,
     format_float,
 )
+from utpursuit.sim import Trajectory
 
-from conftest import CONFIG_DIR, make_scenario, read_csv, read_svg_polylines, reference_noise
+from conftest import (
+    CONFIG_DIR,
+    count_builds,
+    emit_csv_oracle,
+    emit_svg_oracle,
+    make_scenario,
+    read_csv,
+    read_svg_polylines,
+    reference_noise,
+)
 
 STRAIGHT_CFG = str(CONFIG_DIR / "straight.cfg")
 CIRCLE_CFG = str(CONFIG_DIR / "circle.cfg")
@@ -308,6 +321,88 @@ def test_svg_of_a_constant_command_pads_its_zero_span(tmp_path):
     assert [y for _, y in read_svg_polylines(path)[-1]] == [0.0] * 20
 
 
+# Finite floats, with -0.0, subnormals, the ends of the float range and whole numbers drawn often.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7976931348623157e308, 2.0**53)
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-(10**6), 10**6).map(float),
+)
+# The loop keeps every yaw in (-pi, pi], so a record's Pose holds the column's yaw as it is.
+_YAW = st.one_of(
+    st.floats(-math.pi, math.pi, exclude_min=True),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -3.0, math.pi)),
+)
+_FAULTS = sorted(cls.__name__ for cls in RoadGeometryFault.__subclasses__())
+_ROAD_CELL = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _waypoint_paths(draw):
+    # x climbs by at least 0.5 per waypoint, so consecutive waypoints stay apart.
+    n = draw(st.integers(3, 8))
+    return WaypointPath([(i + draw(st.floats(0.0, 0.5)), draw(_ROAD_CELL)) for i in range(n)])
+
+
+_ROADS = st.one_of(
+    st.builds(StraightLine, _ROAD_CELL, _ROAD_CELL),
+    st.builds(Circle, _ROAD_CELL, _ROAD_CELL, st.floats(1e-3, 1e6)),
+    _waypoint_paths(),
+)
+
+
+@st.composite
+def _trajectories(draw):
+    n = draw(st.integers(1, 40))
+
+    def column(cells):
+        return draw(st.lists(cells, min_size=n, max_size=n))
+
+    pose = st.tuples(_CELL, _CELL, _YAW)
+    dt = draw(st.one_of(st.floats(min_value=0.0, max_value=1e300, exclude_min=True), st.integers(1, 10).map(float)))
+    return Trajectory(
+        dt,
+        column(pose),
+        column(pose),
+        column(st.one_of(st.none(), _CELL)),
+        column(_CELL),
+        column(_CELL),
+        column(st.one_of(st.none(), st.sampled_from(_FAULTS))),
+    )
+
+
+def _written(emit, *args):
+    """The bytes that emit(*args) writes to its last argument, or ZeroDivisionError if it raises that."""
+    path = Path(args[-1])
+    try:
+        emit(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return path.read_bytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(trajectory=_trajectories(), road=_ROADS)
+def test_emitters_write_the_oracles_bytes_from_the_columns(tmp_path_factory, trajectory, road):
+    # Written from the columns, the files equal those of the record oracles
+    # fed the same trajectory's records; a plot whose points all sit where a
+    # pad of one metre is lost to rounding fails alike on both sides.
+    d = tmp_path_factory.mktemp("emit")
+    records = list(trajectory)
+    assert _written(emit_csv, trajectory, d / "a.csv") == _written(emit_csv_oracle, records, d / "b.csv")
+    assert _written(emit_svg, trajectory, road, d / "a.svg") == _written(emit_svg_oracle, records, road, d / "b.svg")
+
+
+@pytest.mark.parametrize("stem", ["straight", "circle", "waypoint_arc"])
+def test_cli_run_builds_no_record_and_only_the_start_pose(tmp_path, monkeypatch, capsys, stem):
+    # The emitters read the run's columns: the config's start pose is the one Pose built.
+    built = count_builds(monkeypatch)
+    for controller in ("pp", "utpp"):
+        argv = ["run", "--config", str(CONFIG_DIR / f"{stem}.cfg"), "--controller", controller, "--svg"]
+        assert main(argv + ["--steps", "80", "--out-dir", str(tmp_path / controller)]) == 0
+    assert built == {"Pose": 2, "TrajectoryRecord": 0}
+
+
 def test_format_float_handles_infinities():
     assert format_float(math.inf) == "inf"
     assert format_float(-math.inf) == "-inf"
@@ -528,6 +623,77 @@ def test_cli_batch_files_match_the_pinned_digests(tmp_path, stem, base_seed):
         for kind in ("runs", "aggregate")
     )
     assert digests == BATCH_DIGESTS[stem, base_seed]
+
+
+# SHA-256 of the trajectory CSV, summary JSON and SVG of `run --svg` at seed 0,
+# keyed by config, controller and extra flags.  A perfect sensor makes the
+# measured poses the true ones.  The far circle's start faults: noisy, the
+# clamp pulls the measured pose onto the road after step 0; perfect, every
+# step faults, so every y_e cell is empty and the command stays 0.  These
+# change only in a change that states and measures its output drift.
+RUN_FILE_DIGESTS = {
+    ("straight", "pp", ()): (
+        "4b7a1fb96ad9e15301795a66b2e9caa0a4e172c45a2a52219c905ae67d6524e5",
+        "5898a0d628f7e81510c4bd1a7de63e86f6752ada1674f7664fe31ecfc56f083d",
+        "6f4c52c4804df5aebe1903117238c825802c60f8b8190d530c275442636e1785",
+    ),
+    ("straight", "utpp", ()): (
+        "9e2c46e14ef5cab4a78b2a834e19fe50a201819b098194274d63241b9998f1f8",
+        "daea4a798e27addf9b8a1b30225b214113d23ce485d56ac089da465e7b84871e",
+        "67a4361eec277848d5ab3b6010b319ca9293d42553d769c7369ca271705f362b",
+    ),
+    ("circle", "pp", ()): (
+        "0d046dd3eb7b23b759ee086c90c59bde77e24c5d3e2bf3c0c6fb986de79dd89d",
+        "4878b23423803c77054b7a12c97eefca687bc1ce431c691c84b4598afcd4192d",
+        "0c91d026b0d3598414a6c034f18bbd215e1a2dbe0a9017d20dd739397d207a0a",
+    ),
+    ("circle", "utpp", ()): (
+        "3c80a587366cce1a4caeb042228c79b485d945be2f50cfc6df343a53ab32c3e4",
+        "bc453212b400299515592ea92e259cf0b085ee815a3bedf781b26ba6e5d20338",
+        "db8e20e9316c8cf11a63bfa73170778b3c771bae2679916b505b5c6506eaa221",
+    ),
+    ("waypoint_arc", "pp", ()): (
+        "ac18dbfd5da9dd30f9e49801a66aa1ccdbe5b6777605bee82b173f1266bebc57",
+        "383a3ffa583c293a3c0edc30de95ed286f69d2ecaedc31547b67f33a4f374338",
+        "f2a30acf4e50186d6708e3d08c8b89d5117d563537dc40b35eb65c3c0eb403ab",
+    ),
+    ("waypoint_arc", "utpp", ()): (
+        "862b0eafc7efdf2c1c88cf01ea536a70f4c11fd55b1d7a275643039088077cf8",
+        "810fb4c9d083af47e4d8e1a2944e98a3ba4d918e19757621037556a4d27e648d",
+        "9a13aa6bf53f1717e99219432d23edfbf8256d0c3ebc9a589ed897b8c4f39505",
+    ),
+    ("straight", "utpp", ("--noise", "off")): (
+        "b57bf1d22825942771c062cd0076b621c79feb68dc4ffc6265226066ffaeea61",
+        "ad805a307a38d1c9ea3a11537b2db4caa4752aa0754f16b19f06138d58d38a1b",
+        "4c9092a37fed6559acd081ca452479d16c90aaa27b83b59e6d911c7a29df2e17",
+    ),
+    ("straight", "pp", ("--road", "circle:0,40,5")): (
+        "50bb00174cfea21eaa452bf60935d88b820560d5d7dc2b4506e9a99fe8e2e07e",
+        "a82c47a864e8d9aff04e5bae41e8d9285888a9e11129c919fbfd6f45662e2341",
+        "db95c7f106df0bc8a32f32e823fc922c773307c9c47f032ba73958999387bc43",
+    ),
+    ("straight", "pp", ("--road", "circle:0,40,5", "--noise", "off")): (
+        "af6f194bc9574efc006a96080eb03c28c604059db11820dd451dc269f42be210",
+        "49defa8da7835b40cc24608321e47b3b5742cfdfc1b610ee374f4763a3689ebc",
+        "1f52dd10f423f0ae7774ff44bcfd87886b570562f4dcd0a0938784aca32f69fa",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "stem, controller, flags",
+    list(RUN_FILE_DIGESTS),
+    ids=lambda v: (" ".join(v) or "default") if isinstance(v, tuple) else v,
+)
+def test_cli_run_files_match_the_pinned_digests(tmp_path, capsys, stem, controller, flags):
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(CONFIG_DIR / f"{stem}.cfg"), "--controller", controller, "--svg"]
+    assert main(argv + list(flags) + ["--out-dir", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / f"{stem}_{controller}_0{suffix}").read_bytes()).hexdigest()
+        for suffix in ("_trajectory.csv", "_summary.json", ".svg")
+    )
+    assert digests == RUN_FILE_DIGESTS[stem, controller, flags]
 
 
 @pytest.mark.parametrize("alpha", ["1e-7", "1e-9", "1e-160"])

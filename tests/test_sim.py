@@ -56,6 +56,7 @@ from conftest import (
     CIRCLE_ROAD,
     CONFIG_DIR,
     STRAIGHT_ROAD,
+    count_builds,
     global_to_vehicle,
     make_scenario,
     reference_noise,
@@ -1375,25 +1376,11 @@ def test_run_records_equal_the_pose_per_step_oracle_from_any_start(road, start, 
     _check_against_the_oracle(scen)
 
 
-def _count_builds(monkeypatch) -> dict[str, int]:
-    """Count every Pose and TrajectoryRecord built from here on."""
-    built = {"Pose": 0, "TrajectoryRecord": 0}
-    for cls in (Pose, TrajectoryRecord):
-        original = cls.__init__
-
-        def counted(self, *args, _name=cls.__name__, _init=original, **kwargs):
-            built[_name] += 1
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted)
-    return built
-
-
 @pytest.mark.parametrize("stem", ["straight", "circle", "waypoint_arc"])
 def test_run_batch_builds_no_record_and_no_pose(stem, monkeypatch):
     base = parse_config(str(CONFIG_DIR / f"{stem}.cfg"))
     scenarios = [replace(base, controller=c, steps=80) for c in (Controller.PP, Controller.UTPP)]
-    built = _count_builds(monkeypatch)
+    built = count_builds(monkeypatch)
     for scen in scenarios:
         run_batch(scen, 3, 0)
     assert built == {"Pose": 0, "TrajectoryRecord": 0}
@@ -1406,6 +1393,24 @@ def test_run_batch_builds_no_record_and_no_pose(stem, monkeypatch):
     before = dict(built)
     assert records[0] is first and list(records)[-1] is records[-1]
     assert built == before
+
+
+def test_trajectory_columns_are_the_runs_own_lists(monkeypatch):
+    scen = make_scenario(CIRCLE_ROAD, noise=reference_noise(seed=4), steps=25)
+    built = count_builds(monkeypatch)
+    records, _ = run(scen)
+    columns = records.columns
+    # The same lists on every read, and no record or Pose built to read them.
+    assert all(a is b for a, b in zip(columns, records.columns))
+    assert built == {"Pose": 0, "TrajectoryRecord": 0}
+    with pytest.raises(AttributeError):
+        records.columns = columns
+    listed = run_oracle(scen)
+    assert columns.dt == scen.dt
+    assert columns.true == [xyz(r.true_pose) for r in listed]
+    assert columns.measured == [xyz(r.measured_pose) for r in listed]
+    assert columns.y_e == [r.y_e for r in listed] and columns.delta == [r.delta for r in listed]
+    assert columns.lateral == [r.lateral_error for r in listed] and columns.fault == [r.fault for r in listed]
 
 
 def test_run_records_are_a_read_only_sequence():
