@@ -58,7 +58,6 @@ from .waypoints import (
     menger_curvature,
     reduce_to_local_road,
     select_lookahead_waypoint,
-    select_lookahead_waypoints,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +108,6 @@ __all__ = [
     "run_batch",
     "sample_measured_pose",
     "select_lookahead_waypoint",
-    "select_lookahead_waypoints",
     "steering_angle",
     "step_pp",
     "step_utpp",

@@ -17,6 +17,7 @@ over a template built from the one float format, _FLOAT.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import asdict
 
@@ -104,11 +105,17 @@ def emit_summary_json(summary: RunSummary, scenario: Scenario, path: str) -> Non
 
 
 def _bounds(values: list[float], pad_frac: float = 0.08) -> tuple[float, float]:
+    """The padded range (lo, hi) of values, with hi > lo."""
     lo, hi = min(values), max(values)
     span = hi - lo
     if span < 1e-9:
         lo, hi, span = lo - 1.0, hi + 1.0, 2.0
-    return lo - pad_frac * span, hi + pad_frac * span
+    lo, hi = lo - pad_frac * span, hi + pad_frac * span
+    # Far from the origin the widening and the pad can round away (about
+    # 1e16 and up): step each end out by one unit in the last place.
+    if not hi > lo:
+        lo, hi = lo - math.ulp(lo), hi + math.ulp(hi)
+    return lo, hi
 
 
 def _panel_transform(panel, x0, x1, y0, y1, uniform):

@@ -1,10 +1,12 @@
 """Closed-loop tracking simulation for both controllers.
 
 Each step runs the controller on the latest measured pose, advances the true
-pose with the commanded steering, then samples the next measured pose.  A
-recoverable geometry fault (road out of reach, perpendicular line, missed
-circle) never aborts a run: the previous steering command is held and the
-fault is tagged on that step's record.
+pose with the commanded steering, then samples the next measured pose.
+Both controllers steer every pose through _steer, which first reduces a
+waypoint road to the pose's local line or circle.  A recoverable geometry
+fault (road out of reach, perpendicular line, missed circle) never aborts a
+run: the previous steering command is held and the fault is tagged on that
+step's record.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .pursuit import DEFAULT_STEERING_LIMIT, cross_track_circle, cross_track_lin
 from .roads import RoadModel, lateral_deviation
 from .uncertainty import DEFAULT_UT, Covariance3, UtParams, generate_sigma_points, weighted_steering
 from .vehicle import NoiseModel, advance_pose, sample_measured_pose
-from .waypoints import LocalRoad, WaypointPath, local_road, reduce_to_local_road, select_lookahead_waypoints
+from .waypoints import WaypointPath, reduce_to_local_road
 
 logger = logging.getLogger(__name__)
 
@@ -259,9 +261,17 @@ class BatchStats:
 
 
 def _steer(
-    road: LocalRoad, x: float, y: float, yaw: float, d_l: float, wheelbase: float, limit: float
+    road: RoadModel, pose: tuple[float, float, float], d_l: float, wheelbase: float, limit: float
 ) -> tuple[float, float]:
-    """The pure-pursuit command of the pose (x, y, yaw) against a global line or circle: (delta, y_e)."""
+    """The pure-pursuit command of the pose (x, y, yaw) against the road: (delta, y_e).
+
+    A waypoint road is first reduced to the line or circle of the pose's
+    look-ahead waypoint (reduce_to_local_road); every pose that either
+    controller steers has its road resolved here.
+    """
+    if isinstance(road, WaypointPath):
+        road = reduce_to_local_road(road, pose, d_l)
+    x, y, yaw = pose
     if isinstance(road, StraightLine):
         m, c = line_to_vehicle(road, x, y, yaw)
         y_e = cross_track_line(m, c, d_l)[0]
@@ -273,11 +283,7 @@ def _steer(
 
 def step_pp(pose: tuple[float, float, float], scenario: Scenario) -> tuple[float, float]:
     """One conventional pure-pursuit decision from the measured pose (x, y, yaw): (delta, y_e)."""
-    road = scenario.road
-    if isinstance(road, WaypointPath):
-        road = reduce_to_local_road(road, pose, scenario.lookahead)
-    x, y, yaw = pose
-    return _steer(road, x, y, yaw, scenario.lookahead, scenario.wheelbase, scenario.steering_limit)
+    return _steer(scenario.road, pose, scenario.lookahead, scenario.wheelbase, scenario.steering_limit)
 
 
 def step_utpp(pose: tuple[float, float, float], scenario: Scenario) -> tuple[float, float]:
@@ -290,34 +296,16 @@ def step_utpp(pose: tuple[float, float, float], scenario: Scenario) -> tuple[flo
     mean sigma pose's.  A fault on the mean pose faults the whole step.
     Each axis contributes the commands of its two sigma poses, or, when its
     variance is zero or either pose faults, the mean's command in both
-    slots, so the axis adds no curvature term.  On a waypoint road the
-    look-ahead waypoints of all the steered poses are selected in one call,
-    and each pose is steered against its waypoint's local road, which is
-    looked up inside the pose's own fault handling.
+    slots, so the axis adds no curvature term.
     """
     sigma = generate_sigma_points(pose, scenario.noise.cov, scenario.ut)
-    pairs = scenario._steered_pairs
-    d_l, wheelbase, limit = scenario.lookahead, scenario.wheelbase, scenario.steering_limit
-    road = scenario.road
-    waypoint = None
-    if isinstance(road, WaypointPath):
-        steered = [0, *(j for _, i in pairs for j in (i, i + 1))]
-        waypoint = dict(zip(steered, select_lookahead_waypoints(road, [sigma[j] for j in steered], d_l)))
-    x, y, yaw = sigma[0]
-    delta0, y_e = _steer(
-        road if waypoint is None else local_road(road, waypoint[0]), x, y, yaw, d_l, wheelbase, limit
-    )
+    road, d_l, wheelbase, limit = scenario.road, scenario.lookahead, scenario.wheelbase, scenario.steering_limit
+    delta0, y_e = _steer(road, sigma[0], d_l, wheelbase, limit)
     deltas = [delta0] * len(sigma)
-    for axis, i in pairs:
+    for axis, i in scenario._steered_pairs:
         try:
-            x, y, yaw = sigma[i]
-            delta_plus = _steer(
-                road if waypoint is None else local_road(road, waypoint[i]), x, y, yaw, d_l, wheelbase, limit
-            )[0]
-            x, y, yaw = sigma[i + 1]
-            deltas[i + 1] = _steer(
-                road if waypoint is None else local_road(road, waypoint[i + 1]), x, y, yaw, d_l, wheelbase, limit
-            )[0]
+            delta_plus = _steer(road, sigma[i], d_l, wheelbase, limit)[0]
+            deltas[i + 1] = _steer(road, sigma[i + 1], d_l, wheelbase, limit)[0]
             deltas[i] = delta_plus
         except RoadGeometryFault as exc:
             logger.debug("sigma axis %s fell back to the mean steering: %s", axis, exc)

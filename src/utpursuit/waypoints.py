@@ -5,7 +5,9 @@ the rear axle, finding the nearest waypoint, and fitting the waypoint triple
 around it: a triple whose |Menger curvature| is under STRAIGHT_EPS becomes
 a straight line, any other its circumcircle; the curvature's sign
 (counter-clockwise positive) is kept for diagnostics.  Every query takes
-the WaypointPath, which builds and keeps its own WaypointIndex.
+the WaypointPath, which builds and keeps its own WaypointIndex.  The
+simulation reduces each pose it steers, pp's one and each of utpp's sigma
+poses, with its own reduce_to_local_road call.
 
 Both path queries follow one rule: a candidate list is made, and the
 scalar loop of the tests' oracle decides, over that list only, in index
@@ -382,16 +384,9 @@ def select_lookahead_waypoint(path: WaypointPath, pose: tuple[float, float, floa
     yaw); the returned index is clamped into [1, len - 2] so it always has
     both neighbors.
     """
-    return select_lookahead_waypoints(path, [pose], d_l)[0]
-
-
-def select_lookahead_waypoints(
-    path: WaypointPath, poses: list[tuple[float, float, float]], d_l: float
-) -> list[int]:
-    """select_lookahead_waypoint for each (x, y, yaw) pose, in one nearest_group call."""
-    probes = [(x + d_l * math.cos(yaw), y + d_l * math.sin(yaw)) for x, y, yaw in poses]
-    last = len(path) - 2
-    return [min(max(i, 1), last) for i in path.spatial_index().nearest_group(probes)]
+    x, y, yaw = pose
+    probe = (x + d_l * math.cos(yaw), y + d_l * math.sin(yaw))
+    return min(max(path.spatial_index().nearest_group([probe])[0], 1), len(path) - 2)
 
 
 def menger_curvature(a: Point2, b: Point2, c: Point2) -> float:

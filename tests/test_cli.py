@@ -321,6 +321,24 @@ def test_svg_of_a_constant_command_pads_its_zero_span(tmp_path):
     assert [y for _, y in read_svg_polylines(path)[-1]] == [0.0] * 20
 
 
+def test_cli_svg_of_a_far_off_run_keeps_a_finite_transform(tmp_path, capsys):
+    # At x = 1e17 a step of 0.1 m rounds away, so every x is the start's, and
+    # the zero span's [-1, 1] widening and its 8% pad round away too; the
+    # panel still gets an x range of nonzero width.
+    text = (CONFIG_DIR / "straight.cfg").read_text(encoding="utf-8")
+    cfg = write_cfg(tmp_path, re.sub(r"(?m)^start_x = .*$", "start_x = 1e17", text), "far.cfg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--svg", "--out-dir", str(out)]) == 0
+    for name in ("far_pp_0_trajectory.csv", "far_pp_0_summary.json", "far_pp_0.svg"):
+        assert (out / name).stat().st_size > 0
+    svg = str(out / "far_pp_0.svg")
+    assert {x for x, _ in read_svg_polylines(svg)[2]} == {1e17}
+    transforms = re.findall(r'transform="translate\(([^,]+),([^)]+)\) scale\(([^,]+),([^)]+)\)"', Path(svg).read_text())
+    assert len(transforms) == 2
+    assert all(math.isfinite(float(v)) for t in transforms for v in t)
+    assert all(float(v) != 0.0 for _, _, *scale in transforms for v in scale)
+
+
 # Finite floats, with -0.0, subnormals, the ends of the float range and whole numbers drawn often.
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7976931348623157e308, 2.0**53)
 _CELL = st.one_of(

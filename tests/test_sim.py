@@ -41,7 +41,6 @@ from utpursuit import (
     run,
     run_batch,
     select_lookahead_waypoint,
-    select_lookahead_waypoints,
     steering_angle,
     step_pp,
     step_utpp,
@@ -827,7 +826,7 @@ def test_steer_matches_the_frame_transform_oracle_bit_for_bit(road, pose, spread
     axes = ((1, cov.var_x), (3, cov.var_y), (5, cov.var_yaw))
     outcomes = {}
     for i in [0, *(j for i, var in axes if var > 0.0 for j in (i, i + 1))]:
-        outcomes[i] = _bits_or_error(lambda: sim._steer(road, *sigma[i], *law))
+        outcomes[i] = _bits_or_error(lambda: sim._steer(road, sigma[i], *law))
         assert outcomes[i] == _bits_or_error(lambda: _steer_oracle(road, *sigma[i], *law))
     step = _bits_or_error(lambda: step_utpp(xyz(scen.start_pose), scen))
     assert step == _bits_or_error(lambda: step_utpp_oracle(xyz(scen.start_pose), scen))
@@ -959,7 +958,7 @@ def test_waypoint_utpp_fits_one_local_road_per_selected_waypoint(monkeypatch):
         sigma = generate_sigma_points(pose, cov, scen.ut)
         axes = ((1, cov.var_x), (3, cov.var_y), (5, cov.var_yaw))
         steered = [sigma[0], *(sigma[j] for i, var in axes if var > 0.0 for j in (i, i + 1))]
-        assert select_lookahead_waypoints(scen.road, steered, scen.lookahead) == selected
+        assert [select_lookahead_waypoint(scen.road, p, scen.lookahead) for p in steered] == selected
         fitted.clear()
         step = step_utpp(pose, scen)
         assert fitted == [scen.road.points[w] for w in fits]
@@ -969,6 +968,41 @@ def test_waypoint_utpp_fits_one_local_road_per_selected_waypoint(monkeypatch):
     # Only the x pair, whose + pose selected the tip, falls back.
     assert step == step_utpp(pose, without_variance(hairpin, "var_x"))
     assert step != step_utpp(pose, without_variance(without_variance(hairpin, "var_x"), "var_yaw"))
+
+
+def test_both_controllers_reach_a_waypoint_road_only_through_reduce_to_local_road(monkeypatch):
+    # sim.reduce_to_local_road is the name perfbench wraps: every pose that
+    # either controller steers on a waypoint road is reduced through it.
+    reduced = []
+    reduce = sim.reduce_to_local_road
+
+    def counted(path, pose, d_l):
+        reduced.append(pose)
+        return reduce(path, pose, d_l)
+
+    monkeypatch.setattr(sim, "reduce_to_local_road", counted)
+    arc = parse_config(str(CONFIG_DIR / "waypoint_arc.cfg"))
+    pose = xyz(arc.start_pose)
+    step_pp(pose, arc)
+    assert reduced == [pose]
+    # The mean, the y pair and the yaw pair; var_x is 0.
+    sigma = generate_sigma_points(pose, arc.noise.cov, arc.ut)
+    reduced.clear()
+    step_utpp(pose, replace(arc, controller=Controller.UTPP))
+    assert reduced == [sigma[j] for j in (0, 3, 4, 5, 6)]
+    # The +x pose probes the hairpin's tip, whose triple faults, so the -x pose is
+    # never reduced; the yaw pair is.
+    hairpin = make_scenario(
+        hairpin_path(),
+        controller=Controller.UTPP,
+        noise=NoiseModel(Covariance3(3.2**2 / 3.0, 0.0, math.radians(10.0) ** 2 / 3.0)),
+        ut=derive_ut_params(3, 1.0, 0.0),
+    )
+    pose = (1.0, -0.4, 0.0)
+    sigma = generate_sigma_points(pose, hairpin.noise.cov, hairpin.ut)
+    reduced.clear()
+    step_utpp(pose, hairpin)
+    assert reduced == [sigma[j] for j in (0, 1, 5, 6)]
 
 
 @pytest.mark.parametrize("stem", ["straight", "circle"])

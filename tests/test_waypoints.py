@@ -860,6 +860,69 @@ def test_select_lookahead_waypoint_probes_ahead_and_clamps():
     assert select_lookahead_waypoint(path, (9.0, 0.0, 0.0), 3.0) == 8
 
 
+@st.composite
+def lookahead_cases(draw):
+    """An open or closed path and poses with their look-aheads: (points, [(pose, d_l), ...]).
+
+    The path turns at random between legs of 0.05 to 5 m, away from the
+    origin or not; a closed one ends on its first waypoint.  A pose sits near
+    a waypoint at any heading, on either end heading off the path, or far
+    from every waypoint; a look-ahead of a millimetre to a megametre puts its
+    probe on the path, past either end or far off.
+    """
+    x, y = draw(st.sampled_from([(0.0, 0.0), (1e3, -2e3), (-1e6, 1e5)]))
+    points, heading = [(x, y)], 0.0
+    for _ in range(draw(st.integers(2, 20))):
+        heading += draw(st.floats(-math.pi, math.pi))
+        leg = draw(st.floats(0.05, 5.0))
+        x, y = x + leg * math.cos(heading), y + leg * math.sin(heading)
+        points.append((x, y))
+    if draw(st.booleans()):
+        points.append(points[0])
+
+    def off(a, b):
+        # The heading from waypoint a to waypoint b.
+        return math.atan2(points[b][1] - points[a][1], points[b][0] - points[a][0])
+
+    queries = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["near", "start", "end", "far"]))
+        if kind == "near":
+            px, py = draw(st.sampled_from(points))
+            spread = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+            px += spread * draw(st.floats(-1.0, 1.0))
+            py += spread * draw(st.floats(-1.0, 1.0))
+            yaw = draw(st.floats(-math.pi, math.pi))
+        elif kind == "start":
+            (px, py), yaw = points[0], off(1, 0)
+        elif kind == "end":
+            (px, py), yaw = points[-1], off(-2, -1)
+        else:
+            far = st.floats(-1e7, 1e7)
+            px, py, yaw = draw(far), draw(far), draw(st.floats(-math.pi, math.pi))
+        d_l = draw(st.one_of(st.floats(1e-3, 20.0), st.sampled_from([1e3, 1e6])))
+        queries.append(((px, py, yaw), d_l))
+    return points, queries
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lookahead_cases())
+# Past the start and past the end of an open line, and far off to one side.
+@example(([(float(i), 0.0) for i in range(10)], [((0.0, 0.0, math.pi), 2.0), ((9.0, 0.0, 0.0), 3.0), ((4.0, 1e6, 0.0), 1.0)]))
+# A closed square: past its seam in both directions.
+@example(([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)], [((0.0, 0.0, -math.pi / 2), 0.5), ((0.0, 0.5, -math.pi / 2), 1.0)]))
+def test_select_lookahead_waypoint_is_the_clamped_nearest_to_its_probe(case):
+    points, queries = case
+    try:
+        path = WaypointPath(points)
+    except ValueError:
+        assume(False)
+    for (x, y, yaw), d_l in queries:
+        probe = (x + d_l * math.cos(yaw), y + d_l * math.sin(yaw))
+        expected = min(max(nearest_waypoint_oracle(probe, points), 1), len(points) - 2)
+        assert select_lookahead_waypoint(path, (x, y, yaw), d_l) == expected
+
+
 def test_menger_curvature_signs_and_collinear():
     assert menger_curvature((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)) == pytest.approx(1.0, rel=1e-12)
     assert menger_curvature((1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)) == pytest.approx(-1.0, rel=1e-12)
